@@ -24,11 +24,6 @@ class NotHyperbolic(ValueError):
     pass
 
 
-class HpInconclusive(RuntimeError):
-    """The discriminant square test exhausted its search without a
-    certificate either way."""
-
-
 class OrderSearchExhausted(RuntimeError):
     pass
 
@@ -89,12 +84,7 @@ def is_hp(a: PslElem) -> bool:
     types = per_embedding_types(a)
     if any(t is not EmbeddingType.HYPERBOLIC for t in types):
         raise NotHyperbolic("hyperbolic-parabolic test needs a totally hyperbolic element")
-    outcome = has_square_root(_disc(a))
-    if outcome.value is not None:
-        return True
-    if outcome.exhausted:
-        raise HpInconclusive("square test for Tr^2 - 4 exhausted its bounds")
-    return False
+    return has_square_root(_disc(a)).value is not None
 
 
 def classify(a: PslElem) -> ElementClass:
@@ -176,9 +166,7 @@ def classification_json(a: PslElem) -> dict:
             out["disc_square_in_k"] = cls.hyperbolic_parabolic
             out["hyperbolic_parabolic"] = cls.hyperbolic_parabolic
         else:
-            sq = has_square_root(_disc(a))
-            out["disc_square_in_k"] = ("inconclusive" if sq.value is None and sq.exhausted
-                                       else sq.value is not None)
+            out["disc_square_in_k"] = has_square_root(_disc(a)).value is not None
         if cls.kind is ClassKind.MIXED:
             out["hyperbolic_components"] = cls.hyperbolic_components
         if cls.kind is ClassKind.TOTALLY_ELLIPTIC:

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import numfield
 from .classify import classification_json, default_order_bound
 from .exactnum import Poly
 from .modgrp import Mat2, NotUnimodular, psl_normalize, torsion_orders
@@ -330,12 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    rounds = os.environ.get("HILMOD_PRECISION_ROUNDS")
-    if rounds:
-        try:
-            numfield._PRECISION_ROUNDS = max(1, int(rounds))
-        except ValueError:
-            print("warning: ignoring bad HILMOD_PRECISION_ROUNDS", file=sys.stderr)
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exactnum import Poly
-from .numfield import FieldElement, NumberField, SearchOutcome, contains_root_of
+from .numfield import FieldElement, NumberField, contains_root_of
 
 
 class NotUnimodular(ValueError):
@@ -359,7 +359,10 @@ def torsion_orders(field: NumberField, m_max: int) -> list[tuple[int, Mat2]]:
             assert element_order(wit, 2) == 2
             out.append((2, wit))
             continue
-        res = contains_root_of(field, cos_trace_min_poly(m))
+        poly = cos_trace_min_poly(m)
+        if field.degree % poly.degree:
+            continue  # Q(2cos(2*pi/m)) has degree phi(m)/2, which must divide n
+        res = contains_root_of(field, poly)
         if res.value is None or not res.value.is_integral():
             continue
         t = res.value

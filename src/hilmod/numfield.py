@@ -1,27 +1,32 @@
 """Totally real number fields with certified real embeddings.
 
-A field is presented by a monic integer minimal polynomial (irreducibility
-is verified only up to degree 3, above that it is a caller contract) plus
-an integral basis given in the power basis of the defining root.  Elements
+A field is presented by a monic integer minimal polynomial plus an
+integral basis given in the power basis of the defining root.  Elements
 are exact coordinate vectors in the integral basis; all arithmetic happens
-in Q[x]/(min_poly) and is exact.
+in Q[x]/(min_poly) and is exact.  A rational root of the minimal
+polynomial is always rejected, which settles irreducibility up to degree
+3; above that it is a caller contract, and ``inverse`` raises
+ReducibleDetected on a zero divisor.
 
 Sign decisions at an embedding combine an exact zero test with interval
 refinement of the isolated root, so they are certified.  Square roots and
-roots of rational polynomials inside the field use a candidate-and-verify
-scheme (high precision numerics, rational rounding, exact verification)
-with an exact factorization fallback for certifying absence.
+roots of rational polynomials inside the field are decided exactly: after
+scaling, a root y is an algebraic integer, so its power-basis coordinates
+c = T^-1 (Tr(theta^l y))_l lie in (1/D)Z^n, with T the trace form of the
+order Z[theta] and D = |det T| = |disc(min_poly)|.  Interval enclosures of
+the embeddings of y pin c to one lattice point, verified exactly, or
+exclude every lattice point; either way the answer is certified.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import Optional, Sequence
-
-import mpmath
 
 from .exactnum import (
     NotSquarefree,
@@ -132,8 +137,10 @@ class NumberField:
         n = min_poly.degree
         if n < 1:
             raise ValueError("minimal polynomial must have positive degree")
-        _check_irreducible(min_poly)
-        roots = isolate_real_roots(min_poly)
+        roots = _narrow_roots(min_poly)
+        rational_roots = _integer_roots(roots) if n > 1 else []
+        if rational_roots:
+            raise ReducibleDetected(f"rational root {rational_roots[0]} detected")
         if len(roots) != n:
             raise NotTotallyReal(
                 f"only {len(roots)} of {n} roots are real")
@@ -151,7 +158,6 @@ class NumberField:
         self.integral_basis = tuple(tuple(row) for row in basis)
         self._basis_inv = mat_inverse(basis)
         self._embeddings: list[RootInterval] = list(roots)
-        self._mp_roots: dict[tuple[int, int], mpmath.mpf] = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -204,17 +210,24 @@ class NumberField:
             self._embeddings[i] = r
         return r
 
-    def embedding_mp(self, i: int, dps: int) -> mpmath.mpf:
-        """The i-th real root of min_poly to ``dps`` decimal digits."""
-        key = (i, dps)
-        if key not in self._mp_roots:
-            r = self.embedding(i, Fraction(1, 10 ** (dps + 5)))
-            with mpmath.workdps(dps + 10):
-                self._mp_roots[key] = mpmath.mpf(r.midpoint.numerator) / r.midpoint.denominator
-        return self._mp_roots[key]
-
     def discriminant(self) -> Fraction:
         return self.min_poly.discriminant()
+
+    @cached_property
+    def _trace_form(self) -> tuple[list[list[Fraction]], int]:
+        """T^-1 and D = |det T| = |disc(min_poly)| for the trace form
+        T_jl = Tr(theta^(j+l)) of the order Z[theta].
+
+        The power-basis coordinates of y are c = T^-1 (Tr(theta^l y))_l.
+        adj(T) is integral, and so is Tr(theta^l y) for an algebraic
+        integer y, hence c lies in (1/D)Z^n."""
+        n, a = self.degree, self.min_poly.coeffs
+        s: list[Fraction] = [Fraction(n)]  # Newton's identities: s_m = Tr(theta^m)
+        for m in range(1, 2 * n - 1):
+            s.append(-(m * a[n - m] if m <= n else 0)
+                     - sum(a[n - j] * s[m - j] for j in range(1, min(m - 1, n) + 1)))
+        t = [[s[j + l] for l in range(n)] for j in range(n)]
+        return mat_inverse(t), abs(int(mat_det(t)))
 
     # -- serialization --------------------------------------------------
 
@@ -236,23 +249,17 @@ class NumberField:
         return f"NumberField({self.min_poly!r})"
 
 
-def _check_irreducible(p: Poly) -> None:
-    """Reject degree <= 3 polynomials with a rational root.  For monic
-    integer polynomials the rational roots are integer divisors of the
-    constant term, so the test is exact.  Degree >= 4 is caller-asserted."""
-    n = p.degree
-    if n == 1:
-        return
-    c0 = p.coeffs[0].numerator
-    if c0 == 0:
-        raise ReducibleDetected("x divides the minimal polynomial")
-    if n > 3:
-        return
-    for d in range(1, abs(c0) + 1):
-        if abs(c0) % d == 0:
-            for cand in (d, -d):
-                if p(Fraction(cand)) == 0:
-                    raise ReducibleDetected(f"rational root {cand} detected")
+def _narrow_roots(p: Poly) -> list[RootInterval]:
+    """The real roots of p, ascending, isolated to width < 1."""
+    return [refine_root(r, Fraction(1, 2)) for r in isolate_real_roots(p)]
+
+
+def _integer_roots(roots: Sequence[RootInterval]) -> list[int]:
+    """The integer roots among ``_narrow_roots`` output, ascending; each
+    interval holds at most one integer.  For a monic integer polynomial
+    these are all of its rational roots."""
+    return [m for r in roots for m in range(math.ceil(r.low), math.floor(r.high) + 1)
+            if r.polynomial(m) == 0]
 
 
 @dataclass(frozen=True)
@@ -306,7 +313,8 @@ class FieldElement:
             q, r = a.divmod(b)
             a, b = b, r
             s0, s1 = s1, s0 - q * s1
-        # a = gcd = constant (min_poly irreducible)
+        if a.degree > 0:
+            raise ReducibleDetected("zero divisor: the minimal polynomial is reducible")
         inv = s0.scale(1 / a.coeffs[0])
         return self.field.from_power((inv % self.field.min_poly).coeffs)
 
@@ -334,12 +342,6 @@ class FieldElement:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def is_rational(self) -> Optional[Fraction]:
-        pc = self.power_coords()
-        if all(c == 0 for c in pc[1:]):
-            return pc[0]
-        return None
 
     def is_integral(self) -> bool:
         """True iff all integral-basis coordinates are integers."""
@@ -380,12 +382,6 @@ class FieldElement:
                 return lo, hi
             r = self.field.embedding(i, r.width / 4)
 
-    def embed_mp(self, i: int, dps: int) -> mpmath.mpf:
-        with mpmath.workdps(dps + 10):
-            x = self.field.embedding_mp(i, dps)
-            return mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator
-                                   for c in reversed(self.power_coords())], x)
-
     # -- trace and norm -------------------------------------------------
 
     def _mult_matrix(self) -> list[list[Fraction]]:
@@ -424,265 +420,126 @@ def element_from_json(field: NumberField, data: Sequence[str]) -> FieldElement:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of a candidate-and-verify root search.
-
-    ``value`` is an exactly verified root, or None.  When None,
-    ``exhausted`` distinguishes a certified absence (False) from a search
-    that hit its precision/denominator limits (True)."""
+    """Result of an in-field root search: an exactly verified root, or
+    None, which certifies that k holds no root."""
 
     value: Optional[FieldElement]
-    exhausted: bool = False
-
-    @property
-    def certified_absent(self) -> bool:
-        return self.value is None and not self.exhausted
 
 
-_PRECISION_ROUNDS = 3
-_PRECISION_STEP = 4  # extra digits multiplier per escalation round
+def _imul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(p), max(p)
 
 
-def _mpf_to_fraction(x: mpmath.mpf) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    f = Fraction(man) * Fraction(2) ** exp
-    return -f if sign else f
+def _isum(ivs) -> tuple[Fraction, Fraction]:
+    ivs = list(ivs)
+    return sum(lo for lo, _ in ivs), sum(hi for _, hi in ivs)
 
 
-def _denominator_candidates(x: mpmath.mpf, den_bound: int) -> list[Fraction]:
-    out = []
-    f = _mpf_to_fraction(x)
-    for d in (1, den_bound):
-        out.append(Fraction(round(f * d), d))
-    out.append(f.limit_denominator(10 ** 6))
-    return out
+def _sqrt_interval(lo: Fraction, hi: Fraction, w: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational enclosure of sqrt([lo, hi]), hi > 0, widened by at most 2w."""
+    b = math.ceil(1 / w).bit_length()  # 2^-b < w
+    scale = 4 ** b
+    low = isqrt(math.floor(max(lo, Fraction(0)) * scale))
+    return Fraction(low, 2 ** b), Fraction(isqrt(math.ceil(hi * scale)) + 1, 2 ** b)
 
 
-def _embedding_matrix(field: NumberField, dps: int) -> mpmath.matrix:
+def _lattice_root(field: NumberField, enclose, assignments, verify) -> Optional[FieldElement]:
+    """The first verified algebraic integer y in k whose embeddings follow
+    one of the ``assignments``; None certifies that there is none.
+
+    ``enclose(w)[i]`` lists rational enclosures, of width about w and
+    shrinking with it, of the values allowed at embedding i; an assignment
+    picks one per embedding.  The power-basis coordinates c of y lie in
+    (1/D)Z^n (see ``NumberField._trace_form``).  Enclosures of
+    Tr(theta^l y) shrink the intervals around c until one holds no lattice
+    point (no such y) or each pins exactly one, the only possible
+    candidate, verified exactly.
+    """
+    tinv, den = field._trace_form
     n = field.degree
-    m = mpmath.matrix(n, n)
-    for i in range(n):
-        x = field.embedding_mp(i, dps)
-        for j in range(n):
-            row = field.integral_basis[j]
-            m[i, j] = mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator
-                                      for c in reversed(row)], x)
-    return m
-
-
-def _round_and_verify(field: NumberField, target: Sequence[mpmath.mpf],
-                      den_bound: int, check) -> Optional[FieldElement]:
-    """Solve for integral-basis coordinates matching the embedding values
-    in ``target``, round, and verify exactly with ``check``."""
-    try:
-        sol = mpmath.lu_solve(_embedding_matrix(field, mpmath.mp.dps),
-                              mpmath.matrix(list(target)))
-    except ZeroDivisionError:
-        return None
-    coord_opts = [_denominator_candidates(sol[i], den_bound)
-                  for i in range(field.degree)]
-    # try the direct per-coordinate roundings, cheapest first
-    for pick in zip(*coord_opts):
-        cand = field.element(list(pick))
-        if check(cand):
-            return cand
+    for assign in assignments:
+        w = Fraction(1, 4 * den)
+        while True:
+            allowed = enclose(w)
+            u = [(Fraction(0), Fraction(0))] * n  # u_l encloses Tr(theta^l y)
+            for i, j in enumerate(assign):
+                r = field.embedding(i, w)
+                power = allowed[i][j]  # theta_i^l * sigma_i(y), l = 0, 1, ...
+                for l in range(n):
+                    u[l] = _isum((u[l], power))
+                    power = _imul(power, (r.low, r.high))
+            coords = [_isum(_imul((x, x), ul) for x, ul in zip(row, u)) for row in tinv]
+            pins = [(math.ceil(lo * den), math.floor(hi * den)) for lo, hi in coords]
+            if any(a > b for a, b in pins):
+                break
+            if all(a == b for a, b in pins):
+                y = field.from_power([Fraction(a, den) for a, _ in pins])
+                if verify(y):
+                    return y
+                break
+            widest = max(hi - lo for lo, hi in coords)
+            w /= 2 ** max(1, math.ceil(2 * den * widest).bit_length())
     return None
 
 
-def _default_den_bound(field: NumberField) -> int:
-    d = abs(field.discriminant())
-    return max(2, int(d.numerator // d.denominator))
+def has_square_root(c: FieldElement) -> SearchOutcome:
+    """The y in k with y*y = c and sigma_0(y) >= 0, if it exists.
 
-
-def _sympy_theta(field: NumberField):
-    import sympy
-
-    if not hasattr(field, "_sympy_theta"):
-        t = sympy.Dummy("theta")
-        expr = sum(sympy.Rational(c.numerator, c.denominator) * t ** i
-                   for i, c in enumerate(field.min_poly.coeffs))
-        if field.degree == 1:
-            root = sympy.Rational(-field.min_poly.coeffs[0])
-        else:
-            root = sympy.CRootOf(sympy.Poly(expr, t), field.degree - 1)
-        field._sympy_theta = root
-    return field._sympy_theta
-
-
-def _roots_in_field_exact(field: NumberField, p: Poly) -> list[FieldElement]:
-    """Exact fallback: factor p over k with sympy and return its roots in k."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    theta = _sympy_theta(field)
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-               for i, c in enumerate(p.coeffs))
-    if field.degree == 1:
-        factors = sympy.factor_list(expr, x)[1]
-        roots = [sympy.Rational(sympy.nsimplify(-f.coeff(x, 0) / f.coeff(x, 1)))
-                 for f, _ in factors if sympy.degree(f, x) == 1]
-        out = []
-        for r in roots:
-            cand = field.element([Fraction(int(r.p), int(r.q))])
-            if p(cand.power_coords()[0]) == 0:
-                out.append(cand)
-        return out
-    factors = sympy.factor_list(expr, x, extension=theta)[1]
-    out = []
-    for f, _ in factors:
-        if sympy.degree(f, x) != 1:
-            continue
-        root = sympy.simplify(-f.coeff(x, 0) / f.coeff(x, 1))
-        poly_in_theta = sympy.Poly(sympy.expand(root), theta)
-        power = [Fraction(0)] * field.degree
-        for mono, coeff in zip(poly_in_theta.monoms(), poly_in_theta.coeffs()):
-            q = sympy.Rational(coeff)
-            power[mono[0]] += Fraction(int(q.p), int(q.q))
-        cand = field.from_power(power)
-        # exact verification in our own arithmetic
-        acc = field.zero()
-        for i, c in enumerate(p.coeffs):
-            acc = acc + (cand ** i) * c
-        if acc.is_zero:
-            out.append(cand)
-    return out
-
-
-def has_square_root(c: FieldElement,
-                    den_bound: Optional[int] = None,
-                    precision_rounds: Optional[int] = None) -> SearchOutcome:
-    """A y in k with y*y = c (verified exactly), if one exists.
-
-    Absence is certified by an embedding-sign or norm obstruction, or by an
-    exact factorization fallback; only if all of those are unavailable does
-    the outcome carry the exhausted flag.
+    Absence is certified by a negative embedding, a norm that is not a
+    rational square, or lattice exclusion.
     """
-    if precision_rounds is None:
-        precision_rounds = _PRECISION_ROUNDS
     field = c.field
     if c.is_zero:
         return SearchOutcome(field.zero())
     n = field.degree
-    for i in range(n):
-        if c.embed_sign(i) < 0:
-            return SearchOutcome(None)
-    r = c.is_rational()
-    if r is not None:
-        s = _is_rational_square(r)
-        if s is not None:
-            y = field.element([s] + [0] * (n - 1))
-            return SearchOutcome(y)
-        if n == 1:
-            return SearchOutcome(None)
+    if any(c.embed_sign(i) < 0 for i in range(n)):
+        return SearchOutcome(None)
     if _is_rational_square(c.norm()) is None:
         return SearchOutcome(None)  # N(y)^2 = N(c) forces a square norm
+    s = math.lcm(*(x.denominator for x in c.power_coords()))
+    cs = c * (s * s)  # in Z[theta], so its square roots are algebraic integers
 
-    den = den_bound if den_bound is not None else _default_den_bound(field)
-    dps = 30
-    for _ in range(max(1, precision_rounds)):
-        with mpmath.workdps(dps):
-            sqrts = [mpmath.sqrt(c.embed_mp(i, dps)) for i in range(n)]
-            for pattern in itertools.product((1, -1), repeat=n - 1):
-                target = [sqrts[0]] + [s * v for s, v in zip(pattern, sqrts[1:])]
-                y = _round_and_verify(field, target, den,
-                                      lambda cand: cand * cand == c)
-                if y is not None:
-                    return SearchOutcome(y)
-        dps *= _PRECISION_STEP
-    # exact fallback: factor x^2 - c over k
-    try:
-        roots = _roots_in_field_exact_ksqrt(field, c)
-    except Exception:
-        return SearchOutcome(None, exhausted=True)
-    if roots:
-        return SearchOutcome(roots[0])
-    return SearchOutcome(None)
+    def enclose(w):
+        out = []
+        for i in range(n):
+            lo, hi = _sqrt_interval(*cs.embed_interval(i, w), w)
+            out.append(((lo, hi), (-hi, -lo)))
+        return out
+
+    signs = ((0,) + rest for rest in itertools.product((0, 1), repeat=n - 1))
+    y = _lattice_root(field, enclose, signs, lambda y: y * y == cs)
+    return SearchOutcome(None if y is None else y * Fraction(1, s))
 
 
-def _roots_in_field_exact_ksqrt(field: NumberField, c: FieldElement) -> list[FieldElement]:
-    """Roots in k of x^2 - c, with c in k, via sympy factorization."""
-    import sympy
+def contains_root_of(field: NumberField, p: Poly) -> SearchOutcome:
+    """A root in k of the monic rational polynomial p, if any: the smallest
+    rational root, else the first root found over the assignments of real
+    roots of p to the embeddings, in lexicographic order.
 
-    x = sympy.Symbol("x")
-    theta = _sympy_theta(field)
-    pc = c.power_coords()
-    c_expr = sum(sympy.Rational(q.numerator, q.denominator) * theta ** i
-                 for i, q in enumerate(pc))
-    expr = x ** 2 - c_expr
-    if field.degree == 1:
-        factors = sympy.factor_list(expr, x)[1]
-    else:
-        factors = sympy.factor_list(expr, x, extension=theta)[1]
-    out = []
-    for f, _ in factors:
-        if sympy.degree(f, x) != 1:
-            continue
-        root = sympy.expand(-f.coeff(x, 0) / f.coeff(x, 1))
-        poly_in_theta = sympy.Poly(root, theta)
-        power = [Fraction(0)] * field.degree
-        for mono, coeff in zip(poly_in_theta.monoms(), poly_in_theta.coeffs()):
-            q = sympy.Rational(coeff)
-            power[mono[0]] += Fraction(int(q.p), int(q.q))
-        cand = field.from_power(power)
-        if cand * cand == c:
-            out.append(cand)
-    return out
-
-
-def contains_root_of(field: NumberField, p: Poly,
-                     den_bound: Optional[int] = None,
-                     precision_rounds: Optional[int] = None) -> SearchOutcome:
-    """An exact root of the rational polynomial p lying in k, if any.
-
-    Same candidate-and-verify scheme as has_square_root: every embedding of
-    a root y in k is itself a real root of p, so candidates are built from
-    tuples of high-precision root values, one per embedding.
+    Every embedding of a root y in k is a real root of p; a None answer
+    certifies that k holds no root.
     """
-    if precision_rounds is None:
-        precision_rounds = _PRECISION_ROUNDS
     if p.is_zero or not p.is_monic:
         raise ValueError("expected a monic polynomial")
-    if not p.is_squarefree():
-        raise NotSquarefree("polynomial has a repeated root")
     n = field.degree
+    d = p.degree
+    s = math.lcm(*(a.denominator for a in p.coeffs))
+    q = Poly([a * s ** (d - i) for i, a in enumerate(p.coeffs)])  # roots s*y
+    roots = _narrow_roots(q)
+    rational = _integer_roots(roots)
+    if rational:
+        return SearchOutcome(field.one() * Fraction(rational[0], s))
 
-    def eval_in_field(y: FieldElement) -> FieldElement:
+    def enclose(w):
+        roots[:] = [refine_root(r, w) for r in roots]
+        return [[(r.low, r.high) for r in roots]] * n
+
+    def is_root(y: FieldElement) -> bool:
         acc = field.zero()
-        for i, c in enumerate(p.coeffs):
-            acc = acc + (y ** i) * c
-        return acc
+        for a in reversed(q.coeffs):
+            acc = acc * y + field.one() * a
+        return acc.is_zero
 
-    real_roots = isolate_real_roots(p)
-    if not real_roots:
-        return SearchOutcome(None)  # k is totally real
-
-    # exact rational roots first
-    for r in real_roots:
-        rr = refine_root(r, Fraction(1, 10 ** 8))
-        cand = rr.midpoint.limit_denominator(10 ** 6)
-        if p(cand) == 0:
-            return SearchOutcome(field.element([cand] + [0] * (n - 1)))
-    if n == 1:
-        return SearchOutcome(None)
-
-    den = den_bound if den_bound is not None else _default_den_bound(field)
-    dps = 30
-    for _ in range(max(1, precision_rounds)):
-        with mpmath.workdps(dps):
-            vals = []
-            for r in real_roots:
-                rr = refine_root(r, Fraction(1, 10 ** (dps + 5)))
-                vals.append(mpmath.mpf(rr.midpoint.numerator) / rr.midpoint.denominator)
-            for assign in itertools.product(range(len(vals)), repeat=n):
-                target = [vals[j] for j in assign]
-                y = _round_and_verify(field, target, den,
-                                      lambda cand: eval_in_field(cand).is_zero)
-                if y is not None:
-                    return SearchOutcome(y)
-        dps *= _PRECISION_STEP
-    try:
-        roots = _roots_in_field_exact(field, p)
-    except Exception:
-        return SearchOutcome(None, exhausted=True)
-    if roots:
-        return SearchOutcome(roots[0])
-    return SearchOutcome(None)
+    y = _lattice_root(field, enclose, itertools.product(range(len(roots)), repeat=n), is_root)
+    return SearchOutcome(None if y is None else y * Fraction(1, s))

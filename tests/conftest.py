@@ -1,5 +1,7 @@
+import functools
 import random
 
+import mpmath
 import pytest
 
 from hilmod.exactnum import Poly
@@ -31,6 +33,25 @@ def sqrt5():
 def cubic7():
     # minimal polynomial of 2cos(pi/7); the totally real cubic Q(cos(2*pi/7))
     return NumberField(Poly([1, -2, -1, 1]))
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_roots(coeffs: tuple, dps: int) -> list:
+    with mpmath.workdps(dps + 10):
+        roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                  for c in reversed(coeffs)],
+                                 maxsteps=200, extraprec=4 * dps)
+        return sorted(mpmath.re(r) for r in roots)
+
+
+def embed_mp(x, i: int, dps: int):
+    """sigma_i(x) to ``dps`` digits, with the embeddings taken from
+    mpmath.polyroots of the minimal polynomial: an oracle independent of
+    hilmod's root isolation."""
+    theta = _mp_roots(x.field.min_poly.coeffs, dps)[i]
+    with mpmath.workdps(dps + 10):
+        return mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator
+                               for c in reversed(x.power_coords())], theta)
 
 
 def sample_sl2_words(field, rng: random.Random, count: int,

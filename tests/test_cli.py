@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,10 +157,19 @@ def test_stdin_field(capsys, monkeypatch):
     assert code == 0 and '"degree": 2' in out
 
 
-def test_precision_rounds_env(capsys, monkeypatch):
-    monkeypatch.setenv("HILMOD_PRECISION_ROUNDS", "2")
-    from hilmod import numfield
-    monkeypatch.setattr(numfield, "_PRECISION_ROUNDS", numfield._PRECISION_ROUNDS)
-    code, _, _ = run(capsys, "field-info", "--field", SQRT2)
-    assert code == 0
-    assert numfield._PRECISION_ROUNDS == 2
+def test_root_searches_import_no_mpmath_or_sympy():
+    code = f"""
+import contextlib, io, sys
+from hilmod.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["classify", "--field", {SQRT2!r}, "--matrix", "2;1;1;1"]) == 0
+    assert main(["torsion-search", "--field", {SQRT2!r}, "--max-order", "12"]) == 0
+assert '"class": "totally_hyperbolic"' in out.getvalue()
+loaded = {{"mpmath", "sympy"}} & set(sys.modules)
+assert not loaded, loaded
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from conftest import embed_mp
 
 from hilmod.exactnum import NotSquarefree, Poly
 from hilmod.numfield import (
@@ -38,6 +43,27 @@ def test_field_construction_errors():
         NumberField(Poly([0, 1, 0, 1]))  # x^3 + x, divisible by x
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _build_within_10s(c0: int) -> subprocess.CompletedProcess:
+    """Build the field of x^2 + c0 in a child process stopped after 10 s."""
+    code = f"from hilmod import NumberField, Poly; NumberField(Poly([{c0}, 0, 1]))"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env={**os.environ, "PYTHONPATH": SRC})
+
+
+def test_large_constant_term_accepted():
+    out = _build_within_10s(-1000000000039)
+    assert out.returncode == 0, out.stderr
+
+
+def test_large_constant_term_rational_root_rejected():
+    out = _build_within_10s(-10 ** 12)
+    assert out.returncode == 1
+    assert "ReducibleDetected: rational root -1000000 detected" in out.stderr
+
+
 def test_quadratic_convenience_basis(sqrt5):
     # d = 1 mod 4 ships the maximal-order basis {1, (1+theta)/2}
     b = sqrt5.element([0, 1])
@@ -61,6 +87,14 @@ def test_division_and_powers(sqrt2):
     assert x ** -2 == (x * x).inverse()
     with pytest.raises(ZeroDivisionError):
         sqrt2.zero().inverse()
+
+
+def test_inverse_zero_divisor_raises():
+    # x^4 - 5x^2 + 6 = (x^2 - 2)(x^2 - 3) has no rational root, so it is
+    # accepted; theta^2 - 2 is a zero divisor and has no inverse
+    field = NumberField(Poly([6, 0, -5, 0, 1]))
+    with pytest.raises(ReducibleDetected):
+        field.from_power([-2, 0, 1]).inverse()
 
 
 def test_inverse_property_random(sqrt2, sqrt5, cubic7):
@@ -92,7 +126,7 @@ def test_embed_sign_against_mp(sqrt2, cubic7):
             x = field.element([Fraction(rng.randint(-20, 20), rng.randint(1, 5))
                                for _ in range(field.degree)])
             for i in range(field.degree):
-                v = x.embed_mp(i, 50)
+                v = embed_mp(x, i, 50)
                 s = x.embed_sign(i)
                 if x.is_zero:
                     assert s == 0
@@ -133,14 +167,19 @@ def test_has_square_root_examples(sqrt2):
     assert has_square_root(four).value == sqrt2.element([2, 0])
     got = has_square_root(sqrt2.element([3, 2])).value
     assert got is not None and got * got == sqrt2.element([3, 2])
-    out = has_square_root(th)
-    assert out.value is None and out.certified_absent
+    assert got == sqrt2.element([-1, -1])  # the root with sigma_0(y) > 0
+    assert has_square_root(th).value is None
+    # norm 9 is a square, yet 9 + 6*theta is not
+    assert has_square_root(sqrt2.element([9, 6])).value is None
+    # over Z[sqrt5], the root of (3 + theta)/2 has half-integer coordinates
+    z5 = NumberField(Poly([-5, 0, 1]))
+    c = z5.element([Fraction(3, 2), Fraction(1, 2)])
+    assert has_square_root(c).value == z5.element([Fraction(-1, 2), Fraction(-1, 2)])
 
 
 def test_has_square_root_negative_embedding(sqrt2):
     x = sqrt2.element([1, -1])  # 1 - theta, negative at the larger root
-    out = has_square_root(x)
-    assert out.value is None and out.certified_absent
+    assert has_square_root(x).value is None
 
 
 def test_has_square_root_roundtrip(sqrt2, sqrt5):
@@ -152,12 +191,15 @@ def test_has_square_root_roundtrip(sqrt2, sqrt5):
             assert got is not None and got in (x, -x)
 
 
-def test_contains_root_of(sqrt2, sqrt5):
+def test_contains_root_of(sqrt2, sqrt5, cubic7):
     assert contains_root_of(sqrt2, Poly([-2, 1])).value == sqrt2.element([2, 0])
     r = contains_root_of(sqrt5, Poly([-1, 1, 1]))
     assert r.value == sqrt5.element([-1, 1])  # 2cos(2*pi/5) = (-1+theta)/2
-    out = contains_root_of(sqrt2, Poly([-3, 0, 1]))
-    assert out.value is None and out.certified_absent
+    assert contains_root_of(sqrt2, Poly([-3, 0, 1])).value is None
+    # all three roots lie in k; the first assignment of real roots to the
+    # embeddings, in lexicographic order, is (0, 2, 1)
+    r = contains_root_of(cubic7, Poly([-49, 49, -14, 1]))
+    assert r.value == cubic7.element([9, 2, -3])
 
 
 def test_contains_root_of_input_checks(sqrt2):
