@@ -24,10 +24,6 @@ class NotHyperbolic(ValueError):
     pass
 
 
-class OrderSearchExhausted(RuntimeError):
-    pass
-
-
 class EmbeddingType(Enum):
     ELLIPTIC = "elliptic"
     PARABOLIC = "parabolic"
@@ -44,10 +40,15 @@ class ClassKind(Enum):
 
 @dataclass(frozen=True)
 class ElementClass:
+    """The classification facts of one element, computed once by
+    ``classify`` and passed along."""
+
     kind: ClassKind
     order: Optional[int] = None                 # totally elliptic only
     hyperbolic_parabolic: Optional[bool] = None  # totally hyperbolic only
     hyperbolic_components: Optional[int] = None  # mixed only
+    per_embedding: tuple[EmbeddingType, ...] = ()  # empty for the identity
+    disc_square: Optional[bool] = None  # Tr^2 - 4 a square in k; None for the identity
 
     @property
     def is_infinite_order(self) -> bool:
@@ -60,9 +61,7 @@ def _disc(a: PslElem) -> FieldElement:
     return t * t - a.field.one() * 4
 
 
-def embedding_type(a: PslElem, i: int) -> EmbeddingType:
-    """Type of the i-th embedded component, from the sign of Tr^2 - 4."""
-    s = _disc(a).embed_sign(i)
+def _type_of_sign(s: int) -> EmbeddingType:
     if s < 0:
         return EmbeddingType.ELLIPTIC
     if s == 0:
@@ -70,8 +69,18 @@ def embedding_type(a: PslElem, i: int) -> EmbeddingType:
     return EmbeddingType.HYPERBOLIC
 
 
+def embedding_type(a: PslElem, i: int) -> EmbeddingType:
+    """Type of the i-th embedded component, from the sign of Tr^2 - 4."""
+    return _type_of_sign(_disc(a).embed_sign(i))
+
+
 def per_embedding_types(a: PslElem) -> tuple[EmbeddingType, ...]:
-    return tuple(embedding_type(a, i) for i in range(a.field.degree))
+    d = _disc(a)
+    return tuple(_type_of_sign(d.embed_sign(i)) for i in range(a.field.degree))
+
+
+def _disc_is_square(a: PslElem) -> bool:
+    return has_square_root(_disc(a)).value is not None
 
 
 def is_hp(a: PslElem) -> bool:
@@ -84,10 +93,14 @@ def is_hp(a: PslElem) -> bool:
     types = per_embedding_types(a)
     if any(t is not EmbeddingType.HYPERBOLIC for t in types):
         raise NotHyperbolic("hyperbolic-parabolic test needs a totally hyperbolic element")
-    return has_square_root(_disc(a)).value is not None
+    return _disc_is_square(a)
 
 
 def classify(a: PslElem) -> ElementClass:
+    """Class of a, with its per-embedding types and whether Tr^2 - 4 is a
+    square in k.  Only a totally hyperbolic element needs the square test:
+    an elliptic embedding makes Tr^2 - 4 negative there, so no square, and
+    a parabolic one makes it exactly zero."""
     if a.is_identity():
         return ElementClass(ClassKind.IDENTITY)
     types = per_embedding_types(a)
@@ -96,16 +109,20 @@ def classify(a: PslElem) -> ElementClass:
     n_hyp = sum(t is EmbeddingType.HYPERBOLIC for t in types)
     n = len(types)
     if n_par == n:
-        return ElementClass(ClassKind.TOTALLY_PARABOLIC)
+        return ElementClass(ClassKind.TOTALLY_PARABOLIC,
+                            per_embedding=types, disc_square=True)
     if n_ell == n:
-        return ElementClass(ClassKind.TOTALLY_ELLIPTIC, order=_order_search(a))
+        return ElementClass(ClassKind.TOTALLY_ELLIPTIC, order=_order_search(a),
+                            per_embedding=types, disc_square=False)
     if n_hyp == n:
-        return ElementClass(ClassKind.TOTALLY_HYPERBOLIC,
-                            hyperbolic_parabolic=is_hp(a))
+        square = _disc_is_square(a)
+        return ElementClass(ClassKind.TOTALLY_HYPERBOLIC, hyperbolic_parabolic=square,
+                            per_embedding=types, disc_square=square)
     if n_par > 0:
         raise InconsistentClassification(
             f"mixed element with a parabolic component: {types}")
-    return ElementClass(ClassKind.MIXED, hyperbolic_components=n_hyp)
+    return ElementClass(ClassKind.MIXED, hyperbolic_components=n_hyp,
+                        per_embedding=types, disc_square=False)
 
 
 def _euler_phi(m: int) -> int:
@@ -160,13 +177,11 @@ def classification_json(a: PslElem) -> dict:
     cls = classify(a)
     out: dict = {"class": cls.kind.value}
     if cls.kind is not ClassKind.IDENTITY:
-        out["per_embedding"] = [t.value for t in per_embedding_types(a)]
+        out["per_embedding"] = [t.value for t in cls.per_embedding]
         out["trace"] = a.trace().to_json()
+        out["disc_square_in_k"] = cls.disc_square
         if cls.kind is ClassKind.TOTALLY_HYPERBOLIC:
-            out["disc_square_in_k"] = cls.hyperbolic_parabolic
             out["hyperbolic_parabolic"] = cls.hyperbolic_parabolic
-        else:
-            out["disc_square_in_k"] = has_square_root(_disc(a)).value is not None
         if cls.kind is ClassKind.MIXED:
             out["hyperbolic_components"] = cls.hyperbolic_components
         if cls.kind is ClassKind.TOTALLY_ELLIPTIC:

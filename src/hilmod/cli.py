@@ -91,7 +91,10 @@ def parse_element(text: str, field: NumberField) -> FieldElement:
         coeff = Fraction(1)
         exp = 0
         if kind == "rat":
-            coeff = Fraction(value)
+            try:
+                coeff = Fraction(value)
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", pos) from None
             i += 1
             if i < len(tokens) and tokens[i][0] == "star":
                 i += 1
@@ -327,8 +330,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _join_matrix_values(argv: list[str]) -> list[str]:
+    """Rewrite "--matrix VALUE" as "--matrix=VALUE", so that argparse does
+    not read a literal starting with '-' as an option."""
+    out: list[str] = []
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--matrix" else None
+        out.append(tok if value is None else f"{tok}={value}")
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_matrix_values(argv))
     try:
         return args.fn(args)
     except CliError as exc:

@@ -22,7 +22,14 @@ class NotSquarefree(ValueError):
 
 
 def rational_from_string(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """Parse "p" or "p/q"; anything else, a zero denominator included,
+    raises ValueError."""
+    if not isinstance(s, str):
+        raise ValueError(f"expected a rational string, got {s!r}")
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def rational_to_string(r: Fraction) -> str:

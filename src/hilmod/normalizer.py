@@ -3,13 +3,21 @@ PSL_2(O_k), its lift to SL_2(O_k), and census slot assignment.
 
 The free-abelian rank of the normalizer is certain and determined by the
 element class alone.  Whether a Z/2 factor is present is decided by a
-bounded exhaustive search for an involution conjugating the element to its
-inverse; when the search exhausts, the outcome is reported as inconclusive
-rather than guessed (whether normalizers without the Z/2 factor exist at
-all is an open question)."""
+bounded search for an involution beta = [[x, y], [z, -x]] in O_k, of
+coordinate height at most h, conjugating the element to its inverse.
+Only x is enumerated, (2h+1)^n values in a canonical order: the
+conjugation condition is linear in (y, z) and det beta = 1 fixes their
+product, so each x leaves at most two candidates (one in-field square-root
+test), except for a diagonal element, where x = 0 and y is enumerated.
+The witness is the first in the canonical (x, y) order, the one an
+enumeration of all pairs would find.  A search that reaches the bound
+without a witness is reported as inconclusive rather than guessed
+(whether normalizers without the Z/2 factor exist at all is an open
+question)."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +25,7 @@ from typing import Iterator, Optional
 
 from .classify import ClassKind, ElementClass, classify
 from .modgrp import Mat2, PslElem, check_sl, psl_normalize
-from .numfield import FieldElement, NumberField
+from .numfield import FieldElement, has_square_root
 
 
 class FiniteOrderClass(ValueError):
@@ -42,10 +50,12 @@ INCONCLUSIVE = "inconclusive"
 @dataclass(frozen=True)
 class NormalizerType:
     """Z^r (free_abelian), Z^r x| Z/2 (semidirect_z2), or rank-certain but
-    Z/2-factor undecided (inconclusive)."""
+    Z/2-factor undecided (inconclusive).  A semidirect_z2 type found by
+    ``involution_search`` carries its witness; it is not part of the type."""
 
     kind: str
     rank: int
+    witness: Optional[PslElem] = dataclasses.field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -75,44 +85,97 @@ def normalizer_rank(cls: ElementClass, n: int) -> int:
     return cls.hyperbolic_components  # mixed
 
 
+def _coord_key(t) -> tuple:
+    """Sort key of the canonical order of ``_coord_tuples``."""
+    return (max((abs(c) for c in t), default=0), tuple((abs(c), c < 0) for c in t))
+
+
+def _shell(n: int, k: int, digits: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The n-tuples over ``digits`` = (0, 1, -1, ..., k, -k) with some
+    |coord| = k, in lexicographic order."""
+    for v in digits:
+        if abs(v) == k:
+            for rest in itertools.product(digits, repeat=n - 1):
+                yield (v, *rest)
+        elif n > 1:
+            for rest in _shell(n - 1, k, digits):
+                yield (v, *rest)
+
+
 def _coord_tuples(n: int, height: int) -> Iterator[tuple[int, ...]]:
     """Integer coordinate tuples with max |coord| <= height, in a canonical
-    order: by height, then coordinatewise by (|c|, sign)."""
-    tuples = itertools.product(range(-height, height + 1), repeat=n)
+    order: by height, then lexicographically in the per-coordinate order
+    0, 1, -1, 2, -2, ...  Streamed shell by shell, never materialised."""
+    if height < 0:
+        return
+    yield (0,) * n
+    for k in range(1, height + 1):
+        yield from _shell(n, k, (0,) + tuple(v for m in range(1, k + 1) for v in (m, -m)))
 
-    def key(t):
-        return (max((abs(x) for x in t), default=0),
-                tuple((abs(x), 0 if x >= 0 else 1) for x in t))
 
-    return iter(sorted(tuples, key=key))
+def involution_search(a: PslElem, height_bound: int,
+                      cls: Optional[ElementClass] = None) -> Optional[PslElem]:
+    """The first order-two beta = [[x, y], [z, -x]] in O_k of coordinate
+    height <= ``height_bound`` with beta a beta^-1 = a^-1, in the canonical
+    order of (x, y); None when there is none up to the bound.
 
-
-def involution_search(a: PslElem, height_bound: int) -> Optional[PslElem]:
-    """Order-two beta with beta a beta^-1 = a^-1, by exhaustive search over
-    trace-zero integral matrices of bounded coordinate height.
-
-    With beta = [[x, y], [z, -x]], det 1 forces y*z = -1 - x^2, so only x
-    and y are enumerated and z is solved for and checked exactly.
+    For a = [[p, q], [r, s]] of infinite order the conjugation condition is
+    x(p - s) + r y + q z = 0 (beta a beta^-1 = -a^-1 would force tr a = 0),
+    and det 1 is y z = -(1 + x^2).  So only x is enumerated:
+    - q, r != 0: r y and q z are the roots of T^2 + x(p - s) T - rq(1 + x^2);
+    - exactly one of q, r is 0: the system is linear;
+    - q = r = 0: x = 0 and y is free, so y is enumerated too.
+    Every candidate is then checked exactly.  ``cls`` is the class of a,
+    computed when not given.
     """
-    cls = classify(a)
+    cls = classify(a) if cls is None else cls
     if cls.kind is ClassKind.TOTALLY_PARABOLIC:
         raise ParabolicInput("totally parabolic normalizers contain no involution")
     if not cls.is_infinite_order:
         raise FiniteOrderClass("involution search needs an infinite-order element")
-    field = a.field
-    n = field.degree
-    a_inv = a.inv()
     if height_bound < 0:
         return None
-    for xc in _coord_tuples(n, height_bound):
-        x = field.element([Fraction(v) for v in xc])
+    field = a.field
+    n = field.degree
+    p, q, r, s = a.rep.entries
+    a_inv = a.inv()
+    diagonal = q.is_zero and r.is_zero
+    r_inv = None if r.is_zero else r.inverse()
+    q_inv = None if q.is_zero else q.inverse()
+
+    def candidates(x: FieldElement) -> Iterator[tuple[FieldElement, FieldElement]]:
+        """Every (y, z) in k solving both conditions, y in canonical order
+        (the order only matters among integral y)."""
+        t = x * (p - s)
         need = -field.one() - x * x  # = y*z
-        for yc in _coord_tuples(n, height_bound):
-            y = field.element([Fraction(v) for v in yc])
-            if y.is_zero:
+        if diagonal:  # x = 0 (p != s, else a = +-1) leaves y free
+            for yc in _coord_tuples(n, height_bound):
+                y = field.element(yc)
+                if not y.is_zero:
+                    yield y, need / y
+        elif r.is_zero:
+            z = -t * q_inv
+            if not z.is_zero:
+                yield need / z, z
+        elif q.is_zero:
+            y = -t * r_inv
+            if not y.is_zero:
+                yield y, need / y
+        else:
+            root = has_square_root(t * t - r * q * need * 4).value
+            if root is None:
+                return
+            roots = (root, -root) if not root.is_zero else (root,)
+            ys = [(e - t) * r_inv * Fraction(1, 2) for e in roots]
+            for y in sorted(ys, key=lambda y: _coord_key(y.coords)):
+                yield y, (-t - r * y) * q_inv
+
+    for xc in [(0,) * n] if diagonal else _coord_tuples(n, height_bound):
+        x = field.element(xc)
+        for y, z in candidates(x):
+            if not (y.is_integral() and z.is_integral()):
                 continue
-            z = need / y
-            if not z.is_integral() or z.height() > height_bound:
+            if max(y.height(), z.height()) > height_bound:
                 continue
             beta = Mat2(x, y, z, -x)
             if not check_sl(beta):
@@ -123,17 +186,20 @@ def involution_search(a: PslElem, height_bound: int) -> Optional[PslElem]:
     return None
 
 
-def normalizer_type_psl(a: PslElem, height_bound: int = 5) -> NormalizerType:
-    cls = classify(a)
+def normalizer_type_psl(a: PslElem, height_bound: int = 5,
+                        cls: Optional[ElementClass] = None) -> NormalizerType:
+    """Normalizer type of <a> in PSL_2(O_k), with the witness involution
+    when one is found.  ``cls`` is the class of a, computed when not given."""
+    cls = classify(a) if cls is None else cls
     if not cls.is_infinite_order:
         raise FiniteOrderClass("normalizer type is defined for infinite-order elements")
-    n = a.field.degree
-    rank = normalizer_rank(cls, n)
+    rank = normalizer_rank(cls, a.field.degree)
     if cls.kind is ClassKind.TOTALLY_PARABOLIC:
         # all normalizer elements are translations; no Z/2 factor, certain
         return NormalizerType(FREE_ABELIAN, rank)
-    if involution_search(a, height_bound) is not None:
-        return NormalizerType(SEMIDIRECT_Z2, rank)
+    witness = involution_search(a, height_bound, cls)
+    if witness is not None:
+        return NormalizerType(SEMIDIRECT_Z2, rank, witness)
     return NormalizerType(INCONCLUSIVE, rank)
 
 
@@ -171,42 +237,11 @@ def census_slot(cls: ElementClass, nt: Optional[NormalizerType], n: int) -> Cens
     return CensusSlot("M1" if free else "M2", j=cls.hyperbolic_components)
 
 
-def is_proper_power(a: PslElem, max_exponent: int = 4,
-                    height_bound: int = 1) -> Optional[bool]:
-    """Bounded check whether a = b^e for some e >= 2 in PSL_2(O_k).
-
-    Census hygiene helper only: normalizer type and census slot depend on
-    the commensuration class, not on the generator being primitive.
-    Returns None when the bounded search is exhausted without a witness.
-    """
-    field = a.field
-    n = field.degree
-    for coords in itertools.product(range(-height_bound, height_bound + 1),
-                                    repeat=4 * n):
-        es = [field.element([Fraction(v) for v in coords[i * n:(i + 1) * n]])
-              for i in range(4)]
-        b = Mat2(*es)
-        if not check_sl(b):
-            continue
-        pb = psl_normalize(b)
-        if pb.rep == a.rep:
-            continue
-        acc = pb
-        for _ in range(2, max_exponent + 1):
-            acc = acc * pb
-            if acc.rep == a.rep:
-                return True
-    return None
-
-
 def normalizer_json(a: PslElem, height_bound: int = 5) -> dict:
     cls = classify(a)
-    nt = normalizer_type_psl(a, height_bound)
+    nt = normalizer_type_psl(a, height_bound, cls)
     slot = census_slot(cls, nt, a.field.degree)
-    wit = None
-    if nt.kind == SEMIDIRECT_Z2:
-        w = involution_search(a, height_bound)
-        wit = w.to_json() if w is not None else None
+    wit = nt.witness.to_json() if nt.witness is not None else None
     slot_name = slot.kind if slot.j is None else f"{slot.kind}{{{slot.j}}}"
     return {
         "rank": nt.rank,

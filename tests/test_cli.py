@@ -136,6 +136,37 @@ def test_exit_code_inconclusive(capsys):
     assert '"census_slot": "undetermined"' in out
 
 
+def test_matrix_with_leading_minus(capsys):
+    code, out, err = run(capsys, "classify", "--field", SQRT2, "--matrix", "-1;0;0;-1")
+    assert code == 0 and '"class": "identity"' in out and err == ""
+    # minus the golden example: the same PSL element, so the same record
+    code, out, _ = run(capsys, "normalizer", "--field", SQRT2,
+                       "--matrix", "-1-1g;0;0;1-1g", "--height", "2")
+    assert code == 0
+    _check_golden("normalizer_hp.json", out)
+
+
+def test_zero_denominator_in_matrix(capsys):
+    code, out, err = run(capsys, "classify", "--field", SQRT2, "--matrix", "1/0;0;0;1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "zero denominator" in err
+
+
+def test_zero_denominator_in_field_spec(capsys, tmp_path):
+    spec = tmp_path / "field.json"
+    spec.write_text('{"min_poly": ["-2/0", "0/1", "1/1"]}')
+    code, out, err = run(capsys, "field-info", "--field", str(spec))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "zero denominator" in err
+
+
+def test_non_string_rational_in_field_spec(capsys, tmp_path):
+    spec = tmp_path / "field.json"
+    spec.write_text('{"min_poly": [-2, 0, 1]}')
+    code, out, err = run(capsys, "field-info", "--field", str(spec))
+    assert code == 2 and out == "" and err.startswith("error: bad field spec")
+
+
 def test_torsion_search(capsys):
     code, out, _ = run(capsys, "torsion-search", "--field", SQRT2,
                        "--max-order", "8")

@@ -1,7 +1,18 @@
+import itertools
+import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+from hilmod import normalizer
 from hilmod.classify import ClassKind, ElementClass, classify
-from hilmod.modgrp import Mat2, psl_normalize
+from hilmod.cli import parse_matrix
+from hilmod.modgrp import Mat2, check_sl, psl_normalize
 from hilmod.normalizer import (
     DIRECT_SUM_Z2,
     FREE_ABELIAN,
@@ -13,6 +24,7 @@ from hilmod.normalizer import (
     SEMIDIRECT_Z2,
     SEMIDIRECT_Z4,
     census_slot,
+    _coord_tuples,
     involution_search,
     lift_to_sl,
     normalizer_json,
@@ -144,3 +156,139 @@ def test_normalizer_json_mixed_slot(sqrt2):
         assert out["census_slot"] == "M2{1}"
     else:
         assert out["census_slot"] == "undetermined"
+
+
+def test_normalizer_json_classifies_and_searches_once(monkeypatch, hp_example):
+    calls = {"classify": 0, "involution_search": 0}
+
+    def counting(name):
+        inner = getattr(normalizer, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(normalizer, name, counting(name))
+    out = normalizer_json(hp_example, height_bound=2)
+    assert out["witness_involution"] is not None
+    assert calls == {"classify": 1, "involution_search": 1}
+
+
+# -- the x-only search against the enumeration of all (x, y) pairs -----
+
+
+def _reference_coord_tuples(n, height):
+    """The canonical order, by sorting the whole product."""
+    tuples = itertools.product(range(-height, height + 1), repeat=n)
+
+    def key(t):
+        return (max((abs(x) for x in t), default=0),
+                tuple((abs(x), 0 if x >= 0 else 1) for x in t))
+
+    return sorted(tuples, key=key)
+
+
+def _reference_involution_search(a, height_bound):
+    """Every (x, y) pair of height <= height_bound in canonical order, z
+    solved from y z = -1 - x^2, every candidate checked exactly."""
+    field = a.field
+    a_inv = a.inv()
+    coords = _reference_coord_tuples(field.degree, height_bound)
+    ys = [(y, y.inverse()) for y in map(field.element, coords) if not y.is_zero]
+    for xc in coords:
+        x = field.element(xc)
+        need = -field.one() - x * x
+        for y, y_inv in ys:
+            z = need * y_inv
+            if not z.is_integral() or z.height() > height_bound:
+                continue
+            beta = Mat2(x, y, z, -x)
+            if not check_sl(beta):
+                continue
+            b = psl_normalize(beta)
+            if (b * a * b.inv()).rep == a_inv.rep:
+                return b
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("height", [-1, 0, 1, 2, 3])
+def test_coord_tuples_streamed_in_canonical_order(n, height):
+    assert list(_coord_tuples(n, height)) == _reference_coord_tuples(n, height)
+
+
+# units in power-basis coordinates: [1, 1] is 1 + g, and so on
+_UNITS = {"sqrt2": ([1, 1], [-1, 1], [3, 2]),
+          "sqrt5": ([Fraction(1, 2), Fraction(1, 2)], [2, 1], [-2, 1]),
+          "cubic7": ([0, 1], [-1, 0, 1], [1, 1])}
+
+
+def _sample_elements(fields, rng, count):
+    """Infinite-order, non-parabolic elements of five shapes: words in the
+    generators, products of two involutions, diagonal, upper (r = 0) and
+    lower (q = 0) triangular."""
+    out = []
+    while len(out) < count:
+        name = rng.choice(("sqrt2", "sqrt5", "cubic7", "sqrt2", "sqrt5"))
+        f = fields[name]
+        one, zero = f.one(), f.zero()
+        shape = rng.choice(("word", "involutions", "diagonal", "upper", "lower"))
+        b = f.element([rng.randint(-1, 1) for _ in range(f.degree)])
+        if shape == "word":
+            m = Mat2.identity(f)
+            for _ in range(rng.randint(1, 5)):
+                if rng.random() < 0.5:
+                    c = f.element([rng.randint(-2, 2) for _ in range(f.degree)])
+                    m = m * Mat2(one, c, zero, one)
+                else:
+                    m = m * Mat2(zero, -one, one, zero)
+        elif shape == "involutions":
+            c = f.element([rng.randint(-1, 1) for _ in range(f.degree)])
+            m = Mat2(b, -one - b * b, one, -b) * Mat2(-c, one, -one - c * c, c)
+        else:
+            u = f.from_power(rng.choice(_UNITS[name]))
+            m = {"diagonal": Mat2(u, zero, zero, u.inverse()),
+                 "upper": Mat2(u, b, zero, u.inverse()),
+                 "lower": Mat2(u, zero, b, u.inverse())}[shape]
+        a = psl_normalize(m)
+        cls = classify(a)
+        if cls.is_infinite_order and cls.kind is not ClassKind.TOTALLY_PARABOLIC:
+            out.append((name, shape, a))
+    return out
+
+
+def test_involution_search_matches_pair_enumeration(sqrt2, sqrt5, cubic7):
+    fields = {"sqrt2": sqrt2, "sqrt5": sqrt5, "cubic7": cubic7}
+    cases = _sample_elements(fields, random.Random(2017), 64)
+    assert {shape for _, shape, _ in cases} == {
+        "word", "involutions", "diagonal", "upper", "lower"}
+    found = 0
+    for i, (name, shape, a) in enumerate(cases):
+        height = 2 if name != "cubic7" and i % 3 == 0 else 1
+        got = involution_search(a, height)
+        want = _reference_involution_search(a, height)
+        assert got == want, (name, shape, a.to_json(), height)
+        found += got is not None
+    assert 20 <= found <= 60  # both outcomes are exercised
+
+
+SQRT5 = str(Path(__file__).parent / "data" / "sqrt5.json")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_normalizer_large_height_streams(sqrt5):
+    """A height of 10^6 would be about 4*10^12 tuples if materialised."""
+    argv = ["normalizer", "--field", SQRT5, "--matrix", "0;1;-1;3", "--height", "1000000"]
+    code = f"import sys; from hilmod.cli import main; sys.exit(main({argv!r}))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=10, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["psl_type"] == "semidirect_z2"
+    a = psl_normalize(parse_matrix("0;1;-1;3", sqrt5))
+    beta = Mat2.from_json(sqrt5, got["witness_involution"])
+    assert check_sl(beta) and beta.trace().is_zero
+    b = psl_normalize(beta)
+    assert (b * a * b.inv()).rep == a.inv().rep
