@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .modgrp import PslElem
+from .modgrp import PslElem, default_order_bound, element_order
 from .numfield import FieldElement, has_square_root
 
 
@@ -112,7 +112,7 @@ def classify(a: PslElem) -> ElementClass:
         return ElementClass(ClassKind.TOTALLY_PARABOLIC,
                             per_embedding=types, disc_square=True)
     if n_ell == n:
-        return ElementClass(ClassKind.TOTALLY_ELLIPTIC, order=_order_search(a),
+        return ElementClass(ClassKind.TOTALLY_ELLIPTIC, order=_psl_order(a),
                             per_embedding=types, disc_square=False)
     if n_hyp == n:
         square = _disc_is_square(a)
@@ -125,41 +125,16 @@ def classify(a: PslElem) -> ElementClass:
                         per_embedding=types, disc_square=False)
 
 
-def _euler_phi(m: int) -> int:
-    out, k = m, 2
-    mm = m
-    while k * k <= mm:
-        if mm % k == 0:
-            while mm % k == 0:
-                mm //= k
-            out -= out // k
-        k += 1
-    if mm > 1:
-        out -= out // mm
-    return out
+def _psl_order(a: PslElem, bound: Optional[int] = None) -> Optional[int]:
+    """The order of a in PSL_2: the first e <= bound with a^e = +-I.
 
-
-def default_order_bound(n: int) -> int:
-    """Largest m with phi(m) <= 2n; beyond it no trace 2cos(2*pi/m) can
-    live in a degree-n field (SL order is at most twice the PSL order)."""
-    best, m = 1, 1
-    # phi(m) >= sqrt(m/2), so m <= 2*(2n)^2 suffices
-    while m <= 2 * (2 * n) ** 2 + 2:
-        if _euler_phi(m) <= 2 * n:
-            best = m
-        m += 1
-    return best
-
-
-def _order_search(a: PslElem, bound: Optional[int] = None) -> Optional[int]:
+    ``element_order`` returns e when a^e = I and 2e when a^e = -I.  An even
+    answer is always 2e: a first hit a^e = I with e even cannot occur,
+    since (a^(e/2))^2 = I forces a^(e/2) = +-I in SL_2 over a field."""
     if bound is None:
         bound = default_order_bound(a.field.degree)
-    acc = a
-    for e in range(1, bound + 1):
-        if acc.is_identity():
-            return e
-        acc = acc * a
-    return None
+    order = element_order(a.rep, bound)
+    return order if order is None or order % 2 else order // 2
 
 
 def elliptic_order(a: PslElem, bound: Optional[int] = None) -> Optional[int]:
@@ -169,7 +144,7 @@ def elliptic_order(a: PslElem, bound: Optional[int] = None) -> Optional[int]:
         types = per_embedding_types(a)
         if any(t is not EmbeddingType.ELLIPTIC for t in types):
             raise NotElliptic("order search needs a totally elliptic element")
-    return _order_search(a, bound)
+    return _psl_order(a, bound)
 
 
 def classification_json(a: PslElem) -> dict:

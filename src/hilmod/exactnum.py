@@ -4,7 +4,9 @@ root isolation.
 Everything here is computed over ``fractions.Fraction``; there is no
 floating point anywhere, so every sign decision is exact.  Root isolation
 uses Sturm sequences with bisection, which is more than fast enough for
-the small degrees (<= 8 or so) this library deals with.
+the small degrees (<= 8 or so) this library deals with; the sign of a
+polynomial at a rational point, which Sturm counting and bisection ask
+for at every step, is evaluated on integers (``Poly.sign_at``).
 """
 
 from __future__ import annotations
@@ -36,14 +38,6 @@ def rational_to_string(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-def _sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 class Poly:
     """Univariate polynomial with Fraction coefficients, ascending degree.
 
@@ -51,7 +45,7 @@ class Poly:
     polynomial has an empty coefficient tuple.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_integer_coeffs")
 
     def __init__(self, coeffs: Iterable[Fraction | int | str]):
         cs = [Fraction(c) for c in coeffs]
@@ -189,6 +183,25 @@ class Poly:
             acc = acc * x + c
         return acc
 
+    def sign_at(self, x: Fraction | int) -> int:
+        """Sign of p(x), from integers only: for x = u/v with v > 0 it is
+        the sign of sum c_i*L * u^i * v^(d-i), with L the lcm of the
+        coefficient denominators (that sum is p(x) * L * v^d)."""
+        try:
+            cs = self._integer_coeffs
+        except AttributeError:
+            lcm = math.lcm(*(c.denominator for c in self.coeffs))
+            cs = tuple(c.numerator * (lcm // c.denominator) for c in reversed(self.coeffs))
+            object.__setattr__(self, "_integer_coeffs", cs)  # leading first
+        if not cs:
+            return 0
+        u, v = x.numerator, x.denominator
+        acc, vpow = cs[0], 1
+        for c in cs[1:]:
+            vpow *= v
+            acc = acc * u + c * vpow
+        return (acc > 0) - (acc < 0)
+
     def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Enclosure of the image of [lo, hi] under Horner interval arithmetic."""
         alo, ahi = Fraction(0), Fraction(0)
@@ -258,7 +271,7 @@ class Poly:
 
 
 def sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = [s for s in (_sign(p(x)) for p in chain) if s != 0]
+    signs = [s for s in (p.sign_at(x) for p in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -290,7 +303,7 @@ def _nonroot_point(p: Poly, a: Fraction, b: Fraction) -> Fraction:
     for num, den in ((1, 2), (1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (4, 5),
                      (1, 7), (2, 7), (3, 7), (4, 7), (5, 7), (6, 7)):
         m = a + (b - a) * Fraction(num, den)
-        if p(m) != 0:
+        if p.sign_at(m) != 0:
             return m
     raise RuntimeError("could not find a non-root sample point")  # p has finitely many roots
 
@@ -304,20 +317,21 @@ def isolate_real_roots(p: Poly, reduce_squarefree: bool = False) -> list[RootInt
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    if not p.is_squarefree():
+    chain = p.sturm_chain()
+    if chain[-1].degree != 0:  # the last term is gcd(p, p') up to a constant
         if not reduce_squarefree:
             raise NotSquarefree("polynomial has a repeated root")
         p = p.squarefree_part()
+        chain = p.sturm_chain()
     if p.degree == 0:
         return []
 
-    chain = p.sturm_chain()
     bound = p.cauchy_bound()
     lo, hi = -bound, bound
     # Cauchy bound is strict, but be safe about endpoint roots anyway.
-    while p(lo) == 0:
+    while p.sign_at(lo) == 0:
         lo -= 1
-    while p(hi) == 0:
+    while p.sign_at(hi) == 0:
         hi += 1
 
     intervals: list[tuple[Fraction, Fraction]] = []
@@ -341,16 +355,16 @@ def isolate_real_roots(p: Poly, reduce_squarefree: bool = False) -> list[RootInt
 
 def count_real_roots(p: Poly) -> int:
     """Sturm sign-variation count over (-B, B); p must be squarefree."""
-    if not p.is_squarefree():
+    chain = p.sturm_chain()
+    if chain[-1].degree != 0:  # the last term is gcd(p, p') up to a constant
         raise NotSquarefree("polynomial has a repeated root")
     if p.degree == 0:
         return 0
-    chain = p.sturm_chain()
     b = p.cauchy_bound()
     lo, hi = -b, b
-    while p(lo) == 0:
+    while p.sign_at(lo) == 0:
         lo -= 1
-    while p(hi) == 0:
+    while p.sign_at(hi) == 0:
         hi += 1
     return sign_variations(chain, lo) - sign_variations(chain, hi)
 
@@ -368,14 +382,14 @@ def refine_root(r: RootInterval, width: Fraction) -> RootInterval:
         return r
     p = r.polynomial
     lo, hi = r.low, r.high
-    slo = _sign(p(lo))
+    slo = p.sign_at(lo)
     if slo == 0:
         return RootInterval(p, lo, lo, r.index)
-    if _sign(p(hi)) == 0:
+    if p.sign_at(hi) == 0:
         return RootInterval(p, hi, hi, r.index)
     while hi - lo > width:
         m = (lo + hi) / 2
-        sm = _sign(p(m))
+        sm = p.sign_at(m)
         if sm == 0:
             return RootInterval(p, m, m, r.index)
         if sm == slo:

@@ -333,13 +333,46 @@ def cos_trace_min_poly(m: int) -> Poly:
 
 
 def element_order(m: Mat2, bound: int) -> Optional[int]:
-    """Order of m in SL_2, by power iteration up to ``bound``."""
+    """Order of m in SL_2, from the powers m, m^2, ..., m^bound: the first
+    power that is +-I is m^e with e the order in PSL_2, and the SL_2 order
+    is e if m^e = I, 2e if m^e = -I (which may exceed ``bound``).  None if
+    no power up to m^bound is +-I."""
+    one = Mat2.identity(m.field)
+    minus_one = -one
     acc = m
     for e in range(1, bound + 1):
-        if acc.is_identity():
+        if acc == one:
             return e
+        if acc == minus_one:
+            return 2 * e
         acc = acc * m
     return None
+
+
+def _euler_phi(m: int) -> int:
+    out, k = m, 2
+    mm = m
+    while k * k <= mm:
+        if mm % k == 0:
+            while mm % k == 0:
+                mm //= k
+            out -= out // k
+        k += 1
+    if mm > 1:
+        out -= out // mm
+    return out
+
+
+def default_order_bound(n: int) -> int:
+    """Largest m with phi(m) <= 2n; beyond it no trace 2cos(2*pi/m) can
+    live in a degree-n field (SL order is at most twice the PSL order)."""
+    best, m = 1, 1
+    # phi(m) >= sqrt(m/2), so m <= 2*(2n)^2 suffices
+    while m <= 2 * (2 * n) ** 2 + 2:
+        if _euler_phi(m) <= 2 * n:
+            best = m
+        m += 1
+    return best
 
 
 def torsion_orders(field: NumberField, m_max: int) -> list[tuple[int, Mat2]]:
@@ -350,7 +383,8 @@ def torsion_orders(field: NumberField, m_max: int) -> list[tuple[int, Mat2]]:
         raise ValueError("m_max must be >= 1")
     out: list[tuple[int, Mat2]] = []
     one = Mat2.identity(field)
-    for m in range(1, m_max + 1):
+    # every m above default_order_bound has phi(m)/2 > n, so fails the test below
+    for m in range(1, min(m_max, default_order_bound(field.degree)) + 1):
         if m == 1:
             out.append((1, one))
             continue
@@ -359,10 +393,9 @@ def torsion_orders(field: NumberField, m_max: int) -> list[tuple[int, Mat2]]:
             assert element_order(wit, 2) == 2
             out.append((2, wit))
             continue
-        poly = cos_trace_min_poly(m)
-        if field.degree % poly.degree:
+        if field.degree % (_euler_phi(m) // 2):
             continue  # Q(2cos(2*pi/m)) has degree phi(m)/2, which must divide n
-        res = contains_root_of(field, poly)
+        res = contains_root_of(field, cos_trace_min_poly(m))
         if res.value is None or not res.value.is_integral():
             continue
         t = res.value

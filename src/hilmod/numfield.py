@@ -2,11 +2,15 @@
 
 A field is presented by a monic integer minimal polynomial plus an
 integral basis given in the power basis of the defining root.  Elements
-are exact coordinate vectors in the integral basis; all arithmetic happens
-in Q[x]/(min_poly) and is exact.  A rational root of the minimal
-polynomial is always rejected, which settles irreducibility up to degree
-3; above that it is a caller contract, and ``inverse`` raises
-ReducibleDetected on a zero divisor.
+are exact coordinate vectors in the integral basis.  Each field builds,
+once and on integers, its multiplication table T with omega_i * omega_j =
+sum_k T_ijk omega_k; products, trace, norm and inverse are integer sums
+over T, each operand scaled to integers by its common denominator.  Every
+T_ijk must be an integer, which certifies that the basis spans an order;
+a basis that does not is rejected with ValueError.  A rational root of
+the minimal polynomial is always rejected, which settles irreducibility
+up to degree 3; above that it is a caller contract, and ``inverse``
+raises ReducibleDetected on a zero divisor, a nonzero element of norm 0.
 
 Sign decisions at an embedding combine an exact zero test with interval
 refinement of the isolated root, so they are certified.  Square roots and
@@ -29,7 +33,6 @@ from math import isqrt
 from typing import Optional, Sequence
 
 from .exactnum import (
-    NotSquarefree,
     Poly,
     RootInterval,
     isolate_real_roots,
@@ -78,24 +81,37 @@ def mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def mat_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
+def int_det_solve(m: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, list[int]]:
+    """det M and det M * x, with x the solution of M x = b, for an integer
+    matrix M, by fraction-free Gauss-Jordan elimination (Bareiss): every
+    intermediate entry is a minor of [M | b], so each division is exact.
+    The second value is meaningless when det M = 0."""
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+    a = [list(row) + [c] for row, c in zip(m, b)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+            return 0, []
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rk = a[k]
+        pk = rk[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], rk)]
+        prev = pk
+    return sign * prev, [sign * row[n] for row in a]
+
+
+def _integer_coords(coords: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(a, d) with coords = a / d, d the least common denominator."""
+    d = math.lcm(*(c.denominator for c in coords))
+    if d == 1:
+        return [c.numerator for c in coords], 1
+    return [c.numerator * (d // c.denominator) for c in coords], d
 
 
 def _vec_mat(v: Sequence[Fraction], m: Sequence[Sequence[Fraction]]) -> list[Fraction]:
@@ -132,12 +148,10 @@ class NumberField:
             raise NotMonic("minimal polynomial must be monic and nonzero")
         if any(c.denominator != 1 for c in min_poly.coeffs):
             raise NotMonic("minimal polynomial must have integer coefficients")
-        if not min_poly.is_squarefree():
-            raise NotSquarefree("minimal polynomial has a repeated root")
         n = min_poly.degree
         if n < 1:
             raise ValueError("minimal polynomial must have positive degree")
-        roots = _narrow_roots(min_poly)
+        roots = _narrow_roots(min_poly)  # raises NotSquarefree on a repeated root
         rational_roots = _integer_roots(roots) if n > 1 else []
         if rational_roots:
             raise ReducibleDetected(f"rational root {rational_roots[0]} detected")
@@ -147,8 +161,9 @@ class NumberField:
 
         self.min_poly = min_poly
         self.degree = n
+        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         if integral_basis is None:
-            basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            basis = identity
         else:
             basis = [[Fraction(x) for x in row] for row in integral_basis]
             if len(basis) != n or any(len(row) != n for row in basis):
@@ -156,8 +171,51 @@ class NumberField:
         if basis[0] != [Fraction(1)] + [Fraction(0)] * (n - 1):
             raise ValueError("basis element 0 must be the constant 1")
         self.integral_basis = tuple(tuple(row) for row in basis)
-        self._basis_inv = mat_inverse(basis)
+        # None for the power basis, whose coordinates need no change of basis
+        self._basis_inv = None if basis == identity else mat_inverse(basis)
+        self._table = self._multiplication_table()
         self._embeddings: list[RootInterval] = list(roots)
+
+    def _multiplication_table(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """T with omega_i * omega_j = sum_k T_ijk omega_k in the integral
+        basis, stored sparsely: ``T[i][j]`` lists the (k, T_ijk) with
+        T_ijk != 0.
+
+        Built on integers: min_poly is monic, so x^m mod min_poly has
+        integer coefficients.  Every T_ijk must be an integer, which
+        certifies that the basis spans an order (row 0 is already 1);
+        otherwise ValueError."""
+        n = self.degree
+        f = [int(c) for c in self.min_poly.coeffs]
+        xpow = [[int(i == k) for k in range(n)] for i in range(n)]  # x^m mod min_poly
+        for _ in range(n - 1):
+            top = xpow[-1][-1]
+            xpow.append([-top * f[0]] + [xpow[-1][k - 1] - top * f[k] for k in range(1, n)])
+        if self._basis_inv is None:
+            products = {(i, j): xpow[i + j] for i in range(n) for j in range(i, n)}
+        else:
+            dens = [math.lcm(*(x.denominator for x in row)) for row in self.integral_basis]
+            rows = [[int(x * d) for x in row] for row, d in zip(self.integral_basis, dens)]
+            den_inv = math.lcm(*(x.denominator for row in self._basis_inv for x in row))
+            inv = [[int(x * den_inv) for x in row] for row in self._basis_inv]
+            products = {}
+            for i in range(n):
+                for j in range(i, n):
+                    prod = [0] * (2 * n - 1)
+                    for s, x in enumerate(rows[i]):
+                        for t, y in enumerate(rows[j]):
+                            prod[s + t] += x * y
+                    power = [sum(c * v[k] for c, v in zip(prod, xpow)) for k in range(n)]
+                    den = den_inv * dens[i] * dens[j]
+                    coords = []
+                    for k in range(n):
+                        q, r = divmod(sum(c * row[k] for c, row in zip(power, inv)), den)
+                        if r:
+                            raise ValueError("integral basis does not span an order")
+                        coords.append(q)
+                    products[i, j] = coords
+        sparse = {ij: tuple((k, t) for k, t in enumerate(v) if t) for ij, v in products.items()}
+        return tuple(tuple(sparse[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
 
     # -- constructors ---------------------------------------------------
 
@@ -188,9 +246,13 @@ class NumberField:
 
     def from_power(self, power: Sequence) -> "FieldElement":
         """Element from power-basis coordinates (reduced mod min_poly)."""
-        q = Poly(power) % self.min_poly
-        v = list(q.coeffs) + [Fraction(0)] * (self.degree - len(q.coeffs))
-        return self.element(_vec_mat(v, self._basis_inv))
+        v = [Fraction(c) for c in power]
+        if len(v) > self.degree:
+            v = list((Poly(v) % self.min_poly).coeffs)
+        v += [Fraction(0)] * (self.degree - len(v))
+        if self._basis_inv is not None:
+            v = _vec_mat(v, self._basis_inv)
+        return FieldElement(self, tuple(v))
 
     def zero(self) -> "FieldElement":
         return self.element([0] * self.degree)
@@ -221,13 +283,14 @@ class NumberField:
         The power-basis coordinates of y are c = T^-1 (Tr(theta^l y))_l.
         adj(T) is integral, and so is Tr(theta^l y) for an algebraic
         integer y, hence c lies in (1/D)Z^n."""
-        n, a = self.degree, self.min_poly.coeffs
-        s: list[Fraction] = [Fraction(n)]  # Newton's identities: s_m = Tr(theta^m)
+        n = self.degree
+        a = [int(c) for c in self.min_poly.coeffs]
+        s = [n]  # Newton's identities: s_m = Tr(theta^m)
         for m in range(1, 2 * n - 1):
             s.append(-(m * a[n - m] if m <= n else 0)
                      - sum(a[n - j] * s[m - j] for j in range(1, min(m - 1, n) + 1)))
         t = [[s[j + l] for l in range(n)] for j in range(n)]
-        return mat_inverse(t), abs(int(mat_det(t)))
+        return mat_inverse(t), abs(int_det_solve(t, [0] * n)[0])
 
     # -- serialization --------------------------------------------------
 
@@ -276,6 +339,8 @@ class FieldElement:
     # -- representation conversions ------------------------------------
 
     def power_coords(self) -> list[Fraction]:
+        if self.field._basis_inv is None:
+            return list(self.coords)
         return _vec_mat(self.coords, self.field.integral_basis)
 
     def power_poly(self) -> Poly:
@@ -285,38 +350,60 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._same_field(other)
-        return self.field.element([a + b for a, b in zip(self.coords, other.coords)])
+        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._same_field(other)
-        return self.field.element([a - b for a, b in zip(self.coords, other.coords)])
+        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "FieldElement":
-        return self.field.element([-a for a in self.coords])
+        return FieldElement(self.field, tuple(-a for a in self.coords))
 
     def __mul__(self, other) -> "FieldElement":
         if isinstance(other, (int, Fraction)):
-            return self.field.element([a * other for a in self.coords])
+            return FieldElement(self.field, tuple(a * other for a in self.coords))
         self._same_field(other)
-        prod = self.power_poly() * other.power_poly()
-        return self.field.from_power((prod % self.field.min_poly).coeffs)
+        a, da = _integer_coords(self.coords)
+        b, db = _integer_coords(other.coords)
+        acc = [0] * len(a)
+        for ai, row in zip(a, self.field._table):
+            if ai:
+                for bj, entries in zip(b, row):
+                    if bj:
+                        c = ai * bj
+                        for k, t in entries:
+                            acc[k] += c * t
+        den = da * db
+        if den == 1:
+            return FieldElement(self.field, tuple(Fraction(c) for c in acc))
+        return FieldElement(self.field, tuple(Fraction(c, den) for c in acc))
 
     __rmul__ = __mul__
+
+    def _mult_rows(self) -> tuple[list[list[int]], int]:
+        """(M, d): self * omega_j = sum_k M[j][k] / d * omega_k, i.e. d times
+        the matrix of multiplication by self, with M = sum_i a_i T_i.. for
+        the integer coordinates a = d * coords."""
+        a, d = _integer_coords(self.coords)
+        n = self.field.degree
+        m = [[0] * n for _ in range(n)]
+        for ai, row in zip(a, self.field._table):
+            if ai:
+                for mj, entries in zip(m, row):
+                    for k, t in entries:
+                        mj[k] += ai * t
+        return m, d
 
     def inverse(self) -> "FieldElement":
         if self.is_zero:
             raise DivisionByZero("cannot invert zero")
-        # extended gcd of the power representative with min_poly
-        a, b = self.field.min_poly, self.power_poly()
-        s0, s1 = Poly.zero(), Poly.constant(1)
-        while not b.is_zero:
-            q, r = a.divmod(b)
-            a, b = b, r
-            s0, s1 = s1, s0 - q * s1
-        if a.degree > 0:
+        # y = sum_j y_j omega_j with self * y = 1 solves M^T y = d e_0
+        m, d = self._mult_rows()
+        n = self.field.degree
+        det, y = int_det_solve(list(zip(*m)), [d] + [0] * (n - 1))
+        if det == 0:
             raise ReducibleDetected("zero divisor: the minimal polynomial is reducible")
-        inv = s0.scale(1 / a.coeffs[0])
-        return self.field.from_power((inv % self.field.min_poly).coeffs)
+        return FieldElement(self.field, tuple(Fraction(c, det) for c in y))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -384,23 +471,13 @@ class FieldElement:
 
     # -- trace and norm -------------------------------------------------
 
-    def _mult_matrix(self) -> list[list[Fraction]]:
-        """Matrix of multiplication by self on the power basis (columns)."""
-        n = self.field.degree
-        q = self.power_poly()
-        cols = []
-        for j in range(n):
-            col = (q * Poly([0] * j + [1])) % self.field.min_poly
-            cs = list(col.coeffs) + [Fraction(0)] * (n - len(col.coeffs))
-            cols.append(cs)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
     def trace(self) -> Fraction:
-        m = self._mult_matrix()
-        return sum((m[i][i] for i in range(len(m))), Fraction(0))
+        m, d = self._mult_rows()
+        return Fraction(sum(m[j][j] for j in range(len(m))), d)
 
     def norm(self) -> Fraction:
-        return mat_det(self._mult_matrix())
+        m, d = self._mult_rows()
+        return Fraction(int_det_solve(m, [0] * len(m))[0], d ** len(m))
 
     # -- serialization --------------------------------------------------
 

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 SQRT2 = str(DATA / "sqrt2.json")
 SQRT5 = str(DATA / "sqrt5.json")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -167,6 +169,27 @@ def test_non_string_rational_in_field_spec(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("error: bad field spec")
 
 
+def test_basis_not_spanning_an_order(capsys, tmp_path):
+    spec = tmp_path / "field.json"
+    spec.write_text('{"min_poly": ["-2", "0", "1"], "integral_basis": [["1", "0"], ["0", "1/2"]]}')
+    code, out, err = run(capsys, "field-info", "--field", str(spec))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "does not span an order" in err
+
+
+def test_torsion_search_large_max_order(capsys):
+    """--max-order 400 answers within 10 s, as --max-order 12 does."""
+    code, out, _ = run(capsys, "torsion-search", "--field", SQRT2, "--max-order", "12")
+    assert code == 0
+    proc = subprocess.run([sys.executable, "-m", "hilmod.cli", "torsion-search",
+                           "--field", SQRT2, "--max-order", "400"],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    orders = json.loads(proc.stdout)["orders"]
+    assert orders == json.loads(out)["orders"] == [1, 2, 3, 4, 6, 8]
+
+
 def test_torsion_search(capsys):
     code, out, _ = run(capsys, "torsion-search", "--field", SQRT2,
                        "--max-order", "8")
@@ -200,7 +223,6 @@ assert '"class": "totally_hyperbolic"' in out.getvalue()
 loaded = {{"mpmath", "sympy"}} & set(sys.modules)
 assert not loaded, loaded
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+                         timeout=60, env={**os.environ, "PYTHONPATH": SRC})
     assert out.returncode == 0, out.stderr

@@ -145,6 +145,25 @@ def test_eval_interval_encloses():
             assert lo <= p(t) <= hi
 
 
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_sign_at_matches_rational_horner():
+    rng = random.Random(9)
+    for _ in range(300):
+        p = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                  for _ in range(rng.randint(0, 7))])
+        points = [Fraction(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(5)]
+        # exact roots: p times a linear factor (b x - a) vanishes at a/b
+        a, b = rng.randint(-20, 20), rng.randint(1, 9)
+        points += [Fraction(a, b), rng.randint(-3, 3)]
+        for q in (p, p * Poly([-a, b])):
+            for x in points:
+                assert q.sign_at(x) == _sign(q(x))
+        assert (p * Poly([-a, b])).sign_at(Fraction(a, b)) == 0
+
+
 def test_json_roundtrip():
     p = Poly([Fraction(-2), Fraction(0), Fraction(1, 3)])
     assert Poly.from_json(p.to_json()) == p

@@ -157,6 +157,11 @@ def test_element_order(rationals):
     s = _mat(rationals, 0, -1, 1, 0)
     assert element_order(s, 10) == 4  # order 4 in SL_2
     assert element_order(_mat(rationals, 1, 1, 0, 1), 10) is None
+    # the powers stop at +-I: s^2 = -I, so the order 4 is found within bound 2
+    assert element_order(s, 2) == 4
+    assert element_order(-Mat2.identity(rationals), 1) == 2
+    assert element_order(_mat(rationals, 0, -1, 1, 1), 10) == 6  # r^3 = -I
+    assert element_order(_mat(rationals, 0, -1, 1, -1), 10) == 3  # r^3 = I
 
 
 def test_torsion_orders_rationals(rationals):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -17,6 +18,7 @@ from hilmod.numfield import (
     contains_root_of,
     element_from_json,
     has_square_root,
+    mat_inverse,
 )
 
 
@@ -216,3 +218,84 @@ def test_json_roundtrips(sqrt5):
     assert back.integral_basis == sqrt5.integral_basis
     x = sqrt5.element([Fraction(1, 2), -3])
     assert element_from_json(sqrt5, x.to_json()).coords == x.coords
+
+
+# -- the multiplication table against the power-basis round trip --------
+
+
+def _ref_power(x) -> Poly:
+    basis = x.field.integral_basis
+    return Poly([sum(c * row[l] for c, row in zip(x.coords, basis))
+                 for l in range(x.field.degree)])
+
+
+def _ref_element(field, p: Poly):
+    """The element with power-basis representative p, reduced mod min_poly."""
+    r = p % field.min_poly
+    v = list(r.coeffs) + [Fraction(0)] * (field.degree - len(r.coeffs))
+    inv = mat_inverse(field.integral_basis)
+    return field.element([sum(v[l] * inv[l][k] for l in range(field.degree))
+                          for k in range(field.degree)])
+
+
+def _ref_mul(x, y):
+    return _ref_element(x.field, _ref_power(x) * _ref_power(y))
+
+
+def _ref_inverse(x):
+    """Extended gcd of the power representative with min_poly."""
+    a, b = x.field.min_poly, _ref_power(x)
+    s0, s1 = Poly.zero(), Poly.constant(1)
+    while not b.is_zero:
+        q, r = a.divmod(b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+    return _ref_element(x.field, s0.scale(1 / a.coeffs[0]))
+
+
+def _ref_mult_matrix(x):
+    """Matrix of multiplication by x on the power basis (columns)."""
+    n, q = x.field.degree, _ref_power(x)
+    cols = []
+    for j in range(n):
+        col = (q * Poly([0] * j + [1])) % x.field.min_poly
+        cols.append(list(col.coeffs) + [Fraction(0)] * (n - len(col.coeffs)))
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def _ref_det(m):
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        term = Fraction((-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)))
+        for i, p in enumerate(perm):
+            term *= m[i][p]
+        total += term
+    return total
+
+
+def _quartic():
+    # theta = sqrt2 + sqrt5; the basis {1, theta, (theta^2+1)/2, (theta^3+theta)/6}
+    # spans Z[sqrt2, sqrt5] = Z + Z sqrt2 + Z sqrt5 + Z sqrt10
+    h, s = Fraction(1, 2), Fraction(1, 6)
+    return NumberField(Poly([9, 0, -14, 0, 1]),
+                       [[1, 0, 0, 0], [0, 1, 0, 0], [h, 0, h, 0], [0, s, 0, s]])
+
+
+def test_table_matches_power_basis_reference(sqrt2, sqrt5, cubic7):
+    rng = random.Random(11)
+    for field in (sqrt2, sqrt5, cubic7, _quartic()):
+        for _ in range(40):
+            x, y = (field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                   for _ in range(field.degree)]) for _ in range(2))
+            assert x * y == _ref_mul(x, y)
+            assert x.trace() == sum(_ref_mult_matrix(x)[i][i] for i in range(field.degree))
+            assert x.norm() == _ref_det(_ref_mult_matrix(x))
+            if not x.is_zero:
+                assert x.inverse() == _ref_inverse(x)
+
+
+def test_basis_must_span_an_order():
+    # {1, theta/2} over x^2 - 2: (theta/2)^2 = 1/2 is not in its span
+    with pytest.raises(ValueError, match="does not span an order"):
+        NumberField(Poly([-2, 0, 1]), [[1, 0], [0, Fraction(1, 2)]])
