@@ -67,12 +67,43 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+def _power_mod(e: int, p: Poly) -> list[int]:
+    """x^e modulo the monic integer polynomial p of degree n, as n integer
+    coefficients (ascending), by square-and-multiply."""
+    f = [int(c) for c in p.coeffs]
+    n = p.degree
+
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        for k in range(2 * n - 2, n - 1, -1):  # x^k = x^(k-n) * (x^n - f)
+            top = prod[k]
+            if top:
+                for i in range(n):
+                    prod[k - n + i] -= top * f[i]
+        return prod[:n]
+
+    acc = [1] + [0] * (n - 1)
+    base = [0, 1] + [0] * (n - 2) if n > 1 else [-f[0]]
+    while e:
+        if e & 1:
+            acc = mul(acc, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return acc
+
+
 def parse_element(text: str, field: NumberField) -> FieldElement:
     """Parse "c0 + c1*g + c2*g^2 + ..." into an exact field element.
 
     Terms are rational ('1', '1/2'), generator powers ('g', 'g^3'), or
     products of the two; '*' is optional.  Powers beyond the field degree
-    are reduced modulo the minimal polynomial.
+    are reduced modulo the minimal polynomial by square-and-multiply on
+    integers, so a large exponent costs about log2(e) products.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -111,8 +142,15 @@ def parse_element(text: str, field: NumberField) -> FieldElement:
         power[exp] = power.get(exp, Fraction(0)) + sign * coeff
         if i < len(tokens) and tokens[i][0] not in ("sign",):
             raise ParseError("terms must be separated by '+' or '-'", tokens[i][2])
-    top = max(power, default=0)
-    return field.from_power([power.get(e, Fraction(0)) for e in range(top + 1)])
+    n = field.degree
+    coords = [Fraction(0)] * n
+    for e, c in power.items():
+        if e < n:
+            coords[e] += c
+        else:
+            for k, t in enumerate(_power_mod(e, field.min_poly)):
+                coords[k] += c * t
+    return field.from_power(coords)
 
 
 def render_element(x: FieldElement) -> str:
@@ -215,6 +253,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_normalizer(args) -> int:
+    if args.height < 0:
+        raise CliError(EXIT_INVALID, "height must be >= 0")
     field = _load_field(args.field)
     a = _load_psl(args, field)
     try:
@@ -227,8 +267,8 @@ def _cmd_normalizer(args) -> int:
 
 def _cmd_torsion_search(args) -> int:
     field = _load_field(args.field)
-    m_max = args.max_order or default_order_bound(field.degree)
-    found = torsion_orders(field, m_max)
+    m_max = default_order_bound(field.degree) if args.max_order is None else args.max_order
+    found = torsion_orders(field, m_max)  # ValueError (exit 2) when m_max < 1
     _emit({
         "m_max": m_max,
         "orders": [m for m, _ in found],

@@ -1,12 +1,15 @@
 """Exact rational arithmetic, univariate polynomials and certified real
 root isolation.
 
-Everything here is computed over ``fractions.Fraction``; there is no
-floating point anywhere, so every sign decision is exact.  Root isolation
-uses Sturm sequences with bisection, which is more than fast enough for
-the small degrees (<= 8 or so) this library deals with; the sign of a
-polynomial at a rational point, which Sturm counting and bisection ask
-for at every step, is evaluated on integers (``Poly.sign_at``).
+Values are exact rationals (``fractions.Fraction``); there is no floating
+point anywhere, so every sign decision is exact.  Root isolation uses
+Sturm sequences with bisection, which is more than fast enough for the
+small degrees (<= 8 or so) this library deals with.  The inner loops run
+on integers: the sign of a polynomial at a rational point
+(``Poly.sign_at``), bisection in ``refine_root``, and interval Horner
+evaluation (``Poly.eval_scaled``) over a ``ScaledInterval``, integer
+endpoints over one positive denominator.  Each result is the same
+rational that Fraction arithmetic gives.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 Rational = Fraction
 
@@ -36,6 +40,50 @@ def rational_from_string(s: str) -> Fraction:
 
 def rational_to_string(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
+
+
+class ScaledInterval(NamedTuple):
+    """The closed interval [lo/den, hi/den]: integer endpoints over one
+    positive denominator, not necessarily in lowest terms.  Arithmetic
+    stays on integers and gives exactly the endpoints that Fraction
+    interval arithmetic gives."""
+
+    lo: int
+    hi: int
+    den: int
+
+    @staticmethod
+    def of(lo: Fraction, hi: Fraction) -> "ScaledInterval":
+        d = math.lcm(lo.denominator, hi.denominator)
+        return ScaledInterval(lo.numerator * (d // lo.denominator),
+                              hi.numerator * (d // hi.denominator), d)
+
+    def fractions(self) -> tuple[Fraction, Fraction]:
+        return Fraction(self.lo, self.den), Fraction(self.hi, self.den)
+
+    def width_at_most(self, width: Fraction) -> bool:
+        return (self.hi - self.lo) * width.denominator <= width.numerator * self.den
+
+    def plus(self, other: "ScaledInterval") -> "ScaledInterval":
+        a, b, d = self
+        c, e, f = other
+        if d == f:
+            return ScaledInterval(a + c, b + e, d)
+        g = math.gcd(d, f)
+        d, f = d // g, f // g
+        return ScaledInterval(a * f + c * d, b * f + e * d, d * f * g)
+
+    def times(self, other: "ScaledInterval") -> "ScaledInterval":
+        a, b, d = self
+        c, e, f = other
+        p = (a * c, a * e, b * c, b * e)
+        return ScaledInterval(min(p), max(p), d * f)
+
+    def scale(self, k: int) -> "ScaledInterval":
+        """The interval k * [lo, hi] for an integer k."""
+        if k >= 0:
+            return ScaledInterval(k * self.lo, k * self.hi, self.den)
+        return ScaledInterval(k * self.hi, k * self.lo, self.den)
 
 
 class Poly:
@@ -183,19 +231,29 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def sign_at(self, x: Fraction | int) -> int:
-        """Sign of p(x), from integers only: for x = u/v with v > 0 it is
-        the sign of sum c_i*L * u^i * v^(d-i), with L the lcm of the
-        coefficient denominators (that sum is p(x) * L * v^d)."""
+    @property
+    def integer_coeffs(self) -> tuple[int, tuple[int, ...]]:
+        """(L, cs): L the lcm of the coefficient denominators and cs the
+        integer coefficients of L * p, leading first.  Computed once."""
         try:
-            cs = self._integer_coeffs
+            return self._integer_coeffs
         except AttributeError:
             lcm = math.lcm(*(c.denominator for c in self.coeffs))
             cs = tuple(c.numerator * (lcm // c.denominator) for c in reversed(self.coeffs))
-            object.__setattr__(self, "_integer_coeffs", cs)  # leading first
+            object.__setattr__(self, "_integer_coeffs", (lcm, cs))
+            return lcm, cs
+
+    def sign_at(self, x: Fraction | int) -> int:
+        """Sign of p(x), from integers only (see ``sign_num``)."""
+        return self.sign_num(x.numerator, x.denominator)
+
+    def sign_num(self, u: int, v: int) -> int:
+        """Sign of p(u/v) for integers u and v > 0, not necessarily
+        coprime: the sign of sum c_i*L * u^i * v^(d-i), with L the lcm of
+        the coefficient denominators (that sum is p(u/v) * L * v^d)."""
+        cs = self.integer_coeffs[1]
         if not cs:
             return 0
-        u, v = x.numerator, x.denominator
         acc, vpow = cs[0], 1
         for c in cs[1:]:
             vpow *= v
@@ -204,11 +262,25 @@ class Poly:
 
     def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Enclosure of the image of [lo, hi] under Horner interval arithmetic."""
-        alo, ahi = Fraction(0), Fraction(0)
-        for c in reversed(self.coeffs):
-            prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-            alo, ahi = min(prods) + c, max(prods) + c
-        return alo, ahi
+        return self.eval_scaled(ScaledInterval.of(lo, hi)).fractions()
+
+    def eval_scaled(self, x: ScaledInterval) -> ScaledInterval:
+        """Horner interval arithmetic on integers: ``eval_interval`` with
+        endpoints over one denominator.  After j steps the accumulator is
+        [lo, hi] / (L * den^j), so each step multiplies by the numerators
+        of x and adds c * den^j."""
+        lcm, cs = self.integer_coeffs
+        if not cs:
+            return ScaledInterval(0, 0, 1)
+        a, b, d = x
+        lo = hi = cs[0]
+        dpow = 1
+        for c in cs[1:]:
+            dpow *= d
+            cd = c * dpow
+            p = (lo * a, lo * b, hi * a, hi * b)
+            lo, hi = min(p) + cd, max(p) + cd
+        return ScaledInterval(lo, hi, lcm * dpow)
 
     # -- squarefree / Sturm ---------------------------------------------
 
@@ -297,6 +369,10 @@ class RootInterval:
     def is_exact(self) -> bool:
         return self.low == self.high
 
+    @cached_property
+    def scaled(self) -> ScaledInterval:
+        return ScaledInterval.of(self.low, self.high)
+
 
 def _nonroot_point(p: Poly, a: Fraction, b: Fraction) -> Fraction:
     """Point in (a, b) that is not a root of p; tries the midpoint first."""
@@ -373,27 +449,29 @@ def refine_root(r: RootInterval, width: Fraction) -> RootInterval:
     """Shrink the isolating interval to width <= ``width`` by bisection.
 
     The contained root and its index never change.  An exact hit at a
-    midpoint yields the degenerate interval [m, m].
+    midpoint yields the degenerate interval [m, m].  Bisection runs on
+    the numerators over one denominator, which doubles at every step.
     """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    if r.width <= width or r.is_exact:
+    if r.scaled.width_at_most(width):
         return r
     p = r.polynomial
-    lo, hi = r.low, r.high
-    slo = p.sign_at(lo)
+    lo, hi, d = r.scaled
+    slo = p.sign_num(lo, d)
     if slo == 0:
-        return RootInterval(p, lo, lo, r.index)
-    if p.sign_at(hi) == 0:
-        return RootInterval(p, hi, hi, r.index)
-    while hi - lo > width:
-        m = (lo + hi) / 2
-        sm = p.sign_at(m)
+        return RootInterval(p, r.low, r.low, r.index)
+    if p.sign_num(hi, d) == 0:
+        return RootInterval(p, r.high, r.high, r.index)
+    wn, wd = width.numerator, width.denominator
+    while (hi - lo) * wd > wn * d:
+        m, d = lo + hi, 2 * d  # the midpoint m/d
+        sm = p.sign_num(m, d)
         if sm == 0:
-            return RootInterval(p, m, m, r.index)
+            return RootInterval(p, Fraction(m, d), Fraction(m, d), r.index)
         if sm == slo:
-            lo = m
+            lo, hi = m, 2 * hi
         else:
-            hi = m
-    return RootInterval(p, lo, hi, r.index)
+            lo, hi = 2 * lo, m
+    return RootInterval(p, Fraction(lo, d), Fraction(hi, d), r.index)

@@ -3,6 +3,7 @@ points, and the census of torsion orders."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -298,13 +299,38 @@ def _sqrt_bounds(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
 # -- torsion orders -----------------------------------------------------
 
 
-def cyclotomic(m: int) -> Poly:
-    """The m-th cyclotomic polynomial, by recursive exact division."""
-    p = Poly([-1] + [0] * (m - 1) + [1])  # x^m - 1
-    for d in range(1, m):
+def _divide_monic(a: list[int], b: list[int]) -> list[int]:
+    """Quotient of integer coefficient lists (ascending) by a monic divisor
+    b that divides a exactly."""
+    rem = list(a)
+    d = len(b) - 1
+    q = [0] * (len(a) - d)
+    for k in range(len(q) - 1, -1, -1):
+        f = q[k] = rem[k + d]
+        if f:
+            for i, c in enumerate(b):
+                rem[k + i] -= f * c
+    assert not any(rem[:d]), "inexact division"
+    return q
+
+
+def _cyclotomic_coeffs(m: int) -> list[int]:
+    """Coefficients of Phi_m, ascending: Phi_d for each d | m in turn, as
+    x^d - 1 divided by Phi_e for the proper divisors e of d."""
+    phis: dict[int, list[int]] = {}
+    for d in range(1, m + 1):
         if m % d == 0:
-            p = p.divmod(cyclotomic(d))[0]
-    return p
+            p = [-1] + [0] * (d - 1) + [1]  # x^d - 1
+            for e, phi in phis.items():
+                if d % e == 0:
+                    p = _divide_monic(p, phi)
+            phis[d] = p
+    return phis[m]
+
+
+def cyclotomic(m: int) -> Poly:
+    """The m-th cyclotomic polynomial, by exact division on integers."""
+    return Poly(_cyclotomic_coeffs(m))
 
 
 def cos_trace_min_poly(m: int) -> Poly:
@@ -313,22 +339,17 @@ def cos_trace_min_poly(m: int) -> Poly:
         return Poly([-2, 1])
     if m == 2:
         return Poly([2, 1])
-    phi = cyclotomic(m)
-    s = phi.degree // 2
-    # Phi_m(z) = z^s * psi(z + 1/z); peel coefficients from the top
-    basis = []
-    for j in range(s + 1):
-        b = Poly([0] * (s - j) + [1])  # z^(s-j)
-        b = b * (Poly([1, 0, 1]) ** j)  # (z^2 + 1)^j
-        basis.append(b)
-    residual = phi
-    coeffs = [Fraction(0)] * (s + 1)
+    residual = _cyclotomic_coeffs(m)
+    s = (len(residual) - 1) // 2
+    # Phi_m(z) = z^s * psi(z + 1/z); peel coefficients from the top, where
+    # z^(s-j) * (z^2 + 1)^j has coefficient C(j, t) at degree s - j + 2t
+    coeffs = [0] * (s + 1)
     for j in range(s, -1, -1):
-        cs = residual.coeffs
-        c = cs[s + j] if len(cs) > s + j else Fraction(0)
-        coeffs[j] = c
-        residual = residual - basis[j].scale(c)
-    assert residual.is_zero, "cyclotomic polynomial is not palindromic?"
+        c = coeffs[j] = residual[s + j]
+        if c:
+            for t in range(j + 1):
+                residual[s - j + 2 * t] -= c * math.comb(j, t)
+    assert not any(residual), "cyclotomic polynomial is not palindromic?"
     return Poly(coeffs)
 
 

@@ -13,13 +13,16 @@ up to degree 3; above that it is a caller contract, and ``inverse``
 raises ReducibleDetected on a zero divisor, a nonzero element of norm 0.
 
 Sign decisions at an embedding combine an exact zero test with interval
-refinement of the isolated root, so they are certified.  Square roots and
-roots of rational polynomials inside the field are decided exactly: after
-scaling, a root y is an algebraic integer, so its power-basis coordinates
-c = T^-1 (Tr(theta^l y))_l lie in (1/D)Z^n, with T the trace form of the
-order Z[theta] and D = |det T| = |disc(min_poly)|.  Interval enclosures of
-the embeddings of y pin c to one lattice point, verified exactly, or
-exclude every lattice point; either way the answer is certified.
+refinement of the isolated root, so they are certified; the interval
+Horner evaluation behind them runs on integers over one denominator
+(``ScaledInterval``).  Square roots and roots of rational polynomials
+inside the field are decided exactly: after scaling, a root y is an
+algebraic integer, so its power-basis coordinates c = T^-1 (Tr(theta^l
+y))_l lie in (1/D)Z^n, with T the trace form of the order Z[theta] and
+D = |det T| = |disc(min_poly)|.  Integer interval enclosures of the
+embeddings of y, combined with the integer adjugate of T, pin D c to one
+lattice point, verified exactly, or exclude every lattice point; either
+way the answer is certified.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from typing import Optional, Sequence
 from .exactnum import (
     Poly,
     RootInterval,
+    ScaledInterval,
     isolate_real_roots,
     rational_from_string,
     rational_to_string,
@@ -267,21 +271,20 @@ class NumberField:
 
     def embedding(self, i: int, width: Optional[Fraction] = None) -> RootInterval:
         r = self._embeddings[i]
-        if width is not None and r.width > width:
-            r = refine_root(r, width)
-            self._embeddings[i] = r
+        if width is not None and not r.scaled.width_at_most(width):
+            r = self._embeddings[i] = refine_root(r, width)
         return r
 
     def discriminant(self) -> Fraction:
         return self.min_poly.discriminant()
 
     @cached_property
-    def _trace_form(self) -> tuple[list[list[Fraction]], int]:
-        """T^-1 and D = |det T| = |disc(min_poly)| for the trace form
-        T_jl = Tr(theta^(j+l)) of the order Z[theta].
+    def _trace_form(self) -> tuple[list[list[int]], int]:
+        """(A, D) with A / D = T^-1 and D = |det T| = |disc(min_poly)|, for
+        the trace form T_jl = Tr(theta^(j+l)) of the order Z[theta].
 
         The power-basis coordinates of y are c = T^-1 (Tr(theta^l y))_l.
-        adj(T) is integral, and so is Tr(theta^l y) for an algebraic
+        A = +-adj(T) is integral, and so is Tr(theta^l y) for an algebraic
         integer y, hence c lies in (1/D)Z^n."""
         n = self.degree
         a = [int(c) for c in self.min_poly.coeffs]
@@ -290,7 +293,11 @@ class NumberField:
             s.append(-(m * a[n - m] if m <= n else 0)
                      - sum(a[n - j] * s[m - j] for j in range(1, min(m - 1, n) + 1)))
         t = [[s[j + l] for l in range(n)] for j in range(n)]
-        return mat_inverse(t), abs(int_det_solve(t, [0] * n)[0])
+        # column l of adj(T) is det T * T^-1 e_l
+        solved = [int_det_solve(t, [int(k == l) for k in range(n)]) for l in range(n)]
+        det = solved[0][0]
+        sign = 1 if det > 0 else -1
+        return [[sign * col[k] for _, col in solved] for k in range(n)], abs(det)
 
     # -- serialization --------------------------------------------------
 
@@ -322,7 +329,7 @@ def _integer_roots(roots: Sequence[RootInterval]) -> list[int]:
     interval holds at most one integer.  For a monic integer polynomial
     these are all of its rational roots."""
     return [m for r in roots for m in range(math.ceil(r.low), math.floor(r.high) + 1)
-            if r.polynomial(m) == 0]
+            if r.polynomial.sign_at(m) == 0]
 
 
 @dataclass(frozen=True)
@@ -447,7 +454,7 @@ class FieldElement:
         q = self.power_poly()
         r = self.field.embedding(i)
         while True:
-            lo, hi = q.eval_interval(r.low, r.high)
+            lo, hi, _ = q.eval_scaled(r.scaled)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -455,18 +462,21 @@ class FieldElement:
             if r.is_exact:
                 # the embedding value is sigma_i(x) != 0 for x != 0, so the
                 # enclosure can only straddle 0 while the interval is inexact
-                v = q(r.low)
-                return 1 if v > 0 else -1
+                return 1 if q.sign_at(r.low) > 0 else -1
             r = self.field.embedding(i, r.width / 4)
 
     def embed_interval(self, i: int, width: Fraction) -> tuple[Fraction, Fraction]:
         """Rational enclosure of sigma_i(x) of width <= ``width``."""
+        return self.embed_scaled(i, width).fractions()
+
+    def embed_scaled(self, i: int, width: Fraction) -> ScaledInterval:
+        """``embed_interval`` over one denominator."""
         q = self.power_poly()
         r = self.field.embedding(i)
         while True:
-            lo, hi = q.eval_interval(r.low, r.high)
-            if hi - lo <= width:
-                return lo, hi
+            v = q.eval_scaled(r.scaled)
+            if v.width_at_most(width):
+                return v
             r = self.field.embedding(i, r.width / 4)
 
     # -- trace and norm -------------------------------------------------
@@ -503,51 +513,50 @@ class SearchOutcome:
     value: Optional[FieldElement]
 
 
-def _imul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(p), max(p)
-
-
-def _isum(ivs) -> tuple[Fraction, Fraction]:
-    ivs = list(ivs)
-    return sum(lo for lo, _ in ivs), sum(hi for _, hi in ivs)
-
-
-def _sqrt_interval(lo: Fraction, hi: Fraction, w: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of sqrt([lo, hi]), hi > 0, widened by at most 2w."""
+def _sqrt_interval(v: ScaledInterval, w: Fraction) -> ScaledInterval:
+    """Enclosure of sqrt(v), v.hi > 0, widened by at most 2w, over 2^b."""
     b = math.ceil(1 / w).bit_length()  # 2^-b < w
     scale = 4 ** b
-    low = isqrt(math.floor(max(lo, Fraction(0)) * scale))
-    return Fraction(low, 2 ** b), Fraction(isqrt(math.ceil(hi * scale)) + 1, 2 ** b)
+    low = isqrt(max(v.lo, 0) * scale // v.den)
+    high = isqrt(-(-v.hi * scale // v.den)) + 1
+    return ScaledInterval(low, high, 2 ** b)
 
 
 def _lattice_root(field: NumberField, enclose, assignments, verify) -> Optional[FieldElement]:
     """The first verified algebraic integer y in k whose embeddings follow
     one of the ``assignments``; None certifies that there is none.
 
-    ``enclose(w)[i]`` lists rational enclosures, of width about w and
-    shrinking with it, of the values allowed at embedding i; an assignment
-    picks one per embedding.  The power-basis coordinates c of y lie in
-    (1/D)Z^n (see ``NumberField._trace_form``).  Enclosures of
-    Tr(theta^l y) shrink the intervals around c until one holds no lattice
-    point (no such y) or each pins exactly one, the only possible
-    candidate, verified exactly.
+    ``enclose(w)[i]`` lists enclosures (``ScaledInterval``), of width about
+    w and shrinking with it, of the values allowed at embedding i; an
+    assignment picks one per embedding.  The power-basis coordinates c of
+    y lie in (1/D)Z^n, and D c = A (Tr(theta^l y))_l (see
+    ``NumberField._trace_form``).  Enclosures of Tr(theta^l y) shrink the
+    intervals around D c until one holds no integer (no such y) or each
+    pins exactly one, the only possible candidate, verified exactly.
+    Everything runs on integers; the enclosure width w is 1 / wden.
     """
-    tinv, den = field._trace_form
+    adj, den = field._trace_form
     n = field.degree
+    zero = ScaledInterval(0, 0, 1)
     for assign in assignments:
-        w = Fraction(1, 4 * den)
+        wden = 4 * den
         while True:
+            w = Fraction(1, wden)
             allowed = enclose(w)
-            u = [(Fraction(0), Fraction(0))] * n  # u_l encloses Tr(theta^l y)
+            u = [zero] * n  # u_l encloses Tr(theta^l y)
             for i, j in enumerate(assign):
-                r = field.embedding(i, w)
+                theta = field.embedding(i, w).scaled
                 power = allowed[i][j]  # theta_i^l * sigma_i(y), l = 0, 1, ...
                 for l in range(n):
-                    u[l] = _isum((u[l], power))
-                    power = _imul(power, (r.low, r.high))
-            coords = [_isum(_imul((x, x), ul) for x, ul in zip(row, u)) for row in tinv]
-            pins = [(math.ceil(lo * den), math.floor(hi * den)) for lo, hi in coords]
+                    u[l] = u[l].plus(power)
+                    power = power.times(theta)
+            coords = []  # enclosures of D c_k
+            for row in adj:
+                acc = zero
+                for x, ul in zip(row, u):
+                    acc = acc.plus(ul.scale(x))
+                coords.append(acc)
+            pins = [(-(-lo // d), hi // d) for lo, hi, d in coords]
             if any(a > b for a, b in pins):
                 break
             if all(a == b for a, b in pins):
@@ -555,8 +564,8 @@ def _lattice_root(field: NumberField, enclose, assignments, verify) -> Optional[
                 if verify(y):
                     return y
                 break
-            widest = max(hi - lo for lo, hi in coords)
-            w /= 2 ** max(1, math.ceil(2 * den * widest).bit_length())
+            widest = max(-(-2 * (hi - lo) // d) for lo, hi, d in coords)  # ceil(2 D width)
+            wden *= 2 ** max(1, widest.bit_length())
     return None
 
 
@@ -580,8 +589,8 @@ def has_square_root(c: FieldElement) -> SearchOutcome:
     def enclose(w):
         out = []
         for i in range(n):
-            lo, hi = _sqrt_interval(*cs.embed_interval(i, w), w)
-            out.append(((lo, hi), (-hi, -lo)))
+            root = _sqrt_interval(cs.embed_scaled(i, w), w)
+            out.append((root, root.scale(-1)))
         return out
 
     signs = ((0,) + rest for rest in itertools.product((0, 1), repeat=n - 1))
@@ -610,7 +619,7 @@ def contains_root_of(field: NumberField, p: Poly) -> SearchOutcome:
 
     def enclose(w):
         roots[:] = [refine_root(r, w) for r in roots]
-        return [[(r.low, r.high) for r in roots]] * n
+        return [[r.scaled for r in roots]] * n
 
     def is_root(y: FieldElement) -> bool:
         acc = field.zero()

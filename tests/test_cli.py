@@ -190,6 +190,57 @@ def test_torsion_search_large_max_order(capsys):
     assert orders == json.loads(out)["orders"] == [1, 2, 3, 4, 6, 8]
 
 
+def test_torsion_search_max_order_zero(capsys):
+    code, out, err = run(capsys, "torsion-search", "--field", SQRT2, "--max-order", "0")
+    assert code == 2 and out == "" and err == "error: m_max must be >= 1\n"
+    code, out, err = run(capsys, "torsion-search", "--field", SQRT2, "--max-order", "-3")
+    assert code == 2 and out == "" and err == "error: m_max must be >= 1\n"
+
+
+def test_normalizer_negative_height(capsys):
+    code, out, err = run(capsys, "normalizer", "--field", SQRT2,
+                         "--matrix", "1+1g;1+1g;2;1+1g", "--height", "-1")
+    assert code == 2 and out == "" and err.startswith("error:") and "height" in err
+
+
+def test_large_generator_power():
+    """g^100000 over Q(sqrt2) is 2^50000: parsed at once, not in SL_2 (exit 3)."""
+    proc = subprocess.run([sys.executable, "-m", "hilmod.cli", "classify", "--field", SQRT2,
+                           "--matrix", "g^100000;0;0;1"],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
+def test_parse_element_large_powers(sqrt2, sqrt5, cubic7):
+    # square-and-multiply against repeated multiplication by the generator
+    for field in (sqrt2, sqrt5, cubic7):
+        g, acc = field.generator(), field.one()
+        for e in range(40):
+            assert parse_element(f"g^{e}", field) == acc
+            assert parse_element(f"3/2g^{e}-g^{e + 1}+1", field) == \
+                acc * Fraction(3, 2) - acc * g + field.one()
+            acc = acc * g
+    assert parse_element("g^100", sqrt2) == sqrt2.element([2 ** 50, 0])
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "sqrt5", "cubic"])
+def test_torsion_search_golden(capsys, name):
+    code, out, _ = run(capsys, "torsion-search", "--field", str(DATA / f"{name}.json"),
+                       "--max-order", "18")
+    assert code == 0
+    _check_golden(f"torsion_search_{name}_18.json", out)
+
+
+def test_smoke_script():
+    """tests/smoke_cli.py, the stdlib-only golden check, passes."""
+    proc = subprocess.run([sys.executable, str(Path(__file__).parent / "smoke_cli.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.endswith("8/8 cases match\n")
+
+
 def test_torsion_search(capsys):
     code, out, _ = run(capsys, "torsion-search", "--field", SQRT2,
                        "--max-order", "8")
