@@ -36,7 +36,6 @@ from .classify import (
     ClassKind,
     ElementClass,
     EmbeddingType,
-    InconsistentClassification,
     classify,
     classification_json,
     elliptic_order,

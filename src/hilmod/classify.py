@@ -11,11 +11,6 @@ from .modgrp import PslElem, default_order_bound, element_order
 from .numfield import FieldElement, has_square_root
 
 
-class InconsistentClassification(RuntimeError):
-    """A mixed element with a parabolic component, which is asserted to be
-    impossible; raised instead of silently reclassifying."""
-
-
 class NotElliptic(ValueError):
     pass
 
@@ -118,9 +113,7 @@ def classify(a: PslElem) -> ElementClass:
         square = _disc_is_square(a)
         return ElementClass(ClassKind.TOTALLY_HYPERBOLIC, hyperbolic_parabolic=square,
                             per_embedding=types, disc_square=square)
-    if n_par > 0:
-        raise InconsistentClassification(
-            f"mixed element with a parabolic component: {types}")
+    # no parabolic embedding here: one means Tr^2 - 4 = 0 in k, so all are
     return ElementClass(ClassKind.MIXED, hyperbolic_components=n_hyp,
                         per_embedding=types, disc_square=False)
 

@@ -85,6 +85,16 @@ class ScaledInterval(NamedTuple):
             return ScaledInterval(k * self.lo, k * self.hi, self.den)
         return ScaledInterval(k * self.hi, k * self.lo, self.den)
 
+    def divided_by(self, other: "ScaledInterval") -> "ScaledInterval":
+        """The interval self / other, for an ``other`` without 0."""
+        a, b, d = self
+        c, e, f = other
+        if c * e <= 0:
+            raise ZeroDivisionError("divisor interval contains 0")
+        # x/d / (y/f) = x f (c e / y) / (d c e), and c e > 0
+        p = (a * f * e, a * f * c, b * f * e, b * f * c)
+        return ScaledInterval(min(p), max(p), d * c * e)
+
 
 class Poly:
     """Univariate polynomial with Fraction coefficients, ascending degree.

@@ -9,7 +9,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exactnum import Poly
-from .numfield import FieldElement, NumberField, contains_root_of
+from .numfield import (FieldElement, NumberField, _sqrt_interval, contains_root_of,
+                       has_square_root)
 
 
 class NotUnimodular(ValueError):
@@ -194,7 +195,6 @@ def fixed_points(p: PslElem, enclosure_width: Fraction = Fraction(1, 1024)) -> F
     exact_roots: Optional[list[FieldElement]] = None
     disc = qb * qb - qc * qa * 4
     if not qa.is_zero:
-        from .numfield import has_square_root
         sq = has_square_root(disc)
         if sq.value is not None:
             half = (qa * 2).inverse()
@@ -223,77 +223,23 @@ def fixed_points(p: PslElem, enclosure_width: Fraction = Fraction(1, 1024)) -> F
 
 def _enclose_quadratic_roots(qa: FieldElement, qb: FieldElement, qc: FieldElement,
                              i: int, width: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Certified enclosures of the two real roots of the embedded quadratic."""
+    """Certified enclosures of the two real roots of the embedded quadratic,
+    each of width <= ``width``.  Every enclosure, the square root's too,
+    shrinks with w, so the loop ends for any positive width."""
     w = width / 16
     while True:
-        a = qa.embed_interval(i, w)
-        b = qb.embed_interval(i, w)
-        c = qc.embed_interval(i, w)
-        d_lo, d_hi = _interval_sub(_interval_mul(b, b),
-                                   _interval_scale(_interval_mul(a, c), 4))
-        if d_lo <= 0:
-            w /= 4
-            continue
-        s_lo, s_hi = _sqrt_bounds(d_lo, d_hi)
-        roots = []
-        ok = True
-        for sgn in (1, -1):
-            num = _interval_add(_interval_neg(b), (sgn * s_lo, sgn * s_hi) if sgn > 0
-                                else (-s_hi, -s_lo))
-            den = _interval_scale(a, 2)
-            if den[0] <= 0 <= den[1]:
-                ok = False
-                break
-            r = _interval_div(num, den)
-            if r[1] - r[0] > width:
-                ok = False
-                break
-            roots.append(r)
-        if ok:
-            roots.sort()
-            return roots
+        a = qa.embed_scaled(i, w)
+        b = qb.embed_scaled(i, w)
+        c = qc.embed_scaled(i, w)
+        disc = b.times(b).plus(a.times(c).scale(-4))
+        den = a.scale(2)
+        if disc.lo > 0 and (den.lo > 0 or den.hi < 0):
+            root = _sqrt_interval(disc, w)
+            minus_b = b.scale(-1)
+            roots = [minus_b.plus(sq).divided_by(den) for sq in (root, root.scale(-1))]
+            if all(r.width_at_most(width) for r in roots):
+                return sorted(r.fractions() for r in roots)
         w /= 4
-
-
-def _interval_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _interval_sub(x, y):
-    return (x[0] - y[1], x[1] - y[0])
-
-
-def _interval_neg(x):
-    return (-x[1], -x[0])
-
-
-def _interval_mul(x, y):
-    ps = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return (min(ps), max(ps))
-
-
-def _interval_scale(x, k):
-    return (x[0] * k, x[1] * k) if k >= 0 else (x[1] * k, x[0] * k)
-
-
-def _interval_div(x, y):
-    ps = (x[0] / y[0], x[0] / y[1], x[1] / y[0], x[1] / y[1])
-    return (min(ps), max(ps))
-
-
-def _sqrt_bounds(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational bounds on [sqrt(lo), sqrt(hi)] for 0 < lo <= hi."""
-    from math import isqrt
-
-    def lower(v: Fraction) -> Fraction:
-        scale = 10 ** 12
-        return Fraction(isqrt(v.numerator * scale * scale // v.denominator), scale)
-
-    def upper(v: Fraction) -> Fraction:
-        scale = 10 ** 12
-        return Fraction(isqrt(v.numerator * scale * scale // v.denominator) + 1, scale)
-
-    return lower(lo), upper(hi)
 
 
 # -- torsion orders -----------------------------------------------------

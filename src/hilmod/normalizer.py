@@ -11,9 +11,16 @@ product, so each x leaves at most two candidates (one in-field square-root
 test), except for a diagonal element, where x = 0 and y is enumerated.
 The witness is the first in the canonical (x, y) order, the one an
 enumeration of all pairs would find.  A search that reaches the bound
-without a witness is reported as inconclusive rather than guessed
-(whether normalizers without the Z/2 factor exist at all is an open
-question)."""
+without a witness is reported as inconclusive rather than guessed.
+
+A mixed element has no such involution over k at any height: at an
+elliptic embedding the discriminant that x must make a square is negative
+for every x (see ``involution_search``), so its search returns None at
+once (Katok, Fuchsian Groups, 1992: an elliptic element of PSL_2(R) is not
+conjugate to its inverse by an orientation-preserving map).  The report
+still maps that None to inconclusive, as for any search without a witness;
+only for totally hyperbolic elements is the Z/2 factor truly open beyond
+the bound."""
 
 from __future__ import annotations
 
@@ -122,18 +129,24 @@ def involution_search(a: PslElem, height_bound: int,
     For a = [[p, q], [r, s]] of infinite order the conjugation condition is
     x(p - s) + r y + q z = 0 (beta a beta^-1 = -a^-1 would force tr a = 0),
     and det 1 is y z = -(1 + x^2).  So only x is enumerated:
-    - q, r != 0: r y and q z are the roots of T^2 + x(p - s) T - rq(1 + x^2);
+    - q, r != 0: r y and q z are the roots of T^2 + x(p - s) T - rq(1 + x^2),
+      whose discriminant is D x^2 + 4qr with D = (p - s)^2 + 4qr = tr^2 - 4;
     - exactly one of q, r is 0: the system is linear;
     - q = r = 0: x = 0 and y is free, so y is enumerated too.
-    Every candidate is then checked exactly.  ``cls`` is the class of a,
-    computed when not given.
+    Every candidate is then checked exactly.
+
+    A mixed a returns None at once, certified at every height: at an
+    elliptic embedding sigma, sigma(D) < 0 forces sigma(4qr) <
+    -sigma(p - s)^2 <= 0, so sigma(D x^2 + 4qr) < 0 and no x in k makes
+    it a square (q = 0 or r = 0 would make D = (p - s)^2 >= 0).
+    ``cls`` is the class of a, computed when not given.
     """
     cls = classify(a) if cls is None else cls
     if cls.kind is ClassKind.TOTALLY_PARABOLIC:
         raise ParabolicInput("totally parabolic normalizers contain no involution")
     if not cls.is_infinite_order:
         raise FiniteOrderClass("involution search needs an infinite-order element")
-    if height_bound < 0:
+    if height_bound < 0 or cls.kind is ClassKind.MIXED:
         return None
     field = a.field
     n = field.degree
@@ -142,33 +155,38 @@ def involution_search(a: PslElem, height_bound: int,
     diagonal = q.is_zero and r.is_zero
     r_inv = None if r.is_zero else r.inverse()
     q_inv = None if q.is_zero else q.inverse()
+    p_s = p - s
+    four_qr = q * r * 4
+    disc = p_s * p_s + four_qr
 
     def candidates(x: FieldElement) -> Iterator[tuple[FieldElement, FieldElement]]:
         """Every (y, z) in k solving both conditions, y in canonical order
         (the order only matters among integral y)."""
-        t = x * (p - s)
+        if r_inv is not None and q_inv is not None:
+            root = has_square_root(disc * (x * x) + four_qr).value
+            if root is None:
+                return
+            t = x * p_s
+            roots = (root, -root) if not root.is_zero else (root,)
+            ys = [(e - t) * r_inv * Fraction(1, 2) for e in roots]
+            for y in sorted(ys, key=lambda y: _coord_key(y.coords)):
+                yield y, (-t - r * y) * q_inv
+            return
+        t = x * p_s
         need = -field.one() - x * x  # = y*z
         if diagonal:  # x = 0 (p != s, else a = +-1) leaves y free
             for yc in _coord_tuples(n, height_bound):
                 y = field.element(yc)
                 if not y.is_zero:
                     yield y, need / y
-        elif r.is_zero:
+        elif r_inv is None:
             z = -t * q_inv
             if not z.is_zero:
                 yield need / z, z
-        elif q.is_zero:
+        else:
             y = -t * r_inv
             if not y.is_zero:
                 yield y, need / y
-        else:
-            root = has_square_root(t * t - r * q * need * 4).value
-            if root is None:
-                return
-            roots = (root, -root) if not root.is_zero else (root,)
-            ys = [(e - t) * r_inv * Fraction(1, 2) for e in roots]
-            for y in sorted(ys, key=lambda y: _coord_key(y.coords)):
-                yield y, (-t - r * y) * q_inv
 
     for xc in [(0,) * n] if diagonal else _coord_tuples(n, height_bound):
         x = field.element(xc)

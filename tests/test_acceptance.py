@@ -82,7 +82,10 @@ def test_criterion_2_no_mixed_parabolic(sqrt2, sqrt3, sqrt5, cubic7):
     total = 0
     for field in (sqrt2, sqrt3, sqrt5, cubic7):
         for m in sample_sl2_words(field, rng, 1000):
-            classify(psl_normalize(m))  # InconsistentClassification would raise
+            cls = classify(psl_normalize(m))
+            # a parabolic embedding makes Tr^2 - 4 = 0 in k, so every one is
+            assert EmbeddingType.PARABOLIC not in cls.per_embedding or all(
+                t is EmbeddingType.PARABOLIC for t in cls.per_embedding)
             total += 1
     assert total == 4000
     _report(2, f"{total} random classifications, no mixed-parabolic element")

@@ -13,7 +13,9 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from hilmod.exactnum import Poly, RootInterval, isolate_real_roots, refine_root
+import pytest
+
+from hilmod.exactnum import Poly, RootInterval, ScaledInterval, isolate_real_roots, refine_root
 from hilmod.modgrp import cos_trace_min_poly, cyclotomic, torsion_orders
 from hilmod.numfield import NumberField, contains_root_of, has_square_root, mat_inverse
 
@@ -421,3 +423,21 @@ def test_field_info_enclosures_after_torsion_search():
         torsion_orders(field, 18)
         got = [field.embedding(i, Fraction(1, 10 ** 6)) for i in range(field.degree)]
         assert [(str(r.low), str(r.high)) for r in got] == want[name]
+
+
+def test_scaled_division_matches_fraction_intervals():
+    rng = random.Random(13)
+
+    def interval(nonzero=False):
+        while True:
+            lo, hi = sorted(Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(2))
+            if not nonzero or lo > 0 or hi < 0:
+                return lo, hi
+
+    for _ in range(300):
+        (a, b), (c, d) = interval(), interval(nonzero=True)
+        quotients = (a / c, a / d, b / c, b / d)
+        got = ScaledInterval.of(a, b).divided_by(ScaledInterval.of(c, d))
+        assert got.fractions() == (min(quotients), max(quotients))
+    with pytest.raises(ZeroDivisionError):
+        ScaledInterval(1, 2, 1).divided_by(ScaledInterval(0, 3, 2))

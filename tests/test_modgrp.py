@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,9 @@ from hilmod.modgrp import (
     torsion_orders,
 )
 from hilmod.classify import embedding_type, EmbeddingType
+
+SQRT2 = str(Path(__file__).parent / "data" / "sqrt2.json")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _mat(field, a, b, c, d):
@@ -130,6 +138,31 @@ def test_enclosed_fixed_points_bracket_roots(rationals):
     phi_pos = Fraction(16180339887, 10 ** 10), Fraction(16180339888, 10 ** 10)
     assert pts[0].enclosure[0] <= phi_neg[1] and pts[0].enclosure[1] >= phi_neg[0]
     assert pts[1].enclosure[0] <= phi_pos[1] and pts[1].enclosure[1] >= phi_pos[0]
+
+
+def test_enclosed_fixed_points_below_1e12():
+    """The square-root enclosure shrinks with the requested width, so a
+    width below 10^-12 is reached instead of refined forever.  Run in a
+    child process, so a regression fails on the timeout."""
+    code = ("import json; from fractions import Fraction\n"
+            "from hilmod.numfield import NumberField\n"
+            "from hilmod.modgrp import Mat2, fixed_points, psl_normalize\n"
+            f"f = NumberField.from_json(json.load(open({SQRT2!r})))\n"
+            "e = lambda v: f.element([v, 0])\n"
+            "a = psl_normalize(Mat2(e(3), e(1), e(2), e(1)))\n"
+            "fp = fixed_points(a, Fraction(1, 10 ** 13))\n"
+            "print(json.dumps([[[str(v) for v in p.enclosure] for p in comp]\n"
+            "                  for comp in fp.per_embedding]))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=10, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    # [[3,1],[2,1]]: quadratic 2x^2 - 2x - 1, roots (1 -+ sqrt3)/2
+    for lower, upper in json.loads(out.stdout):
+        (lo_m, hi_m), (lo_p, hi_p) = ([Fraction(v) for v in e] for e in (lower, upper))
+        assert hi_m - lo_m <= Fraction(1, 10 ** 13) and hi_p - lo_p <= Fraction(1, 10 ** 13)
+        # 1 - 2x = sqrt3 at the lower root, 2x - 1 = sqrt3 at the upper one
+        assert (1 - 2 * hi_m) ** 2 <= 3 <= (1 - 2 * lo_m) ** 2
+        assert (2 * lo_p - 1) ** 2 <= 3 <= (2 * hi_p - 1) ** 2
 
 
 def test_cyclotomic():

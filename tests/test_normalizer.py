@@ -274,6 +274,27 @@ def test_involution_search_matches_pair_enumeration(sqrt2, sqrt5, cubic7):
     assert 20 <= found <= 60  # both outcomes are exercised
 
 
+def test_mixed_elements_have_no_witness(sqrt2, sqrt5, cubic7):
+    """The sign certificate: on mixed elements the enumeration of all (x, y)
+    pairs up to height 2 finds nothing, and the search returns None."""
+    fields = {"sqrt2": sqrt2, "sqrt5": sqrt5, "cubic7": cubic7}
+    rng = random.Random(1992)
+    mixed = {name: [] for name in fields}
+    while min(map(len, mixed.values())) < 3:
+        for name, _, a in _sample_elements(fields, rng, 20):
+            if classify(a).kind is ClassKind.MIXED and len(mixed[name]) < 3:
+                mixed[name].append(a)
+    for name, elements in mixed.items():
+        for a in elements:
+            _, q, r, _ = a.rep.entries
+            # an elliptic embedding makes 4qr negative there
+            assert any((q * r).embed_sign(i) < 0 for i in range(a.field.degree))
+            assert _reference_involution_search(a, 2) is None, (name, a.to_json())
+            for height in (0, 1, 2, 3):
+                assert involution_search(a, height) is None
+
+
+SQRT2 = str(Path(__file__).parent / "data" / "sqrt2.json")
 SQRT5 = str(Path(__file__).parent / "data" / "sqrt5.json")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -292,3 +313,15 @@ def test_normalizer_large_height_streams(sqrt5):
     assert check_sl(beta) and beta.trace().is_zero
     b = psl_normalize(beta)
     assert (b * a * b.inv()).rep == a.inv().rep
+
+
+def test_normalizer_mixed_large_height_returns():
+    """A mixed element needs no search, so a height of 10^6 returns at once,
+    still reported inconclusive with exit 4."""
+    argv = ["normalizer", "--field", SQRT2, "--matrix=1+1g;1+1g;2;1+1g",
+            "--height", "1000000"]
+    code = f"import sys; from hilmod.cli import main; sys.exit(main({argv!r}))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=10, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 4, out.stderr
+    assert json.loads(out.stdout)["psl_type"] == "inconclusive"
