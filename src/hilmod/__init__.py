@@ -38,9 +38,6 @@ from .classify import (
     EmbeddingType,
     classify,
     classification_json,
-    elliptic_order,
-    embedding_type,
-    is_hp,
 )
 from .normalizer import (
     CensusSlot,

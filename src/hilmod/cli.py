@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .classify import classification_json, default_order_bound
-from .exactnum import Poly
 from .modgrp import Mat2, NotUnimodular, psl_normalize, torsion_orders
 from .normalizer import normalizer_json
 from .numfield import FieldElement, NumberField
@@ -67,43 +66,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
-def _power_mod(e: int, p: Poly) -> list[int]:
-    """x^e modulo the monic integer polynomial p of degree n, as n integer
-    coefficients (ascending), by square-and-multiply."""
-    f = [int(c) for c in p.coeffs]
-    n = p.degree
-
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        prod = [0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        for k in range(2 * n - 2, n - 1, -1):  # x^k = x^(k-n) * (x^n - f)
-            top = prod[k]
-            if top:
-                for i in range(n):
-                    prod[k - n + i] -= top * f[i]
-        return prod[:n]
-
-    acc = [1] + [0] * (n - 1)
-    base = [0, 1] + [0] * (n - 2) if n > 1 else [-f[0]]
-    while e:
-        if e & 1:
-            acc = mul(acc, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return acc
-
-
 def parse_element(text: str, field: NumberField) -> FieldElement:
     """Parse "c0 + c1*g + c2*g^2 + ..." into an exact field element.
 
     Terms are rational ('1', '1/2'), generator powers ('g', 'g^3'), or
     products of the two; '*' is optional.  Powers beyond the field degree
-    are reduced modulo the minimal polynomial by square-and-multiply on
-    integers, so a large exponent costs about log2(e) products.
+    are reduced by square-and-multiply in the field, so a large exponent
+    costs about log2(e) products.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -143,14 +112,11 @@ def parse_element(text: str, field: NumberField) -> FieldElement:
         if i < len(tokens) and tokens[i][0] not in ("sign",):
             raise ParseError("terms must be separated by '+' or '-'", tokens[i][2])
     n = field.degree
-    coords = [Fraction(0)] * n
+    x = field.from_power([power.get(e, Fraction(0)) for e in range(n)])
     for e, c in power.items():
-        if e < n:
-            coords[e] += c
-        else:
-            for k, t in enumerate(_power_mod(e, field.min_poly)):
-                coords[k] += c * t
-    return field.from_power(coords)
+        if e >= n:
+            x = x + field.generator() ** e * c
+    return x
 
 
 def render_element(x: FieldElement) -> str:
@@ -297,10 +263,11 @@ def _cmd_wh_decomp(args) -> int:
 
 def _cmd_ktop(args) -> int:
     field = _load_field(args.field)
-    cusp = tuple()
-    if args.cusp_dims:
-        data = _load_json(args.cusp_dims)
+    data = _load_json(args.cusp_dims) if args.cusp_dims else []
+    try:
         cusp = tuple((e["p"], e["r"], e["dim"]) for e in data)
+    except (KeyError, TypeError) as exc:
+        raise CliError(EXIT_INVALID, f"bad cusp dims: {exc!r}")
     try:
         prof = BettiProfile(field.degree, args.class_number, cusp)
         fc = FiniteCensus.from_json(_load_json(args.finite_census)) \

@@ -270,13 +270,9 @@ class Poly:
             acc = acc * u + c * vpow
         return (acc > 0) - (acc < 0)
 
-    def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """Enclosure of the image of [lo, hi] under Horner interval arithmetic."""
-        return self.eval_scaled(ScaledInterval.of(lo, hi)).fractions()
-
     def eval_scaled(self, x: ScaledInterval) -> ScaledInterval:
-        """Horner interval arithmetic on integers: ``eval_interval`` with
-        endpoints over one denominator.  After j steps the accumulator is
+        """Enclosure of the image of x under Horner interval arithmetic, on
+        integers over one denominator.  After j steps the accumulator is
         [lo, hi] / (L * den^j), so each step multiplies by the numerators
         of x and adds c * den^j."""
         lcm, cs = self.integer_coeffs
@@ -394,21 +390,17 @@ def _nonroot_point(p: Poly, a: Fraction, b: Fraction) -> Fraction:
     raise RuntimeError("could not find a non-root sample point")  # p has finitely many roots
 
 
-def isolate_real_roots(p: Poly, reduce_squarefree: bool = False) -> list[RootInterval]:
+def isolate_real_roots(p: Poly) -> list[RootInterval]:
     """All real roots of p, ascending, in pairwise disjoint isolating
     intervals with rational endpoints.
 
-    Raises NotSquarefree when p has a repeated root and reduction was not
-    requested.
+    Raises NotSquarefree when p has a repeated root.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     chain = p.sturm_chain()
     if chain[-1].degree != 0:  # the last term is gcd(p, p') up to a constant
-        if not reduce_squarefree:
-            raise NotSquarefree("polynomial has a repeated root")
-        p = p.squarefree_part()
-        chain = p.sturm_chain()
+        raise NotSquarefree("polynomial has a repeated root")
     if p.degree == 0:
         return []
 
@@ -437,22 +429,6 @@ def isolate_real_roots(p: Poly, reduce_squarefree: bool = False) -> list[RootInt
     split(lo, hi, sign_variations(chain, lo), sign_variations(chain, hi))
     intervals.sort(key=lambda ab: ab[0])
     return [RootInterval(p, a, b, i) for i, (a, b) in enumerate(intervals)]
-
-
-def count_real_roots(p: Poly) -> int:
-    """Sturm sign-variation count over (-B, B); p must be squarefree."""
-    chain = p.sturm_chain()
-    if chain[-1].degree != 0:  # the last term is gcd(p, p') up to a constant
-        raise NotSquarefree("polynomial has a repeated root")
-    if p.degree == 0:
-        return 0
-    b = p.cauchy_bound()
-    lo, hi = -b, b
-    while p.sign_at(lo) == 0:
-        lo -= 1
-    while p.sign_at(hi) == 0:
-        hi += 1
-    return sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
 def refine_root(r: RootInterval, width: Fraction) -> RootInterval:

@@ -81,10 +81,12 @@ class CensusSlot:
     order: Optional[int] = None  # finite_maximal slots
 
 
-def normalizer_rank(cls: ElementClass, n: int) -> int:
-    """Certain free-abelian rank of N_G[H] for the class of the generator."""
+def normalizer_rank(cls: ElementClass) -> int:
+    """Certain free-abelian rank of N_G[H] for the class of the generator,
+    over a field of degree n = len(cls.per_embedding)."""
     if not cls.is_infinite_order:
         raise FiniteOrderClass("normalizer rank is defined for infinite-order classes")
+    n = len(cls.per_embedding)
     if cls.kind is ClassKind.TOTALLY_PARABOLIC:
         return n
     if cls.kind is ClassKind.TOTALLY_HYPERBOLIC:
@@ -211,7 +213,7 @@ def normalizer_type_psl(a: PslElem, height_bound: int = 5,
     cls = classify(a) if cls is None else cls
     if not cls.is_infinite_order:
         raise FiniteOrderClass("normalizer type is defined for infinite-order elements")
-    rank = normalizer_rank(cls, a.field.degree)
+    rank = normalizer_rank(cls)
     if cls.kind is ClassKind.TOTALLY_PARABOLIC:
         # all normalizer elements are translations; no Z/2 factor, certain
         return NormalizerType(FREE_ABELIAN, rank)
@@ -232,17 +234,16 @@ def lift_to_sl(nt: NormalizerType) -> SlNormalizerType:
     return SlNormalizerType(INCONCLUSIVE, nt.rank)
 
 
-def census_slot(cls: ElementClass, nt: Optional[NormalizerType], n: int) -> CensusSlot:
+def census_slot(cls: ElementClass, nt: Optional[NormalizerType]) -> CensusSlot:
     """Which census set the commensuration class of the generator lands in."""
-    if cls.kind in (ClassKind.IDENTITY, ClassKind.TOTALLY_ELLIPTIC):
-        return CensusSlot("finite_maximal",
-                          order=1 if cls.kind is ClassKind.IDENTITY else cls.order)
+    if not cls.is_infinite_order:
+        return CensusSlot("finite_maximal", order=cls.order)
     if nt is None:
         raise RankMismatch("infinite-order classes need a normalizer type")
-    if nt.rank != normalizer_rank(cls, n):
+    rank = normalizer_rank(cls)
+    if nt.rank != rank:
         raise RankMismatch(
-            f"normalizer rank {nt.rank} does not match the class rank "
-            f"{normalizer_rank(cls, n)}")
+            f"normalizer rank {nt.rank} does not match the class rank {rank}")
     if nt.kind == INCONCLUSIVE:
         return CensusSlot("undetermined")
     free = nt.kind == FREE_ABELIAN
@@ -258,7 +259,7 @@ def census_slot(cls: ElementClass, nt: Optional[NormalizerType], n: int) -> Cens
 def normalizer_json(a: PslElem, height_bound: int = 5) -> dict:
     cls = classify(a)
     nt = normalizer_type_psl(a, height_bound, cls)
-    slot = census_slot(cls, nt, a.field.degree)
+    slot = census_slot(cls, nt)
     wit = nt.witness.to_json() if nt.witness is not None else None
     slot_name = slot.kind if slot.j is None else f"{slot.kind}{{{slot.j}}}"
     return {

@@ -422,8 +422,9 @@ class FieldElement:
         while e:
             if e & 1:
                 acc = acc * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return acc
 
     def __eq__(self, other) -> bool:
@@ -465,12 +466,9 @@ class FieldElement:
                 return 1 if q.sign_at(r.low) > 0 else -1
             r = self.field.embedding(i, r.width / 4)
 
-    def embed_interval(self, i: int, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Rational enclosure of sigma_i(x) of width <= ``width``."""
-        return self.embed_scaled(i, width).fractions()
-
     def embed_scaled(self, i: int, width: Fraction) -> ScaledInterval:
-        """``embed_interval`` over one denominator."""
+        """Enclosure of sigma_i(x) of width <= ``width``, over one
+        denominator."""
         q = self.power_poly()
         r = self.field.embedding(i)
         while True:

@@ -1,18 +1,15 @@
+import dataclasses
 import random
 
 import pytest
 
 from hilmod.classify import (
     ClassKind,
+    ElementClass,
     EmbeddingType,
-    NotElliptic,
-    NotHyperbolic,
     classification_json,
     classify,
     default_order_bound,
-    elliptic_order,
-    embedding_type,
-    is_hp,
     per_embedding_types,
 )
 from hilmod.modgrp import Mat2, psl_normalize
@@ -50,14 +47,14 @@ def test_classify_mixed(mixed_example):
 def test_classify_parabolic(sqrt2):
     a = _psl(sqrt2, [[1, 0], [1, 0], [0, 0], [1, 0]])
     assert classify(a).kind is ClassKind.TOTALLY_PARABOLIC
-    assert embedding_type(a, 0) is EmbeddingType.PARABOLIC
+    assert per_embedding_types(a)[0] is EmbeddingType.PARABOLIC
 
 
 def test_classify_hp(hp_example):
     cls = classify(hp_example)
     assert cls.kind is ClassKind.TOTALLY_HYPERBOLIC
     assert cls.hyperbolic_parabolic is True
-    assert is_hp(hp_example)
+    assert cls.disc_square is True
 
 
 def test_classify_identity(sqrt2):
@@ -65,33 +62,42 @@ def test_classify_identity(sqrt2):
     cls = classify(a)
     assert cls.kind is ClassKind.IDENTITY
     assert not cls.is_infinite_order
+    assert cls.order == 1
 
 
 def test_is_hp_false_fuchsian(rationals):
     # [[2,1],[1,1]]: disc 5 is not a rational square
     a = _psl(rationals, [[2], [1], [1], [1]])
-    assert classify(a) .hyperbolic_parabolic is False
-    assert not is_hp(a)
-
-
-def test_is_hp_rejects_non_hyperbolic(mixed_example):
-    with pytest.raises(NotHyperbolic):
-        is_hp(mixed_example)
+    assert classify(a).hyperbolic_parabolic is False
+    assert classify(a).disc_square is False
 
 
 def test_elliptic_orders(rationals, sqrt2):
     s = _psl(rationals, [[0], [-1], [1], [0]])
-    assert elliptic_order(s) == 2
     assert classify(s).order == 2
     r3 = _psl(rationals, [[0], [-1], [1], [1]])
-    assert elliptic_order(r3) == 3
+    assert classify(r3).order == 3
     ident = psl_normalize(Mat2.identity(sqrt2))
-    assert elliptic_order(ident) == 1
+    assert classify(ident).order == 1
 
 
-def test_elliptic_order_rejects_hyperbolic(hp_example):
-    with pytest.raises(NotElliptic):
-        elliptic_order(hp_example)
+def test_element_class_stores_four_facts(sqrt2, word_sampler):
+    # the derived facts are read off the stored ones, never stored beside them
+    assert [f.name for f in dataclasses.fields(ElementClass)] == \
+        ["kind", "per_embedding", "disc_square", "order"]
+    rng = random.Random(13)
+    for m in word_sampler(sqrt2, rng, 40):
+        a = psl_normalize(m)
+        cls = classify(a)
+        if cls.kind is ClassKind.IDENTITY:
+            assert cls.per_embedding == () and cls.order == 1
+            continue
+        assert cls.per_embedding == per_embedding_types(a)
+        hyp = cls.per_embedding.count(EmbeddingType.HYPERBOLIC)
+        assert cls.hyperbolic_components == (hyp if cls.kind is ClassKind.MIXED else None)
+        assert cls.hyperbolic_parabolic == (
+            cls.disc_square if cls.kind is ClassKind.TOTALLY_HYPERBOLIC else None)
+        assert (cls.order is not None) == (cls.kind is ClassKind.TOTALLY_ELLIPTIC)
 
 
 def test_default_order_bound():

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from hilmod import cli
 from hilmod.cli import ParseError, main, parse_element, parse_matrix, render_element
 
 DATA = Path(__file__).parent / "data"
@@ -108,6 +107,19 @@ def test_ktop_golden(capsys):
     assert code == 0
     assert "lower bound only" in err  # cusp dims defaulted
     _check_golden("ktop_even.json", out)
+
+
+@pytest.mark.parametrize("cusp", ['[1]', '[{"p": 1}]', '{"p": 1}'])
+def test_ktop_malformed_cusp_dims(tmp_path, cusp):
+    dims = tmp_path / "cusp.json"
+    dims.write_text(cusp)
+    proc = subprocess.run([sys.executable, "-m", "hilmod.cli", "ktop", "--field", SQRT2,
+                           "--class-number", "1", "--cusp-dims", str(dims)],
+                          capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: bad cusp dims:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_field_info_golden(capsys):

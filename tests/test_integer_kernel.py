@@ -1,6 +1,6 @@
 """The integer real layer against Fraction references.
 
-``refine_root``, ``Poly.eval_interval``, ``_lattice_root`` (with the
+``refine_root``, ``Poly.eval_scaled``, ``_lattice_root`` (with the
 interval helpers ``_imul``/``_isum``), ``cyclotomic`` and
 ``cos_trace_min_poly`` run on integers; the references below are their
 Fraction forms.  Every endpoint, pin and return value must be the same
@@ -218,7 +218,7 @@ def ref_cos_trace_min_poly(m: int) -> Poly:
     return Poly(coeffs)
 
 
-# -- refine_root and eval_interval ---------------------------------------
+# -- refine_root and eval_scaled -----------------------------------------
 
 
 def _same(a: RootInterval, b: RootInterval) -> bool:
@@ -328,7 +328,7 @@ def test_eval_interval_matches_fraction_horner():
             a, b = -abs(a) - Fraction(1, 5), abs(b) + Fraction(1, 7)  # straddling 0
         elif kind == 2:
             b = a  # degenerate
-        assert p.eval_interval(a, b) == ref_eval_interval(p, a, b)
+        assert p.eval_scaled(ScaledInterval.of(a, b)).fractions() == ref_eval_interval(p, a, b)
 
 
 # -- in-field root searches -----------------------------------------------

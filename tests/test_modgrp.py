@@ -21,7 +21,7 @@ from hilmod.modgrp import (
     psl_normalize,
     torsion_orders,
 )
-from hilmod.classify import embedding_type, EmbeddingType
+from hilmod.classify import EmbeddingType, per_embedding_types
 
 SQRT2 = str(Path(__file__).parent / "data" / "sqrt2.json")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -123,8 +123,8 @@ def test_fixed_point_count_matches_embedding_type(sqrt2, word_sampler):
         if a.is_identity():
             continue
         fp = fixed_points(a)
-        for i in range(sqrt2.degree):
-            assert fp.boundary_count(i) == want[embedding_type(a, i)]
+        for i, t in enumerate(per_embedding_types(a)):
+            assert fp.boundary_count(i) == want[t]
 
 
 def test_enclosed_fixed_points_bracket_roots(rationals):

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 from hilmod import normalizer
-from hilmod.classify import ClassKind, ElementClass, classify
+from hilmod.classify import ClassKind, ElementClass, EmbeddingType, classify
 from hilmod.cli import parse_matrix
 from hilmod.modgrp import Mat2, check_sl, psl_normalize
 from hilmod.normalizer import (
+    CensusSlot,
     DIRECT_SUM_Z2,
     FREE_ABELIAN,
     FiniteOrderClass,
@@ -47,17 +48,21 @@ def parabolic(sqrt2):
     return _psl(sqrt2, [[1, 0], [1, 0], [0, 0], [1, 0]])
 
 
+ELL, PAR, HYP = EmbeddingType.ELLIPTIC, EmbeddingType.PARABOLIC, EmbeddingType.HYPERBOLIC
+
+
 def test_normalizer_rank_table():
-    par = ElementClass(ClassKind.TOTALLY_PARABOLIC)
-    hyp = ElementClass(ClassKind.TOTALLY_HYPERBOLIC, hyperbolic_parabolic=False)
-    hp = ElementClass(ClassKind.TOTALLY_HYPERBOLIC, hyperbolic_parabolic=True)
-    mixed = ElementClass(ClassKind.MIXED, hyperbolic_components=1)
-    assert normalizer_rank(par, 2) == 2
-    assert normalizer_rank(hyp, 2) == 2
-    assert normalizer_rank(hp, 2) == 1
-    assert normalizer_rank(mixed, 3) == 1
+    par = ElementClass(ClassKind.TOTALLY_PARABOLIC, per_embedding=(PAR, PAR), disc_square=True)
+    hyp = ElementClass(ClassKind.TOTALLY_HYPERBOLIC, per_embedding=(HYP, HYP), disc_square=False)
+    hp = ElementClass(ClassKind.TOTALLY_HYPERBOLIC, per_embedding=(HYP, HYP), disc_square=True)
+    mixed = ElementClass(ClassKind.MIXED, per_embedding=(ELL, HYP, ELL), disc_square=False)
+    assert normalizer_rank(par) == 2
+    assert normalizer_rank(hyp) == 2
+    assert normalizer_rank(hp) == 1
+    assert normalizer_rank(mixed) == 1
     with pytest.raises(FiniteOrderClass):
-        normalizer_rank(ElementClass(ClassKind.TOTALLY_ELLIPTIC, order=2), 2)
+        normalizer_rank(ElementClass(ClassKind.TOTALLY_ELLIPTIC, per_embedding=(ELL, ELL),
+                                     disc_square=False, order=2))
 
 
 def test_involution_search_hp(sqrt2, hp_example):
@@ -116,27 +121,31 @@ def test_lift_to_sl():
 
 
 def test_census_slot_table():
-    par = ElementClass(ClassKind.TOTALLY_PARABOLIC)
-    hyp = ElementClass(ClassKind.TOTALLY_HYPERBOLIC, hyperbolic_parabolic=False)
-    hp = ElementClass(ClassKind.TOTALLY_HYPERBOLIC, hyperbolic_parabolic=True)
-    mixed = ElementClass(ClassKind.MIXED, hyperbolic_components=1)
-    ell = ElementClass(ClassKind.TOTALLY_ELLIPTIC, order=4)
+    par = ElementClass(ClassKind.TOTALLY_PARABOLIC, per_embedding=(PAR, PAR), disc_square=True)
+    hyp = ElementClass(ClassKind.TOTALLY_HYPERBOLIC, per_embedding=(HYP, HYP), disc_square=False)
+    hp = ElementClass(ClassKind.TOTALLY_HYPERBOLIC, per_embedding=(HYP, HYP), disc_square=True)
+    mixed = ElementClass(ClassKind.MIXED, per_embedding=(ELL, HYP), disc_square=False)
+    mixed3 = ElementClass(ClassKind.MIXED, per_embedding=(ELL, HYP, ELL), disc_square=False)
+    ell = ElementClass(ClassKind.TOTALLY_ELLIPTIC, per_embedding=(ELL, ELL),
+                       disc_square=False, order=4)
+    ident = ElementClass(ClassKind.IDENTITY, order=1)
     free = lambda r: NormalizerType(FREE_ABELIAN, r)
     semi = lambda r: NormalizerType(SEMIDIRECT_Z2, r)
-    assert census_slot(par, free(2), 2).kind == "P"
-    assert census_slot(hyp, free(2), 2).kind == "H1"
-    assert census_slot(hyp, semi(2), 2).kind == "H2"
-    assert census_slot(hp, free(1), 2).kind == "HP1"
-    assert census_slot(hp, semi(1), 2).kind == "HP2"
-    assert census_slot(mixed, free(1), 2) .kind == "M1"
-    assert census_slot(mixed, semi(1), 3).j == 1
-    assert census_slot(ell, None, 2).kind == "finite_maximal"
-    assert census_slot(ell, None, 2).order == 4
-    assert census_slot(mixed, NormalizerType(INCONCLUSIVE, 1), 2).kind == "undetermined"
+    assert census_slot(par, free(2)).kind == "P"
+    assert census_slot(hyp, free(2)).kind == "H1"
+    assert census_slot(hyp, semi(2)).kind == "H2"
+    assert census_slot(hp, free(1)).kind == "HP1"
+    assert census_slot(hp, semi(1)).kind == "HP2"
+    assert census_slot(mixed, free(1)).kind == "M1"
+    assert census_slot(mixed3, semi(1)).j == 1
+    assert census_slot(ell, None).kind == "finite_maximal"
+    assert census_slot(ell, None).order == 4
+    assert census_slot(ident, None) == CensusSlot("finite_maximal", order=1)
+    assert census_slot(mixed, NormalizerType(INCONCLUSIVE, 1)).kind == "undetermined"
     with pytest.raises(RankMismatch):
-        census_slot(hp, free(2), 2)
+        census_slot(hp, free(2))
     with pytest.raises(RankMismatch):
-        census_slot(par, None, 2)
+        census_slot(par, None)
 
 
 def test_normalizer_json(hp_example):
