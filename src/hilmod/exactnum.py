@@ -1,15 +1,15 @@
 """Exact rational arithmetic, univariate polynomials and certified real
 root isolation.
 
-Values are exact rationals (``fractions.Fraction``); there is no floating
-point anywhere, so every sign decision is exact.  Root isolation uses
-Sturm sequences with bisection, which is more than fast enough for the
-small degrees (<= 8 or so) this library deals with.  The inner loops run
-on integers: the sign of a polynomial at a rational point
-(``Poly.sign_at``), bisection in ``refine_root``, and interval Horner
-evaluation (``Poly.eval_scaled``) over a ``ScaledInterval``, integer
-endpoints over one positive denominator.  Each result is the same
-rational that Fraction arithmetic gives.
+Values are exact rationals (``fractions.Fraction``), with no floating
+point, so every sign decision is exact.  ``Poly`` is a normalised tuple
+of Fraction coefficients; everything computed from it runs on integers:
+signs at rational points (``_horner_sign``), bisection (``refine_root``),
+interval Horner evaluation over a ``ScaledInterval`` (integer endpoints
+over one positive denominator), and the Sturm sequence, a fraction-free
+pseudo-remainder sequence (Cohen, GTM 138, 3.1-3.3).  Division by a monic
+integer polynomial is ``divide_monic``; there is no Fraction polynomial
+division.  Each result is the rational that Fraction arithmetic gives.
 """
 
 from __future__ import annotations
@@ -40,6 +40,14 @@ def rational_from_string(s: str) -> Fraction:
 
 def rational_to_string(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
+
+
+def require_ints(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not an int;
+    a bool is not one, though JSON true is a Python int."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 class ScaledInterval(NamedTuple):
@@ -96,11 +104,40 @@ class ScaledInterval(NamedTuple):
         return ScaledInterval(min(p), max(p), d * c * e)
 
 
+def _horner_sign(cs: Sequence[int], u: int, v: int) -> int:
+    """Sign of c(u/v) for integer coefficients ``cs``, leading first, and
+    integers u and v > 0, not necessarily coprime: the sign of
+    sum cs[j] * u^(d-j) * v^j, which is c(u/v) * v^d."""
+    if not cs:
+        return 0
+    acc, vpow = cs[0], 1
+    for c in cs[1:]:
+        vpow *= v
+        acc = acc * u + c * vpow
+    return (acc > 0) - (acc < 0)
+
+
+def divide_monic(a: Sequence, b: Sequence[int]) -> tuple[list, list]:
+    """(q, r) with a = q * b + r and deg r < deg b, for coefficient lists
+    (ascending) and a monic integer divisor b.  No step divides, so
+    integer (or Fraction) coefficients give integer (or Fraction) q and r."""
+    d = len(b) - 1
+    rem = list(a)
+    q = [0] * max(0, len(rem) - d)
+    for k in range(len(q) - 1, -1, -1):
+        f = q[k] = rem[k + d]
+        if f:
+            for i, c in enumerate(b):
+                rem[k + i] -= f * c
+    return q, rem[:d]
+
+
 class Poly:
     """Univariate polynomial with Fraction coefficients, ascending degree.
 
     Immutable; trailing zero coefficients are never stored, so the zero
-    polynomial has an empty coefficient tuple.
+    polynomial has an empty coefficient tuple.  Arithmetic on polynomials
+    runs on integer coefficient lists (``integer_coeffs``).
     """
 
     __slots__ = ("coeffs", "_integer_coeffs")
@@ -143,103 +180,7 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly([])
-
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly([c])
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
-
-    # -- ring operations ------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Poly([x + y for x, y in zip(a, b)])
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        acc, base = Poly.constant(1), self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly([a * c for a in self.coeffs])
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading)
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-        return Poly(q), Poly(rem)
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a.monic()
-
     # -- evaluation -----------------------------------------------------
-
-    def __call__(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     @property
     def integer_coeffs(self) -> tuple[int, tuple[int, ...]]:
@@ -259,16 +200,8 @@ class Poly:
 
     def sign_num(self, u: int, v: int) -> int:
         """Sign of p(u/v) for integers u and v > 0, not necessarily
-        coprime: the sign of sum c_i*L * u^i * v^(d-i), with L the lcm of
-        the coefficient denominators (that sum is p(u/v) * L * v^d)."""
-        cs = self.integer_coeffs[1]
-        if not cs:
-            return 0
-        acc, vpow = cs[0], 1
-        for c in cs[1:]:
-            vpow *= v
-            acc = acc * u + c * vpow
-        return (acc > 0) - (acc < 0)
+        coprime, from the integer coefficients of L * p."""
+        return _horner_sign(self.integer_coeffs[1], u, v)
 
     def eval_scaled(self, x: ScaledInterval) -> ScaledInterval:
         """Enclosure of the image of x under Horner interval arithmetic, on
@@ -288,55 +221,13 @@ class Poly:
             lo, hi = min(p) + cd, max(p) + cd
         return ScaledInterval(lo, hi, lcm * dpow)
 
-    # -- squarefree / Sturm ---------------------------------------------
-
-    def is_squarefree(self) -> bool:
-        if self.is_zero:
-            return False
-        return self.gcd(self.derivative()).degree <= 0
-
-    def squarefree_part(self) -> "Poly":
-        if self.is_zero:
-            raise ValueError("zero polynomial")
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self
-        return self.divmod(g)[0]
-
-    def sturm_chain(self) -> list["Poly"]:
-        chain = [self, self.derivative()]
-        while not chain[-1].is_zero and chain[-1].degree > 0:
-            chain.append(-(chain[-2] % chain[-1]))
-        if chain[-1].is_zero:
-            chain.pop()
-        return chain
+    # -- root bound ---------------------------------------------------
 
     def cauchy_bound(self) -> Fraction:
         """1 + max |a_i / a_n|; every real root lies strictly inside (-B, B)."""
         lc = self.leading
         m = max((abs(c / lc) for c in self.coeffs[:-1]), default=Fraction(0))
         return 1 + m
-
-    def resultant(self, other: "Poly") -> Fraction:
-        """Resultant via the Euclidean algorithm."""
-        a, b = self, other
-        if a.is_zero or b.is_zero:
-            return Fraction(0)
-        res = Fraction(1)
-        while b.degree > 0:
-            r = a % b
-            if r.is_zero:
-                return Fraction(0)
-            res *= Fraction(-1) ** (a.degree * b.degree) * b.leading ** (a.degree - r.degree)
-            a, b = b, r
-        return res * b.coeffs[0] ** a.degree
-
-    def discriminant(self) -> Fraction:
-        n = self.degree
-        if n < 1:
-            raise ValueError("discriminant needs degree >= 1")
-        sgn = Fraction(-1) ** (n * (n - 1) // 2)
-        return sgn * self.resultant(self.derivative()) / self.leading
 
     # -- serialization --------------------------------------------------
 
@@ -348,8 +239,46 @@ class Poly:
         return Poly([rational_from_string(c) for c in data])
 
 
-def sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = [s for s in (p.sign_at(x) for p in chain) if s != 0]
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """|lc(b)|^(deg a - deg b + 1) times the remainder of a by b over Q,
+    for integer lists (leading first) with deg a >= deg b; no step divides."""
+    lc = b[0]
+    m = abs(lc)
+    r = list(a)
+    steps = len(a) - len(b) + 1
+    for k in range(steps):
+        f = r[k] if lc > 0 else -r[k]
+        r[k:] = [m * c for c in r[k:]]
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+    r = r[steps:]
+    while r and not r[0]:
+        r.pop(0)
+    return r
+
+
+def _sturm_sequence(cs: Sequence[int]) -> list[list[int]]:
+    """The Sturm sequence p, p', -rem, ... of the integer polynomial ``cs``
+    (leading first), each remainder a pseudo-remainder over its positive
+    content: a positive multiple of the Fraction term, with the same signs.
+    The last term is gcd(p, p') up to a constant."""
+    d = len(cs) - 1
+    chain = [list(cs), [c * (d - j) for j, c in enumerate(cs[:-1])]]
+    while len(chain[-1]) > 1:
+        r = _pseudo_remainder(chain[-2], chain[-1])
+        if not r:
+            break
+        g = math.gcd(*r)
+        chain.append([-c // g for c in r])
+    if not chain[-1]:  # the derivative of a constant
+        chain.pop()
+    return chain
+
+
+def sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    """Sign changes along a chain of integer polynomials (leading first)
+    at x, zeros skipped."""
+    signs = [s for s in (_horner_sign(cs, x.numerator, x.denominator) for cs in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -398,8 +327,8 @@ def isolate_real_roots(p: Poly) -> list[RootInterval]:
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    chain = p.sturm_chain()
-    if chain[-1].degree != 0:  # the last term is gcd(p, p') up to a constant
+    chain = _sturm_sequence(p.integer_coeffs[1])
+    if len(chain[-1]) != 1:  # the last term is gcd(p, p') up to a constant
         raise NotSquarefree("polynomial has a repeated root")
     if p.degree == 0:
         return []

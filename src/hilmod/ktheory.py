@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from .exactnum import require_ints
+
 BASE = "base"
 BASE_C2 = "base_c2"  # the group ring R[Z/2]
 
@@ -30,6 +32,7 @@ class Cardinal:
 
     @staticmethod
     def finite(k: int) -> "Cardinal":
+        require_ints(finite=k)
         if k < 0:
             raise ValueError("negative multiplicity")
         return Cardinal("finite", k)
@@ -255,6 +258,9 @@ class Census:
     m2: tuple[Cardinal, ...] = ()
 
     def __post_init__(self):
+        require_ints(n=self.n)
+        for order, _ in self.finite:
+            require_ints(order=order)
         if self.n < 1:
             raise ValueError("degree must be >= 1")
         want = self.n - 1
@@ -274,18 +280,18 @@ class Census:
 
     @staticmethod
     def from_json(data: dict) -> "Census":
-        card = Cardinal.from_json
-        zero = Cardinal.finite(0)
+        def card(key: str, value) -> Cardinal:
+            try:
+                return Cardinal.from_json(value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+
         return Census(
             n=data["n"],
-            finite=tuple((e["order"], card(e["count"])) for e in data.get("finite", [])),
-            p=card(data.get("p", zero.to_json())),
-            h1=card(data.get("h1", zero.to_json())),
-            h2=card(data.get("h2", zero.to_json())),
-            hp1=card(data.get("hp1", zero.to_json())),
-            hp2=card(data.get("hp2", zero.to_json())),
-            m1=tuple(card(c) for c in data.get("m1", [])),
-            m2=tuple(card(c) for c in data.get("m2", [])),
+            finite=tuple((e["order"], card("count", e["count"])) for e in data.get("finite", [])),
+            m1=tuple(card("m1", c) for c in data.get("m1", [])),
+            m2=tuple(card("m2", c) for c in data.get("m2", [])),
+            **{k: card(k, data[k]) for k in ("p", "h1", "h2", "hp1", "hp2") if k in data},
         )
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exactnum import Poly
+from .exactnum import Poly, divide_monic
 from .numfield import (FieldElement, NumberField, _sqrt_interval, contains_root_of,
                        has_square_root)
 
@@ -245,21 +245,6 @@ def _enclose_quadratic_roots(qa: FieldElement, qb: FieldElement, qc: FieldElemen
 # -- torsion orders -----------------------------------------------------
 
 
-def _divide_monic(a: list[int], b: list[int]) -> list[int]:
-    """Quotient of integer coefficient lists (ascending) by a monic divisor
-    b that divides a exactly."""
-    rem = list(a)
-    d = len(b) - 1
-    q = [0] * (len(a) - d)
-    for k in range(len(q) - 1, -1, -1):
-        f = q[k] = rem[k + d]
-        if f:
-            for i, c in enumerate(b):
-                rem[k + i] -= f * c
-    assert not any(rem[:d]), "inexact division"
-    return q
-
-
 def _cyclotomic_coeffs(m: int) -> list[int]:
     """Coefficients of Phi_m, ascending: Phi_d for each d | m in turn, as
     x^d - 1 divided by Phi_e for the proper divisors e of d."""
@@ -269,7 +254,8 @@ def _cyclotomic_coeffs(m: int) -> list[int]:
             p = [-1] + [0] * (d - 1) + [1]  # x^d - 1
             for e, phi in phis.items():
                 if d % e == 0:
-                    p = _divide_monic(p, phi)
+                    p, r = divide_monic(p, phi)
+                    assert not any(r), "inexact division"
             phis[d] = p
     return phis[m]
 

@@ -12,6 +12,10 @@ the minimal polynomial is always rejected, which settles irreducibility
 up to degree 3; above that it is a caller contract, and ``inverse``
 raises ReducibleDetected on a zero divisor, a nonzero element of norm 0.
 
+All exact linear algebra is one fraction-free solver, ``int_det_solve``;
+column by column it also gives the integer adjugates that invert the
+basis matrix and the trace form.
+
 Sign decisions at an embedding combine an exact zero test with interval
 refinement of the isolated root, so they are certified; the interval
 Horner evaluation behind them runs on integers over one denominator
@@ -19,10 +23,11 @@ Horner evaluation behind them runs on integers over one denominator
 inside the field are decided exactly: after scaling, a root y is an
 algebraic integer, so its power-basis coordinates c = T^-1 (Tr(theta^l
 y))_l lie in (1/D)Z^n, with T the trace form of the order Z[theta] and
-D = |det T| = |disc(min_poly)|.  Integer interval enclosures of the
-embeddings of y, combined with the integer adjugate of T, pin D c to one
-lattice point, verified exactly, or exclude every lattice point; either
-way the answer is certified.
+D = det T = disc(min_poly) > 0, which is also the discriminant the field
+reports.  Integer interval enclosures of the embeddings of y, combined
+with the integer adjugate of T, pin D c to one lattice point, verified
+exactly, or exclude every lattice point; either way the answer is
+certified.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .exactnum import (
     Poly,
     RootInterval,
     ScaledInterval,
+    divide_monic,
     isolate_real_roots,
     rational_from_string,
     rational_to_string,
@@ -67,24 +73,6 @@ class DivisionByZero(ZeroDivisionError):
 # -- small exact linear algebra ----------------------------------------
 
 
-def mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [x / f for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                g = aug[r][col]
-                aug[r] = [x - g * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def int_det_solve(m: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, list[int]]:
     """det M and det M * x, with x the solution of M x = b, for an integer
     matrix M, by fraction-free Gauss-Jordan elimination (Bareiss): every
@@ -110,17 +98,25 @@ def int_det_solve(m: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, li
     return sign * prev, [sign * row[n] for row in a]
 
 
+def _adjugate(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(A, D) with A / D = M^-1, D = |det M| and A = +-adj(M) integral,
+    for an integer matrix M; column l of adj(M) is det M * M^-1 e_l, from
+    ``int_det_solve``.  A singular M raises ValueError."""
+    n = len(m)
+    solved = [int_det_solve(m, [int(k == l) for k in range(n)]) for l in range(n)]
+    det = solved[0][0]
+    if det == 0:
+        raise ValueError("matrix is singular")
+    sign = 1 if det > 0 else -1
+    return [[sign * col[k] for _, col in solved] for k in range(n)], abs(det)
+
+
 def _integer_coords(coords: Sequence[Fraction]) -> tuple[list[int], int]:
     """(a, d) with coords = a / d, d the least common denominator."""
     d = math.lcm(*(c.denominator for c in coords))
     if d == 1:
         return [c.numerator for c in coords], 1
     return [c.numerator * (d // c.denominator) for c in coords], d
-
-
-def _vec_mat(v: Sequence[Fraction], m: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    n = len(m[0])
-    return [sum((v[i] * m[i][j] for i in range(len(v))), Fraction(0)) for j in range(n)]
 
 
 def _is_rational_square(r: Fraction) -> Optional[Fraction]:
@@ -175,8 +171,13 @@ class NumberField:
         if basis[0] != [Fraction(1)] + [Fraction(0)] * (n - 1):
             raise ValueError("basis element 0 must be the constant 1")
         self.integral_basis = tuple(tuple(row) for row in basis)
-        # None for the power basis, whose coordinates need no change of basis
-        self._basis_inv = None if basis == identity else mat_inverse(basis)
+        # (A, D) with A / D the inverse of the basis matrix; None for the
+        # power basis, whose coordinates need no change of basis
+        self._basis_inv = None
+        if basis != identity:
+            rows, dens = zip(*map(_integer_coords, basis))
+            adj, det = _adjugate(rows)  # basis = diag(1/dens) rows
+            self._basis_inv = [[a * d for a, d in zip(row, dens)] for row in adj], det
         self._table = self._multiplication_table()
         self._embeddings: list[RootInterval] = list(roots)
 
@@ -185,23 +186,18 @@ class NumberField:
         basis, stored sparsely: ``T[i][j]`` lists the (k, T_ijk) with
         T_ijk != 0.
 
-        Built on integers: min_poly is monic, so x^m mod min_poly has
-        integer coefficients.  Every T_ijk must be an integer, which
-        certifies that the basis spans an order (row 0 is already 1);
-        otherwise ValueError."""
+        Built on integers: min_poly is monic, so a product reduced mod
+        min_poly keeps integer coefficients.  Every T_ijk must be an
+        integer, which certifies that the basis spans an order (row 0 is
+        already 1); otherwise ValueError."""
         n = self.degree
         f = [int(c) for c in self.min_poly.coeffs]
-        xpow = [[int(i == k) for k in range(n)] for i in range(n)]  # x^m mod min_poly
-        for _ in range(n - 1):
-            top = xpow[-1][-1]
-            xpow.append([-top * f[0]] + [xpow[-1][k - 1] - top * f[k] for k in range(1, n)])
-        if self._basis_inv is None:
-            products = {(i, j): xpow[i + j] for i in range(n) for j in range(i, n)}
+        if self._basis_inv is None:  # theta^i * theta^j = theta^(i+j) mod min_poly
+            products = {(i, j): divide_monic([int(k == i + j) for k in range(2 * n - 1)], f)[1]
+                        for i in range(n) for j in range(i, n)}
         else:
-            dens = [math.lcm(*(x.denominator for x in row)) for row in self.integral_basis]
-            rows = [[int(x * d) for x in row] for row, d in zip(self.integral_basis, dens)]
-            den_inv = math.lcm(*(x.denominator for row in self._basis_inv for x in row))
-            inv = [[int(x * den_inv) for x in row] for row in self._basis_inv]
+            rows, dens = zip(*map(_integer_coords, self.integral_basis))
+            inv, den_inv = self._basis_inv
             products = {}
             for i in range(n):
                 for j in range(i, n):
@@ -209,7 +205,7 @@ class NumberField:
                     for s, x in enumerate(rows[i]):
                         for t, y in enumerate(rows[j]):
                             prod[s + t] += x * y
-                    power = [sum(c * v[k] for c, v in zip(prod, xpow)) for k in range(n)]
+                    power = divide_monic(prod, f)[1]
                     den = den_inv * dens[i] * dens[j]
                     coords = []
                     for k in range(n):
@@ -250,12 +246,11 @@ class NumberField:
 
     def from_power(self, power: Sequence) -> "FieldElement":
         """Element from power-basis coordinates (reduced mod min_poly)."""
-        v = [Fraction(c) for c in power]
-        if len(v) > self.degree:
-            v = list((Poly(v) % self.min_poly).coeffs)
-        v += [Fraction(0)] * (self.degree - len(v))
+        v = [Fraction(c) for c in power] + [Fraction(0)] * self.degree  # n remainder terms
+        v = divide_monic(v, [int(c) for c in self.min_poly.coeffs])[1]
         if self._basis_inv is not None:
-            v = _vec_mat(v, self._basis_inv)
+            inv, den = self._basis_inv
+            v = [sum(x * row[k] for x, row in zip(v, inv)) / den for k in range(self.degree)]
         return FieldElement(self, tuple(v))
 
     def zero(self) -> "FieldElement":
@@ -275,16 +270,18 @@ class NumberField:
             r = self._embeddings[i] = refine_root(r, width)
         return r
 
-    def discriminant(self) -> Fraction:
-        return self.min_poly.discriminant()
+    def discriminant(self) -> int:
+        """disc(min_poly) = det T > 0 for the trace form T (``_trace_form``)."""
+        return self._trace_form[1]
 
     @cached_property
     def _trace_form(self) -> tuple[list[list[int]], int]:
-        """(A, D) with A / D = T^-1 and D = |det T| = |disc(min_poly)|, for
-        the trace form T_jl = Tr(theta^(j+l)) of the order Z[theta].
+        """(A, D) with A / D = T^-1 and D = det T = disc(min_poly) > 0 (the
+        roots are real and distinct), for the trace form
+        T_jl = Tr(theta^(j+l)) of the order Z[theta].
 
         The power-basis coordinates of y are c = T^-1 (Tr(theta^l y))_l.
-        A = +-adj(T) is integral, and so is Tr(theta^l y) for an algebraic
+        A = adj(T) is integral, and so is Tr(theta^l y) for an algebraic
         integer y, hence c lies in (1/D)Z^n."""
         n = self.degree
         a = [int(c) for c in self.min_poly.coeffs]
@@ -292,12 +289,7 @@ class NumberField:
         for m in range(1, 2 * n - 1):
             s.append(-(m * a[n - m] if m <= n else 0)
                      - sum(a[n - j] * s[m - j] for j in range(1, min(m - 1, n) + 1)))
-        t = [[s[j + l] for l in range(n)] for j in range(n)]
-        # column l of adj(T) is det T * T^-1 e_l
-        solved = [int_det_solve(t, [int(k == l) for k in range(n)]) for l in range(n)]
-        det = solved[0][0]
-        sign = 1 if det > 0 else -1
-        return [[sign * col[k] for _, col in solved] for k in range(n)], abs(det)
+        return _adjugate([[s[j + l] for l in range(n)] for j in range(n)])
 
     # -- serialization --------------------------------------------------
 
@@ -348,7 +340,9 @@ class FieldElement:
     def power_coords(self) -> list[Fraction]:
         if self.field._basis_inv is None:
             return list(self.coords)
-        return _vec_mat(self.coords, self.field.integral_basis)
+        basis = self.field.integral_basis
+        return [sum(c * row[l] for c, row in zip(self.coords, basis))
+                for l in range(self.field.degree)]
 
     def power_poly(self) -> Poly:
         return Poly(self.power_coords())

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .exactnum import require_ints
+
 
 class BadProfile(ValueError):
     pass
@@ -26,12 +28,14 @@ class BettiProfile:
     cusp_dims: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
+        require_ints(degree=self.n, class_number=self.h)
         if self.n < 1:
             raise BadProfile("degree must be >= 1")
         if self.h < 1:
             raise BadProfile("class number must be >= 1")
         object.__setattr__(self, "cusp_dims", tuple(tuple(t) for t in self.cusp_dims))
         for p, r, dim in self.cusp_dims:
+            require_ints(p=p, r=r, dim=dim)
             if p < 0 or r < 0 or dim < 0:
                 raise BadProfile("cusp entries must be nonnegative")
             if p + r != self.n:
@@ -67,6 +71,7 @@ class FiniteCensus:
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(tuple(t) for t in self.classes))
         for order, count in self.classes:
+            require_ints(order=order, count=count)
             if order < 2 or count < 0:
                 raise BadProfile("census needs orders >= 2 and counts >= 0")
 

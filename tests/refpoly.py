@@ -1,0 +1,221 @@
+"""Fraction references for the tests: polynomial ring operations and
+Euclidean division (``RefPoly``), the Fraction Sturm chain with the root
+isolation built on it, and Gauss-Jordan matrix inversion.
+
+The library computes all of these on integers (pseudo-remainders, exact
+division by a monic divisor, the fraction-free solver); these are the
+plain Fraction forms it must agree with, and builders for test inputs.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from hilmod.exactnum import NotSquarefree, Poly, RootInterval, _nonroot_point
+
+
+class RefPoly(Poly):
+    """A ``Poly`` with ring operations, evaluation and Euclidean
+    division over Q.  Results are RefPoly too."""
+
+    @staticmethod
+    def zero() -> "RefPoly":
+        return RefPoly([])
+
+    @staticmethod
+    def constant(c) -> "RefPoly":
+        return RefPoly([c])
+
+    @staticmethod
+    def x() -> "RefPoly":
+        return RefPoly([0, 1])
+
+    # -- ring operations ------------------------------------------------
+
+    def __add__(self, other: Poly) -> "RefPoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
+        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
+        return RefPoly([x + y for x, y in zip(a, b)])
+
+    def __neg__(self) -> "RefPoly":
+        return RefPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other: Poly) -> "RefPoly":
+        return self + (-RefPoly(other.coeffs))
+
+    def __mul__(self, other: Poly) -> "RefPoly":
+        if self.is_zero or other.is_zero:
+            return RefPoly.zero()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return RefPoly(out)
+
+    def __pow__(self, e: int) -> "RefPoly":
+        if e < 0:
+            raise ValueError("negative polynomial power")
+        acc, base = RefPoly.constant(1), self
+        while e:
+            if e & 1:
+                acc = acc * base
+            base = base * base
+            e >>= 1
+        return acc
+
+    def scale(self, c) -> "RefPoly":
+        c = Fraction(c)
+        return RefPoly([a * c for a in self.coeffs])
+
+    def monic(self) -> "RefPoly":
+        if self.is_zero:
+            return self
+        return self.scale(1 / self.leading)
+
+    def divmod(self, other: Poly) -> tuple["RefPoly", "RefPoly"]:
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
+        rem = list(self.coeffs)
+        d = other.degree
+        lc = other.leading
+        while len(rem) - 1 >= d and any(c != 0 for c in rem):
+            while rem and rem[-1] == 0:
+                rem.pop()
+            if len(rem) - 1 < d:
+                break
+            k = len(rem) - 1 - d
+            f = rem[-1] / lc
+            q[k] = f
+            for i, c in enumerate(other.coeffs):
+                rem[k + i] -= f * c
+        return RefPoly(q), RefPoly(rem)
+
+    def __mod__(self, other: Poly) -> "RefPoly":
+        return self.divmod(other)[1]
+
+    def derivative(self) -> "RefPoly":
+        return RefPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def gcd(self, other: Poly) -> "RefPoly":
+        a, b = self, RefPoly(other.coeffs)
+        while not b.is_zero:
+            a, b = b, a % b
+        if a.is_zero:
+            return a
+        return a.monic()
+
+    # -- evaluation -----------------------------------------------------
+
+    def __call__(self, x: Fraction | int) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    # -- squarefree / Sturm ---------------------------------------------
+
+    def is_squarefree(self) -> bool:
+        if self.is_zero:
+            return False
+        return self.gcd(self.derivative()).degree <= 0
+
+    def squarefree_part(self) -> "RefPoly":
+        if self.is_zero:
+            raise ValueError("zero polynomial")
+        g = self.gcd(self.derivative())
+        if g.degree <= 0:
+            return self
+        return self.divmod(g)[0]
+
+    def sturm_chain(self) -> list["RefPoly"]:
+        chain = [self, self.derivative()]
+        while not chain[-1].is_zero and chain[-1].degree > 0:
+            chain.append(-(chain[-2] % chain[-1]))
+        if chain[-1].is_zero:
+            chain.pop()
+        return chain
+
+    def resultant(self, other: Poly) -> Fraction:
+        """Resultant via the Euclidean algorithm."""
+        a, b = self, RefPoly(other.coeffs)
+        if a.is_zero or b.is_zero:
+            return Fraction(0)
+        res = Fraction(1)
+        while b.degree > 0:
+            r = a % b
+            if r.is_zero:
+                return Fraction(0)
+            res *= Fraction(-1) ** (a.degree * b.degree) * b.leading ** (a.degree - r.degree)
+            a, b = b, r
+        return res * b.coeffs[0] ** a.degree
+
+    def discriminant(self) -> Fraction:
+        n = self.degree
+        if n < 1:
+            raise ValueError("discriminant needs degree >= 1")
+        sgn = Fraction(-1) ** (n * (n - 1) // 2)
+        return sgn * self.resultant(self.derivative()) / self.leading
+
+
+def ref_sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
+    signs = [s for s in (p.sign_at(x) for p in chain) if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def ref_isolate_real_roots(p: Poly) -> list[RootInterval]:
+    """``isolate_real_roots`` on the Fraction Sturm chain."""
+    if p.is_zero:
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    chain = RefPoly(p.coeffs).sturm_chain()
+    if chain[-1].degree != 0:  # the last term is gcd(p, p') up to a constant
+        raise NotSquarefree("polynomial has a repeated root")
+    if p.degree == 0:
+        return []
+
+    bound = p.cauchy_bound()
+    lo, hi = -bound, bound
+    while p.sign_at(lo) == 0:
+        lo -= 1
+    while p.sign_at(hi) == 0:
+        hi += 1
+
+    intervals: list[tuple[Fraction, Fraction]] = []
+
+    def split(a: Fraction, b: Fraction, va: int, vb: int) -> None:
+        count = va - vb
+        if count == 0:
+            return
+        if count == 1:
+            intervals.append((a, b))
+            return
+        m = _nonroot_point(p, a, b)
+        vm = ref_sign_variations(chain, m)
+        split(a, m, va, vm)
+        split(m, b, vm, vb)
+
+    split(lo, hi, ref_sign_variations(chain, lo), ref_sign_variations(chain, hi))
+    intervals.sort(key=lambda ab: ab[0])
+    return [RootInterval(p, a, b, i) for i, (a, b) in enumerate(intervals)]
+
+
+def mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        f = aug[col][col]
+        aug[col] = [x / f for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                g = aug[r][col]
+                aug[r] = [x - g * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]

@@ -3,7 +3,8 @@
     python tests/smoke_cli.py
 
 Runs ``python -m hilmod.cli`` with this interpreter on the golden cases
-(the six goldens and ``torsion-search --max-order 18`` on three fields)
+(five goldens, and ``field-info`` and ``torsion-search --max-order 18``
+on three fields)
 and compares stdout byte for byte with ``tests/golden`` and the exit code
 with the one the case expects.  The mixed-element ``normalizer`` case runs
 at ``--height 1000000``: a mixed element provably has no inverting
@@ -24,7 +25,6 @@ SRC = TESTS.parent / "src"
 CASES = [  # (golden, argv, expected exit code)
     ("classify_mixed.json",
      ["classify", "--field", DATA / "sqrt2.json", "--matrix=1+1g;1+1g;2;1+1g"], 0),
-    ("field_info_sqrt5.json", ["field-info", "--field", DATA / "sqrt5.json"], 0),
     ("ktop_even.json",
      ["ktop", "--field", DATA / "sqrt2.json", "--class-number", "1",
       "--finite-census", DATA / "fc.json", "--degree", "0"], 0),
@@ -35,6 +35,9 @@ CASES = [  # (golden, argv, expected exit code)
      ["normalizer", "--field", DATA / "sqrt2.json", "--matrix=1+1g;1+1g;2;1+1g",
       "--height", "1000000"], 4),
     ("whdecomp_p.json", ["wh-decomp", "--census", DATA / "census_p.json", "--q", "1"], 0),
+] + [
+    (f"field_info_{name}.json", ["field-info", "--field", DATA / f"{name}.json"], 0)
+    for name in ("sqrt2", "sqrt5", "cubic")
 ] + [
     (f"torsion_search_{name}_18.json",
      ["torsion-search", "--field", DATA / f"{name}.json", "--max-order", "18"], 0)

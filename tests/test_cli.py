@@ -122,10 +122,47 @@ def test_ktop_malformed_cusp_dims(tmp_path, cusp):
     assert "Traceback" not in proc.stderr
 
 
+# a count given as a non-integer, a bool or a string, in each JSON input
+_NON_INTEGER_COUNTS = [
+    ("ktop", "--cusp-dims", '[{"p": 1, "r": 1, "dim": 1.5}]'),
+    ("ktop", "--cusp-dims", '[{"p": 1, "r": 1, "dim": true}]'),
+    ("ktop", "--cusp-dims", '[{"p": true, "r": 1, "dim": 1}]'),
+    ("ktop", "--cusp-dims", '[{"p": "1", "r": 1, "dim": 1}]'),
+    ("ktop", "--finite-census", '[{"order": 2.5, "count": 1}]'),
+    ("ktop", "--finite-census", '[{"order": "3", "count": 1}]'),
+    ("wh-decomp", "--census", '{"n": 2, "p": {"finite": 1.5}}'),
+    ("wh-decomp", "--census", '{"n": 2, "p": true}'),
+    ("wh-decomp", "--census", '{"n": true}'),
+    ("wh-decomp", "--census", '{"n": "2"}'),
+]
+
+
+@pytest.mark.parametrize("command,option,text", _NON_INTEGER_COUNTS)
+def test_non_integer_counts_rejected(tmp_path, command, option, text):
+    spec = tmp_path / "input.json"
+    spec.write_text(text)
+    argv = [command, option, str(spec)]
+    if command == "ktop":
+        argv += ["--field", SQRT2, "--class-number", "1"]
+    proc = subprocess.run([sys.executable, "-m", "hilmod.cli", *argv],
+                          capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "must be an integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_field_info_golden(capsys):
     code, out, _ = run(capsys, "field-info", "--field", SQRT5)
     assert code == 0
     _check_golden("field_info_sqrt5.json", out)
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "cubic"])
+def test_field_info_golden_more_fields(capsys, name):
+    code, out, _ = run(capsys, "field-info", "--field", str(DATA / f"{name}.json"))
+    assert code == 0
+    _check_golden(f"field_info_{name}.json", out)
 
 
 def test_exit_code_invalid_input(capsys):
@@ -251,7 +288,7 @@ def test_smoke_script():
     proc = subprocess.run([sys.executable, str(Path(__file__).parent / "smoke_cli.py")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout
-    assert proc.stdout.endswith("9/9 cases match\n")
+    assert proc.stdout.endswith("11/11 cases match\n")
 
 
 def test_torsion_search(capsys):

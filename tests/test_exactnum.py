@@ -8,9 +8,13 @@ from hilmod.exactnum import (
     Poly,
     RootInterval,
     ScaledInterval,
+    _sturm_sequence,
     isolate_real_roots,
     refine_root,
 )
+from hilmod.modgrp import cos_trace_min_poly
+from hilmod.numfield import NumberField
+from refpoly import RefPoly, ref_isolate_real_roots
 
 
 def test_poly_normal_form():
@@ -21,20 +25,20 @@ def test_poly_normal_form():
 
 
 def test_ring_ops():
-    p = Poly([1, 1])  # 1 + x
-    q = Poly([-1, 1])
+    p = RefPoly([1, 1])  # 1 + x
+    q = RefPoly([-1, 1])
     assert p * q == Poly([-1, 0, 1])
     assert p + q == Poly([0, 2])
     assert (p - p).is_zero
     assert p ** 3 == Poly([1, 3, 3, 1])
-    assert Poly([2, 4]).monic() == Poly([Fraction(1, 2), 1])
+    assert RefPoly([2, 4]).monic() == Poly([Fraction(1, 2), 1])
 
 
 def test_divmod_identity():
     rng = random.Random(1)
     for _ in range(100):
-        a = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 7))])
-        b = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
+        a = RefPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 7))])
+        b = RefPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
         if b.is_zero:
             continue
         q, r = a.divmod(b)
@@ -51,7 +55,7 @@ def test_exact_rational_arithmetic():
 
 
 def test_derivative_gcd_squarefree():
-    p = Poly([-2, 0, 1])
+    p = RefPoly([-2, 0, 1])
     assert p.derivative() == Poly([0, 2])
     assert p.is_squarefree()
     sq = p * p
@@ -59,15 +63,79 @@ def test_derivative_gcd_squarefree():
     assert sq.squarefree_part().monic() == p
 
 
-def test_discriminant_and_resultant():
-    assert Poly([-2, 0, 1]).discriminant() == 8
-    assert Poly([1, 1, 1]).discriminant() == -3
+def test_discriminant_and_resultant(sqrt2, sqrt5, cubic7):
+    # the field discriminant is det of the trace form: disc(min_poly)
+    quartic = NumberField(Poly([9, 0, -14, 0, 1]))
+    assert [k.discriminant() for k in (sqrt2, sqrt5, cubic7, quartic)] == [8, 20, 49, 3686400]
+    for m in range(1, 41):
+        p = cos_trace_min_poly(m)
+        assert NumberField(p).discriminant() == RefPoly(p.coeffs).discriminant()
+    # the Fraction reference
+    assert RefPoly([-2, 0, 1]).discriminant() == 8
+    assert RefPoly([1, 1, 1]).discriminant() == -3
     # shared root makes the resultant vanish
-    assert Poly([-1, 1]).resultant(Poly([-1, 0, 1])) == 0
+    assert RefPoly([-1, 1]).resultant(Poly([-1, 0, 1])) == 0
+
+
+def _sturm_inputs() -> list[Poly]:
+    """cos_trace_min_poly(m) for m <= 40, the four test fields and 300
+    seeded polynomials: random coefficients, some sparse; products of
+    linear factors with a quadratic; products with a squared factor; and
+    trinomials s x^n + a x + b, whose remainders drop several degrees."""
+    rng = random.Random(31)
+    polys = [cos_trace_min_poly(m) for m in range(1, 41)]
+    polys += [Poly(c) for c in ([-2, 0, 1], [-5, 0, 1], [1, -2, -1, 1], [9, 0, -14, 0, 1])]
+
+    def rand(deg):
+        zeros = rng.choice((0, 0, 2, 3))
+        return RefPoly([Fraction(rng.randint(-20, 20), rng.choice((1, 1, 2, 3, 7)))
+                        if rng.randrange(4) >= zeros else 0 for _ in range(deg + 1)])
+
+    drawn = []
+    while len(drawn) < 300:
+        k = len(drawn)
+        if k % 4 == 0:
+            p = rand(rng.randint(0, 8))
+        elif k % 4 == 1:
+            p = rand(2)
+            for _ in range(rng.randint(1, 5)):
+                p = p * RefPoly([rng.randint(-9, 9), rng.choice((1, -1, 2, 3))])
+        elif k % 4 == 2:
+            p = rand(rng.randint(0, 3)) * rand(rng.randint(1, 2)) ** 2
+        else:
+            s, a, b = (rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(3))
+            p = RefPoly([b, a] + [0] * rng.randint(1, 6) + [s])
+        if not p.is_zero:
+            drawn.append(Poly(p.coeffs))
+    return polys + drawn
+
+
+def test_integer_sturm_sequence_matches_fraction_chain():
+    # steps whose pseudo-remainder scales by an odd power of a negative
+    # leading coefficient, where |lc| and lc differ in sign
+    odd_negative = repeated = 0
+    for p in _sturm_inputs():
+        ref = RefPoly(p.coeffs).sturm_chain()
+        got = _sturm_sequence(p.integer_coeffs[1])
+        assert len(got) == len(ref), p
+        for cs, f in zip(got, ref):
+            want = f.coeffs[::-1]  # leading first
+            c = cs[0] / want[0]
+            assert c > 0 and [Fraction(x) for x in cs] == [c * x for x in want], p
+        odd_negative += any((a.degree - b.degree) % 2 == 0 and b.leading < 0
+                            for a, b in zip(ref, ref[1:-1]))
+        if ref[-1].degree != 0:
+            repeated += 1
+            with pytest.raises(NotSquarefree):
+                isolate_real_roots(p)
+            continue
+        assert [(r.low, r.high, r.index) for r in isolate_real_roots(p)] == \
+            [(r.low, r.high, r.index) for r in ref_isolate_real_roots(p)], p
+    assert repeated >= 60 and odd_negative >= 15
 
 
 def test_isolate_sqrt2():
-    roots = isolate_real_roots(Poly([-2, 0, 1]))
+    roots = isolate_real_roots(RefPoly([-2, 0, 1]))
     assert len(roots) == 2
     assert roots[0].index == 0 and roots[1].index == 1
     assert roots[0].high <= roots[1].low
@@ -86,7 +154,7 @@ def test_isolate_cos_2pi_7_cubic():
 
 
 def test_isolate_rejects_repeated_roots():
-    sq = Poly([-2, 0, 1]) * Poly([-2, 0, 1])
+    sq = RefPoly([-2, 0, 1]) * RefPoly([-2, 0, 1])
     with pytest.raises(NotSquarefree):
         isolate_real_roots(sq)
 
@@ -97,15 +165,15 @@ def test_root_count_against_constructed_oracle():
     rng = random.Random(3)
     for _ in range(300):
         lin = rng.sample(range(-6, 7), rng.randint(0, 4))
-        p = Poly([1])
+        p = RefPoly([1])
         for r in lin:
-            p = p * Poly([-r, 1])
+            p = p * RefPoly([-r, 1])
         for _ in range(rng.randint(0, 2)):
             b = rng.randint(-3, 3)
             c = rng.randint(1, 5)
             if b * b - 4 * c >= 0:
                 continue
-            p = p * Poly([c, b, 1])
+            p = p * RefPoly([c, b, 1])
         if not p.is_squarefree():
             continue
         found = isolate_real_roots(p)
@@ -135,7 +203,7 @@ def test_refine_exact_hit():
 def test_eval_interval_encloses():
     rng = random.Random(4)
     for _ in range(100):
-        p = Poly([rng.randint(-4, 4) for _ in range(5)])
+        p = RefPoly([rng.randint(-4, 4) for _ in range(5)])
         a = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
         b = a + Fraction(rng.randint(0, 8), rng.randint(1, 4))
         lo, hi = p.eval_scaled(ScaledInterval.of(a, b)).fractions()
@@ -150,16 +218,16 @@ def _sign(x: Fraction) -> int:
 def test_sign_at_matches_rational_horner():
     rng = random.Random(9)
     for _ in range(300):
-        p = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        p = RefPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 12))
                   for _ in range(rng.randint(0, 7))])
         points = [Fraction(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(5)]
         # exact roots: p times a linear factor (b x - a) vanishes at a/b
         a, b = rng.randint(-20, 20), rng.randint(1, 9)
         points += [Fraction(a, b), rng.randint(-3, 3)]
-        for q in (p, p * Poly([-a, b])):
+        for q in (p, p * RefPoly([-a, b])):
             for x in points:
                 assert q.sign_at(x) == _sign(q(x))
-        assert (p * Poly([-a, b])).sign_at(Fraction(a, b)) == 0
+        assert (p * RefPoly([-a, b])).sign_at(Fraction(a, b)) == 0
 
 
 def test_json_roundtrip():

@@ -17,7 +17,8 @@ import pytest
 
 from hilmod.exactnum import Poly, RootInterval, ScaledInterval, isolate_real_roots, refine_root
 from hilmod.modgrp import cos_trace_min_poly, cyclotomic, torsion_orders
-from hilmod.numfield import NumberField, contains_root_of, has_square_root, mat_inverse
+from hilmod.numfield import NumberField, contains_root_of, has_square_root
+from refpoly import RefPoly, mat_inverse
 
 
 def _sign(x: Fraction) -> int:
@@ -31,7 +32,7 @@ def ref_refine_root(r: RootInterval, width: Fraction) -> RootInterval:
     width = Fraction(width)
     if r.width <= width or r.is_exact:
         return r
-    p = r.polynomial
+    p = RefPoly(r.polynomial.coeffs)
     lo, hi = r.low, r.high
     slo = _sign(p(lo))
     if slo == 0:
@@ -80,7 +81,7 @@ class RefField:
         t = [[self.field.from_power([0] * (j + l) + [1]).trace() for l in range(n)]
              for j in range(n)]
         self.tinv = mat_inverse(t)
-        self.den = abs(self.field.min_poly.discriminant())
+        self.den = abs(RefPoly(self.field.min_poly.coeffs).discriminant())
 
     def embedding(self, i, width=None):
         r = self.field._embeddings[i]
@@ -91,7 +92,7 @@ class RefField:
     def embed_sign(self, x, i):
         if x.is_zero:
             return 0
-        q = x.power_poly()
+        q = RefPoly(x.power_poly().coeffs)
         r = self.embedding(i)
         while True:
             lo, hi = ref_eval_interval(q, r.low, r.high)
@@ -171,7 +172,7 @@ class RefField:
         field = self.field
         n, d = field.degree, p.degree
         s = math.lcm(*(a.denominator for a in p.coeffs))
-        q = Poly([a * s ** (d - i) for i, a in enumerate(p.coeffs)])
+        q = RefPoly([a * s ** (d - i) for i, a in enumerate(p.coeffs)])
         roots = [ref_refine_root(r, Fraction(1, 2)) for r in isolate_real_roots(q)]
         rational = [m for r in roots for m in range(math.ceil(r.low), math.floor(r.high) + 1)
                     if q(m) == 0]
@@ -192,19 +193,19 @@ class RefField:
         return None if y is None else y * Fraction(1, s)
 
 
-def ref_cyclotomic(m: int) -> Poly:
-    p = Poly([-1] + [0] * (m - 1) + [1])
+def ref_cyclotomic(m: int) -> RefPoly:
+    p = RefPoly([-1] + [0] * (m - 1) + [1])
     for d in range(1, m):
         if m % d == 0:
             p = p.divmod(ref_cyclotomic(d))[0]
     return p
 
 
-def ref_cos_trace_min_poly(m: int) -> Poly:
+def ref_cos_trace_min_poly(m: int) -> RefPoly:
     if m == 1:
-        return Poly([-2, 1])
+        return RefPoly([-2, 1])
     if m == 2:
-        return Poly([2, 1])
+        return RefPoly([2, 1])
     phi = ref_cyclotomic(m)
     s = phi.degree // 2
     residual = phi
@@ -213,9 +214,9 @@ def ref_cos_trace_min_poly(m: int) -> Poly:
         cs = residual.coeffs
         c = cs[s + j] if len(cs) > s + j else Fraction(0)
         coeffs[j] = c
-        residual = residual - (Poly([0] * (s - j) + [1]) * Poly([1, 0, 1]) ** j).scale(c)
+        residual = residual - (RefPoly([0] * (s - j) + [1]) * RefPoly([1, 0, 1]) ** j).scale(c)
     assert residual.is_zero
-    return Poly(coeffs)
+    return RefPoly(coeffs)
 
 
 # -- refine_root and eval_scaled -----------------------------------------
@@ -225,12 +226,12 @@ def _same(a: RootInterval, b: RootInterval) -> bool:
     return (a.low, a.high, a.index) == (b.low, b.high, b.index)
 
 
-def _random_poly(rng: random.Random) -> Poly:
+def _random_poly(rng: random.Random) -> RefPoly:
     """A product of linear factors b x - a and a root-free quadratic."""
-    p = Poly([rng.randint(1, 5), rng.randint(-2, 2), 1 + rng.randint(0, 3)])
-    p = p * Poly([p.coeffs[0] + p.coeffs[1] ** 2, 0, 1])  # no real roots
+    p = RefPoly([rng.randint(1, 5), rng.randint(-2, 2), 1 + rng.randint(0, 3)])
+    p = p * RefPoly([p.coeffs[0] + p.coeffs[1] ** 2, 0, 1])  # no real roots
     for _ in range(rng.randint(1, 3)):
-        p = p * Poly([-rng.randint(-12, 12), rng.randint(1, 5)])
+        p = p * RefPoly([-rng.randint(-12, 12), rng.randint(1, 5)])
     return p
 
 
@@ -263,8 +264,8 @@ def test_refine_root_isolation_splits():
     # the first midpoint 0 is a root, so isolation splits at 1/3 of the
     # span: endpoints in thirds, ninths, ... (and fifths for the quintic)
     rng = random.Random(22)
-    for p in (Poly([0, -3, 0, 1]), Poly([0, -7, 0, 1]), Poly([0, 4, 0, -5, 0, 1]),
-              Poly([0, -3, 0, 1]) * Poly([-7, 0, 1])):
+    for p in (RefPoly([0, -3, 0, 1]), RefPoly([0, -7, 0, 1]), RefPoly([0, 4, 0, -5, 0, 1]),
+              RefPoly([0, -3, 0, 1]) * RefPoly([-7, 0, 1])):
         roots = isolate_real_roots(p)
         assert any(r.low.denominator % 3 == 0 or r.low.denominator % 5 == 0 for r in roots)
         for r in roots:
@@ -281,7 +282,7 @@ def test_refine_root_exact_midpoint_hits():
         hi = lo + Fraction(rng.randint(1, 20), rng.choice((1, 3, 5)))
         t = rng.randint(1, 12)
         root = lo + (hi - lo) * Fraction(2 * rng.randint(0, 2 ** (t - 1) - 1) + 1, 2 ** t)
-        p = Poly([-root.numerator, root.denominator]) * Poly([1, 0, 1])
+        p = RefPoly([-root.numerator, root.denominator]) * RefPoly([1, 0, 1])
         r = RootInterval(p, lo, hi, 0)
         got, want = refine_root(r, Fraction(1, 10 ** 6)), ref_refine_root(r, Fraction(1, 10 ** 6))
         assert _same(got, want)
@@ -341,14 +342,14 @@ _SPECS = {
 }
 
 
-def _char_poly(y) -> Poly:
+def _char_poly(y) -> RefPoly:
     """prod_i (x - sigma_i(y)), from the power sums Tr(y^k) (Newton)."""
     n = y.field.degree
     p = [None] + [(y ** k).trace() for k in range(1, n + 1)]
     e = [Fraction(1)]
     for k in range(1, n + 1):
         e.append(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)) / k)
-    return Poly([(-1) ** (n - k) * e[n - k] for k in range(n + 1)])
+    return RefPoly([(-1) ** (n - k) * e[n - k] for k in range(n + 1)])
 
 
 def _assert_same_history(new: NumberField, ref: RefField) -> None:

@@ -116,6 +116,17 @@ def test_census_validation():
         Census(n=0)
 
 
+def test_census_rejects_non_integer_counts():
+    # every finite order is checked, not only the last one
+    with pytest.raises(ValueError, match="order must be an integer, got 2.5"):
+        Census.from_json({"n": 2, "finite": [{"order": 2.5, "count": 1},
+                                             {"order": 3, "count": 1}]})
+    with pytest.raises(ValueError, match="m1: finite must be an integer, got True"):
+        Census.from_json({"n": 3, "m1": [True]})
+    with pytest.raises(ValueError, match="finite must be an integer, got 1.5"):
+        Cardinal.finite(1.5)
+
+
 def test_census_json_roundtrip():
     c = Census(n=2, finite=((2, FIN(3)), (3, INF)), p=UNK, hp2=FIN(1), m1=(INF,))
     assert Census.from_json(c.to_json()) == c

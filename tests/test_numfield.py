@@ -18,8 +18,8 @@ from hilmod.numfield import (
     contains_root_of,
     element_from_json,
     has_square_root,
-    mat_inverse,
 )
+from refpoly import RefPoly, mat_inverse
 
 
 def test_field_construction(sqrt2):
@@ -224,13 +224,13 @@ def test_json_roundtrips(sqrt5):
 # -- the multiplication table against the power-basis round trip --------
 
 
-def _ref_power(x) -> Poly:
+def _ref_power(x) -> RefPoly:
     basis = x.field.integral_basis
-    return Poly([sum(c * row[l] for c, row in zip(x.coords, basis))
+    return RefPoly([sum(c * row[l] for c, row in zip(x.coords, basis))
                  for l in range(x.field.degree)])
 
 
-def _ref_element(field, p: Poly):
+def _ref_element(field, p: RefPoly):
     """The element with power-basis representative p, reduced mod min_poly."""
     r = p % field.min_poly
     v = list(r.coeffs) + [Fraction(0)] * (field.degree - len(r.coeffs))
@@ -245,8 +245,8 @@ def _ref_mul(x, y):
 
 def _ref_inverse(x):
     """Extended gcd of the power representative with min_poly."""
-    a, b = x.field.min_poly, _ref_power(x)
-    s0, s1 = Poly.zero(), Poly.constant(1)
+    a, b = RefPoly(x.field.min_poly.coeffs), _ref_power(x)
+    s0, s1 = RefPoly.zero(), RefPoly.constant(1)
     while not b.is_zero:
         q, r = a.divmod(b)
         a, b = b, r
@@ -259,7 +259,7 @@ def _ref_mult_matrix(x):
     n, q = x.field.degree, _ref_power(x)
     cols = []
     for j in range(n):
-        col = (q * Poly([0] * j + [1])) % x.field.min_poly
+        col = (q * RefPoly([0] * j + [1])) % x.field.min_poly
         cols.append(list(col.coeffs) + [Fraction(0)] * (n - len(col.coeffs)))
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
@@ -294,6 +294,17 @@ def test_table_matches_power_basis_reference(sqrt2, sqrt5, cubic7):
             assert x.norm() == _ref_det(_ref_mult_matrix(x))
             if not x.is_zero:
                 assert x.inverse() == _ref_inverse(x)
+
+
+def test_negatively_oriented_basis():
+    # {1, (1 - theta)/2} over x^2 - 5: the basis matrix has determinant -1/2
+    field = NumberField(Poly([-5, 0, 1]), [[1, 0], [Fraction(1, 2), Fraction(-1, 2)]])
+    rng = random.Random(12)
+    for _ in range(40):
+        x, y = (field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                               for _ in range(2)]) for _ in range(2))
+        assert x * y == _ref_mul(x, y)
+        assert field.from_power(x.power_coords()) == x
 
 
 def test_basis_must_span_an_order():
