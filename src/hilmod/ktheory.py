@@ -261,6 +261,8 @@ class Census:
         require_ints(n=self.n)
         for order, _ in self.finite:
             require_ints(order=order)
+            if order < 2:
+                raise ValueError(f"finite subgroup order must be >= 2, got {order}")
         if self.n < 1:
             raise ValueError("degree must be >= 1")
         want = self.n - 1

@@ -289,16 +289,38 @@ def element_order(m: Mat2, bound: int) -> Optional[int]:
     """Order of m in SL_2, from the powers m, m^2, ..., m^bound: the first
     power that is +-I is m^e with e the order in PSL_2, and the SL_2 order
     is e if m^e = I, 2e if m^e = -I (which may exceed ``bound``).  None if
-    no power up to m^bound is +-I."""
-    one = Mat2.identity(m.field)
+    no power up to m^bound is +-I.
+
+    No matrix is multiplied.  By Cayley-Hamilton, m^e = u_e m - det(m)
+    u_(e-1) I with u_0 = 0, u_1 = 1 and u_(e+1) = tr(m) u_e - det(m)
+    u_(e-1).  For m not scalar, I and m are independent, so m^e is scalar
+    exactly when u_e = 0, and then m^e = -det(m) u_(e-1) I; a scalar m =
+    lambda I powers lambda.  Each step is one field product, two when
+    det(m) != 1."""
+    field = m.field
+    one = field.one()
+    zero = field.zero()
     minus_one = -one
-    acc = m
+    if m.b.is_zero and m.c.is_zero and m.a == m.d:  # scalar: m^e = lambda^e I
+        power = m.a
+        for e in range(1, bound + 1):
+            if power == one:
+                return e
+            if power == minus_one:
+                return 2 * e
+            power = power * m.a
+        return None
+    tr, det = m.trace(), m.det()
+    unimodular = det == one
+    prev, cur = zero, one  # u_(e-1), u_e
     for e in range(1, bound + 1):
-        if acc == one:
-            return e
-        if acc == minus_one:
-            return 2 * e
-        acc = acc * m
+        if cur.is_zero:
+            scalar = -prev if unimodular else -(det * prev)
+            if scalar == one:
+                return e
+            if scalar == minus_one:
+                return 2 * e
+        prev, cur = cur, tr * cur - (prev if unimodular else det * prev)
     return None
 
 

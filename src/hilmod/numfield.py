@@ -27,7 +27,10 @@ D = det T = disc(min_poly) > 0, which is also the discriminant the field
 reports.  Integer interval enclosures of the embeddings of y, combined
 with the integer adjugate of T, pin D c to one lattice point, verified
 exactly, or exclude every lattice point; either way the answer is
-certified.
+certified.  A root of a polynomial is searched for over the balanced
+assignments of its real roots to the embeddings only: the embeddings of
+an irrational root y of degree e take each of its e conjugates exactly
+n / e times, so no other assignment can be realised.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exactnum import (
     Poly,
@@ -596,7 +599,9 @@ def contains_root_of(field: NumberField, p: Poly) -> SearchOutcome:
     roots of p to the embeddings, in lexicographic order.
 
     Every embedding of a root y in k is a real root of p; a None answer
-    certifies that k holds no root.
+    certifies that k holds no root.  Only the balanced assignments
+    (``_balanced_assignments``) are tried, since an irrational y can
+    realise no other; each candidate is still verified exactly.
     """
     if p.is_zero or not p.is_monic:
         raise ValueError("expected a monic polynomial")
@@ -609,15 +614,36 @@ def contains_root_of(field: NumberField, p: Poly) -> SearchOutcome:
     if rational:
         return SearchOutcome(field.one() * Fraction(rational[0], s))
 
+    finest, allowed = None, None
+
     def enclose(w):
-        roots[:] = [refine_root(r, w) for r in roots]
-        return [[r.scaled for r in roots]] * n
+        nonlocal finest, allowed
+        if finest is None or w < finest:  # else every root is narrower than w already
+            roots[:] = [refine_root(r, w) for r in roots]
+            finest, allowed = w, [[r.scaled for r in roots]] * n
+        return allowed
+
+    coeffs = [field.one() * a for a in reversed(q.coeffs)]
 
     def is_root(y: FieldElement) -> bool:
         acc = field.zero()
-        for a in reversed(q.coeffs):
-            acc = acc * y + field.one() * a
+        for a in coeffs:
+            acc = acc * y + a
         return acc.is_zero
 
-    y = _lattice_root(field, enclose, itertools.product(range(len(roots)), repeat=n), is_root)
+    y = _lattice_root(field, enclose, _balanced_assignments(len(roots), n), is_root)
     return SearchOutcome(None if y is None else y * Fraction(1, s))
+
+
+def _balanced_assignments(d: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The assignments of d roots to n embeddings, in lexicographic order,
+    that an irrational y in k can realise: a set S of |S| >= 2 roots, each
+    used exactly n / |S| times.
+
+    The n embeddings of k restrict to each of the e = [Q(y):Q] embeddings
+    of Q(y) exactly n / e times, and the conjugates of y are e distinct
+    roots; e = 1 is the rational case, decided before any assignment."""
+    for assign in itertools.product(range(d), repeat=n):
+        used = set(assign)
+        if len(used) > 1 and all(assign.count(j) * len(used) == n for j in used):
+            yield assign

@@ -152,6 +152,19 @@ def test_non_integer_counts_rejected(tmp_path, command, option, text):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("order", [-3, 0, 1])
+def test_wh_decomp_rejects_orders_below_two(tmp_path, order):
+    spec = tmp_path / "census.json"
+    spec.write_text(json.dumps({"n": 2, "finite": [{"order": order, "count": 1}]}))
+    proc = subprocess.run([sys.executable, "-m", "hilmod.cli", "wh-decomp",
+                           "--census", str(spec), "--q", "1"],
+                          capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: bad census spec: finite subgroup order must be >= 2, " \
+        f"got {order}\n"
+
+
 def test_field_info_golden(capsys):
     code, out, _ = run(capsys, "field-info", "--field", SQRT5)
     assert code == 0
@@ -281,6 +294,18 @@ def test_torsion_search_golden(capsys, name):
                        "--max-order", "18")
     assert code == 0
     _check_golden(f"torsion_search_{name}_18.json", out)
+
+
+def test_torsion_search_golden_sextic():
+    """Q(zeta_13)^+ at its default order bound, in a child process.  Tried
+    over all 6^6 assignments of roots to embeddings, rather than the
+    balanced ones, the search takes over 40 s on one core."""
+    proc = subprocess.run([sys.executable, "-m", "hilmod.cli", "torsion-search",
+                           "--field", str(DATA / "ct13.json")],
+                          capture_output=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == (GOLDEN / "torsion_search_ct13.json").read_bytes()
 
 
 def test_smoke_script():

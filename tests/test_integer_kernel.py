@@ -17,7 +17,7 @@ import pytest
 
 from hilmod.exactnum import Poly, RootInterval, ScaledInterval, isolate_real_roots, refine_root
 from hilmod.modgrp import cos_trace_min_poly, cyclotomic, torsion_orders
-from hilmod.numfield import NumberField, contains_root_of, has_square_root
+from hilmod.numfield import NumberField, _balanced_assignments, contains_root_of, has_square_root
 from refpoly import RefPoly, mat_inverse
 
 
@@ -189,8 +189,17 @@ class RefField:
                 acc = acc * y + field.one() * a
             return acc.is_zero
 
-        y = self.lattice_root(enclose, itertools.product(range(len(roots)), repeat=n), is_root)
+        y = self.lattice_root(enclose, ref_balanced_assignments(len(roots), n), is_root)
         return None if y is None else y * Fraction(1, s)
+
+
+def ref_balanced_assignments(d: int, n: int):
+    """The full enumeration of assignments of d roots to n embeddings,
+    filtered to those using at least two roots, each equally often."""
+    for assign in itertools.product(range(d), repeat=n):
+        used = set(assign)
+        if len(used) > 1 and len({assign.count(j) for j in used}) == 1:
+            yield assign
 
 
 def ref_cyclotomic(m: int) -> RefPoly:
@@ -377,6 +386,18 @@ def test_has_square_root_matches_reference():
             want = ref.has_square_root(ref.field.element(c.coords))
             assert _coords(got) == _coords(want), (name, c)
             _assert_same_history(new, ref)
+
+
+def test_balanced_assignments_match_reference():
+    """The filtered enumeration keeps lexicographic order and drops
+    exactly the assignments no irrational root can realise."""
+    for d in range(1, 6):
+        for n in range(1, 7):
+            assert list(_balanced_assignments(d, n)) == list(ref_balanced_assignments(d, n))
+    assert list(_balanced_assignments(3, 4)) == [
+        a for a in itertools.product(range(3), repeat=4)
+        if sorted(a.count(j) for j in set(a)) == [2, 2]]
+    assert len(list(_balanced_assignments(6, 6))) == 15 * 20 + 20 * 90 + 720
 
 
 def test_contains_root_of_matches_reference():

@@ -127,6 +127,13 @@ def test_census_rejects_non_integer_counts():
         Cardinal.finite(1.5)
 
 
+def test_census_rejects_orders_below_two():
+    for order in (-3, 0, 1):
+        with pytest.raises(ValueError, match=f"order must be >= 2, got {order}"):
+            Census(n=2, finite=((3, FIN(1)), (order, FIN(1))))
+    assert Census(n=2, finite=((2, FIN(1)),)).finite == ((2, FIN(1)),)
+
+
 def test_census_json_roundtrip():
     c = Census(n=2, finite=((2, FIN(3)), (3, INF)), p=UNK, hp2=FIN(1), m1=(INF,))
     assert Census.from_json(c.to_json()) == c

@@ -21,7 +21,7 @@ from hilmod.modgrp import (
     psl_normalize,
     torsion_orders,
 )
-from hilmod.classify import EmbeddingType, per_embedding_types
+from hilmod.classify import ClassKind, EmbeddingType, classify, per_embedding_types
 
 SQRT2 = str(Path(__file__).parent / "data" / "sqrt2.json")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -195,6 +195,50 @@ def test_element_order(rationals):
     assert element_order(-Mat2.identity(rationals), 1) == 2
     assert element_order(_mat(rationals, 0, -1, 1, 1), 10) == 6  # r^3 = -I
     assert element_order(_mat(rationals, 0, -1, 1, -1), 10) == 3  # r^3 = I
+
+
+def _matrix_power_order(m, bound):
+    """The order as the powers m, m^2, ..., m^bound give it, one 2x2
+    matrix product each: the reference for ``element_order``."""
+    one = Mat2.identity(m.field)
+    acc = m
+    for e in range(1, bound + 1):
+        if acc == one:
+            return e
+        if acc == -one:
+            return 2 * e
+        acc = acc * m
+    return None
+
+
+def test_element_order_matches_matrix_powers(sqrt2, sqrt5, cubic7, word_sampler):
+    rng = random.Random(17)
+    kinds = set()
+    for field in (sqrt2, sqrt5, cubic7):
+        one = Mat2.identity(field)
+        witnesses = [wit for _, wit in torsion_orders(field, 30)]
+        words = word_sampler(field, rng, 40)
+        # conjugates of the witnesses are elliptic words with dense entries
+        words += [g * wit * g.inv() for g, wit in zip(words, witnesses * 8)]
+        words += [one, -one, Mat2(-one.a, one.b, one.c, one.d)]  # diag(-1, 1), det -1
+        for m in words + witnesses:
+            want = _matrix_power_order(m, 30)
+            kinds.add(classify(psl_normalize(m)).kind if check_sl(m) else "det -1")
+            bounds = {1, 2, 7, 30}
+            if want is not None:
+                e = want if want % 2 else want // 2  # the first power at +-I
+                bounds |= {e - 1, e, e + 1}
+            for bound in sorted(bounds - {0}):
+                assert element_order(m, bound) == _matrix_power_order(m, bound), (m, bound)
+    assert kinds >= set(ClassKind) | {"det -1"}
+
+
+def test_element_order_non_unimodular(rationals, sqrt2):
+    for field in (rationals, sqrt2):
+        for entries in ((2, 0, 0, 1), (1, 1, 0, 2), (0, 0, 0, 0)):
+            m = _mat(field, *entries)
+            assert element_order(m, 24) is None
+            assert _matrix_power_order(m, 24) is None
 
 
 def test_torsion_orders_rationals(rationals):

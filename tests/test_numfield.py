@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -9,12 +10,16 @@ from pathlib import Path
 import pytest
 from conftest import embed_mp
 
-from hilmod.exactnum import NotSquarefree, Poly
+from hilmod.exactnum import NotSquarefree, Poly, refine_root
+from hilmod.modgrp import cos_trace_min_poly
 from hilmod.numfield import (
     NotMonic,
     NotTotallyReal,
     NumberField,
     ReducibleDetected,
+    _integer_roots,
+    _lattice_root,
+    _narrow_roots,
     contains_root_of,
     element_from_json,
     has_square_root,
@@ -203,6 +208,86 @@ def test_contains_root_of(sqrt2, sqrt5, cubic7):
     # embeddings, in lexicographic order, is (0, 2, 1)
     r = contains_root_of(cubic7, Poly([-49, 49, -14, 1]))
     assert r.value == cubic7.element([9, 2, -3])
+
+
+def _full_contains_root_of(field, p):
+    """``contains_root_of`` over every assignment of real roots to the
+    embeddings, balanced or not: the reference for the balanced search.
+    It differs from the library routine in the assignments only."""
+    d = p.degree
+    s = math.lcm(*(a.denominator for a in p.coeffs))
+    q = Poly([a * s ** (d - i) for i, a in enumerate(p.coeffs)])
+    roots = _narrow_roots(q)
+    rational = _integer_roots(roots)
+    if rational:
+        return field.one() * Fraction(rational[0], s)
+
+    finest, allowed = None, None
+
+    def enclose(w):
+        nonlocal finest, allowed
+        if finest is None or w < finest:
+            roots[:] = [refine_root(r, w) for r in roots]
+            finest, allowed = w, [[r.scaled for r in roots]] * field.degree
+        return allowed
+
+    coeffs = [field.one() * a for a in reversed(q.coeffs)]
+
+    def is_root(y):
+        acc = field.zero()
+        for a in coeffs:
+            acc = acc * y + a
+        return acc.is_zero
+
+    assignments = itertools.product(range(len(roots)), repeat=field.degree)
+    y = _lattice_root(field, enclose, assignments, is_root)
+    return None if y is None else y * Fraction(1, s)
+
+
+def _min_poly_over_q(y) -> RefPoly:
+    """The minimal polynomial of y over Q: the squarefree part of its
+    characteristic polynomial, from the power sums Tr(y^k) (Newton)."""
+    n = y.field.degree
+    p = [None] + [(y ** k).trace() for k in range(1, n + 1)]
+    e = [Fraction(1)]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)) / k)
+    return RefPoly([(-1) ** (n - k) * e[n - k] for k in range(n + 1)]).squarefree_part()
+
+
+def test_balanced_assignments_match_full_enumeration(sqrt2, sqrt5, cubic7):
+    """A root found over the balanced assignments only is the one the full
+    enumeration finds, and so is an absence."""
+    ct15 = NumberField(cos_trace_min_poly(15))
+    rng = random.Random(31)
+    cases = [(sqrt2, RefPoly([-2, 0, 1]) * RefPoly([-3, 0, 1])),  # reducible, root sqrt(2)
+             (sqrt2, RefPoly([-3, 0, 1]) * RefPoly([-5, 0, 1])),  # reducible, no root
+             (sqrt5, RefPoly([-1, 1, 1]) * RefPoly([-2, 0, 1])),
+             (cubic7, RefPoly(cos_trace_min_poly(7).coeffs) * RefPoly([-2, 0, 1])),
+             (ct15, RefPoly([-1, 1, 1]) * RefPoly([-3, 0, 1]))]  # Q(sqrt 5) lies in ct15
+    cases += [(ct15, cos_trace_min_poly(m)) for m in range(1, 41)]
+    for field in (sqrt2, sqrt5, cubic7, ct15):
+        n = field.degree
+        for _ in range(8):
+            y = field.element([Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                               for _ in range(n)])
+            z = field.element([rng.randint(-2, 2) for _ in range(n)])
+            if y.is_zero or z.is_zero:
+                continue
+            f, g = _min_poly_over_q(y), _min_poly_over_q(z)
+            cases.append((field, f))  # every root lies in k
+            if (f * g).is_squarefree():
+                cases.append((field, f * g))  # reducible, roots of two degrees
+            c = Fraction(rng.randint(2, 30), rng.choice((1, 4, 3)))
+            cases.append((field, RefPoly([-c, 0, 1])))
+    found = 0
+    for field, p in cases:
+        p = Poly(p.coeffs)
+        got = contains_root_of(field, p).value
+        want = _full_contains_root_of(field, p)
+        assert (got and got.coords) == (want and want.coords), (field, p)
+        found += got is not None
+    assert len(cases) > 100 and 20 < found < len(cases)
 
 
 def test_contains_root_of_input_checks(sqrt2):
