@@ -5,7 +5,6 @@ Whitehead-group decompositions, and topological K-theory ranks."""
 from .exactnum import (
     NotSquarefree,
     Poly,
-    Rational,
     RootInterval,
     isolate_real_roots,
     refine_root,

@@ -223,10 +223,7 @@ def _cmd_normalizer(args) -> int:
         raise CliError(EXIT_INVALID, "height must be >= 0")
     field = _load_field(args.field)
     a = _load_psl(args, field)
-    try:
-        payload = normalizer_json(a, height_bound=args.height)
-    except ValueError as exc:
-        raise CliError(EXIT_INVALID, str(exc))
+    payload = normalizer_json(a, height_bound=args.height)
     _emit(payload, args.format)
     return EXIT_INCONCLUSIVE if payload["psl_type"] == "inconclusive" else EXIT_OK
 

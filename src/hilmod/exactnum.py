@@ -4,12 +4,13 @@ root isolation.
 Values are exact rationals (``fractions.Fraction``), with no floating
 point, so every sign decision is exact.  ``Poly`` is a normalised tuple
 of Fraction coefficients; everything computed from it runs on integers:
-signs at rational points (``_horner_sign``), bisection (``refine_root``),
-interval Horner evaluation over a ``ScaledInterval`` (integer endpoints
-over one positive denominator), and the Sturm sequence, a fraction-free
-pseudo-remainder sequence (Cohen, GTM 138, 3.1-3.3).  Division by a monic
-integer polynomial is ``divide_monic``; there is no Fraction polynomial
-division.  Each result is the rational that Fraction arithmetic gives.
+signs at rational points (``_horner_sign``), bisection (``refine_root``)
+and the Sturm sequence, a fraction-free pseudo-remainder sequence (Cohen,
+GTM 138, 3.1-3.3).  Interval Horner evaluation of integer coefficients
+over a ``ScaledInterval`` (integer endpoints over one positive
+denominator) is ``horner_scaled``.  Division by a monic integer
+polynomial is ``divide_monic``; there is no Fraction polynomial division.
+Each result is the rational that Fraction arithmetic gives.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
-
-Rational = Fraction
 
 
 class NotSquarefree(ValueError):
@@ -117,6 +116,25 @@ def _horner_sign(cs: Sequence[int], u: int, v: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def horner_scaled(cs: Sequence[int], den: int, x: ScaledInterval) -> ScaledInterval:
+    """Enclosure of c(x) / den under Horner interval arithmetic, for integer
+    coefficients ``cs``, leading first, and an integer den > 0, on integers
+    over one denominator.  After j steps the accumulator is [lo, hi] /
+    (den * x.den^j), so each step multiplies by the numerators of x and
+    adds c * x.den^j."""
+    if not cs:
+        return ScaledInterval(0, 0, 1)
+    a, b, d = x
+    lo = hi = cs[0]
+    dpow = 1
+    for c in cs[1:]:
+        dpow *= d
+        cd = c * dpow
+        p = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(p) + cd, max(p) + cd
+    return ScaledInterval(lo, hi, den * dpow)
+
+
 def divide_monic(a: Sequence, b: Sequence[int]) -> tuple[list, list]:
     """(q, r) with a = q * b + r and deg r < deg b, for coefficient lists
     (ascending) and a monic integer divisor b.  No step divides, so
@@ -202,24 +220,6 @@ class Poly:
         """Sign of p(u/v) for integers u and v > 0, not necessarily
         coprime, from the integer coefficients of L * p."""
         return _horner_sign(self.integer_coeffs[1], u, v)
-
-    def eval_scaled(self, x: ScaledInterval) -> ScaledInterval:
-        """Enclosure of the image of x under Horner interval arithmetic, on
-        integers over one denominator.  After j steps the accumulator is
-        [lo, hi] / (L * den^j), so each step multiplies by the numerators
-        of x and adds c * den^j."""
-        lcm, cs = self.integer_coeffs
-        if not cs:
-            return ScaledInterval(0, 0, 1)
-        a, b, d = x
-        lo = hi = cs[0]
-        dpow = 1
-        for c in cs[1:]:
-            dpow *= d
-            cd = c * dpow
-            p = (lo * a, lo * b, hi * a, hi * b)
-            lo, hi = min(p) + cd, max(p) + cd
-        return ScaledInterval(lo, hi, lcm * dpow)
 
     # -- root bound ---------------------------------------------------
 

@@ -22,6 +22,8 @@ BASE_C2 = "base_c2"  # the group ring R[Z/2]
 
 _RING_NAMES = {BASE: "R", BASE_C2: "R[Z/2]"}
 
+MAX_CENSUS_DEGREE = 100  # a census of degree n has about n^2 Nil-block terms
+
 
 @dataclass(frozen=True)
 class Cardinal:
@@ -265,6 +267,8 @@ class Census:
                 raise ValueError(f"finite subgroup order must be >= 2, got {order}")
         if self.n < 1:
             raise ValueError("degree must be >= 1")
+        if self.n > MAX_CENSUS_DEGREE:
+            raise ValueError(f"degree must be <= {MAX_CENSUS_DEGREE}, got {self.n}")
         want = self.n - 1
         object.__setattr__(self, "m1", _pad(self.m1, want))
         object.__setattr__(self, "m2", _pad(self.m2, want))

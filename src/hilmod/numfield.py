@@ -2,24 +2,23 @@
 
 A field is presented by a monic integer minimal polynomial plus an
 integral basis given in the power basis of the defining root.  Elements
-are exact coordinate vectors in the integral basis.  Each field builds,
-once and on integers, its multiplication table T with omega_i * omega_j =
-sum_k T_ijk omega_k; products, trace, norm and inverse are integer sums
-over T, each operand scaled to integers by its common denominator.  Every
-T_ijk must be an integer, which certifies that the basis spans an order;
-a basis that does not is rejected with ValueError.  A rational root of
-the minimal polynomial is always rejected, which settles irreducibility
-up to degree 3; above that it is a caller contract, and ``inverse``
-raises ReducibleDetected on a zero divisor, a nonzero element of norm 0.
+are exact coordinate vectors in the integral basis.  There is one
+change-of-basis path, on integers (Cohen, GTM 138, ch. 4): the field
+stores the basis matrix and its inverse, an integer adjugate from the
+fraction-free solver ``int_det_solve``, each as a sparse integer matrix
+over one denominator, the power basis as the identity over 1.  Power
+coordinates, ``from_power`` and the multiplication table T with omega_i *
+omega_j = sum_k T_ijk omega_k are integer products with them.  Products,
+trace, norm and inverse are integer sums over T.  Every T_ijk must be an
+integer, which certifies that the basis spans an order; a basis that
+does not, or a singular one, is rejected with ValueError.  A rational
+root of the minimal polynomial is always rejected, which settles
+irreducibility up to degree 3; above that it is a caller contract, and
+``inverse`` raises ReducibleDetected on a zero divisor.
 
-All exact linear algebra is one fraction-free solver, ``int_det_solve``;
-column by column it also gives the integer adjugates that invert the
-basis matrix and the trace form.
-
-Sign decisions at an embedding combine an exact zero test with interval
-refinement of the isolated root, so they are certified; the interval
-Horner evaluation behind them runs on integers over one denominator
-(``ScaledInterval``).  Square roots and roots of rational polynomials
+Sign decisions at an embedding evaluate the integer power coordinates by
+interval Horner (``exactnum.horner_scaled``) over the refined root, so
+they are certified.  Square roots and roots of rational polynomials
 inside the field are decided exactly: after scaling, a root y is an
 algebraic integer, so its power-basis coordinates c = T^-1 (Tr(theta^l
 y))_l lie in (1/D)Z^n, with T the trace form of the order Z[theta] and
@@ -48,6 +47,7 @@ from .exactnum import (
     RootInterval,
     ScaledInterval,
     divide_monic,
+    horner_scaled,
     isolate_real_roots,
     rational_from_string,
     rational_to_string,
@@ -76,13 +76,15 @@ class DivisionByZero(ZeroDivisionError):
 # -- small exact linear algebra ----------------------------------------
 
 
-def int_det_solve(m: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, list[int]]:
-    """det M and det M * x, with x the solution of M x = b, for an integer
-    matrix M, by fraction-free Gauss-Jordan elimination (Bareiss): every
-    intermediate entry is a minor of [M | b], so each division is exact.
-    The second value is meaningless when det M = 0."""
+def int_det_solve(m: Sequence[Sequence[int]],
+                  b: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """det M and det M * X, with X the solution of M X = B, for an integer
+    matrix M and integer right-hand sides B (n rows, any number of columns),
+    by fraction-free Gauss-Jordan elimination (Bareiss): every intermediate
+    entry is a minor of [M | B], so each division is exact.  The second
+    value is meaningless when det M = 0."""
     n = len(m)
-    a = [list(row) + [c] for row, c in zip(m, b)]
+    a = [list(row) + list(c) for row, c in zip(m, b)]
     sign, prev = 1, 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k]), None)
@@ -98,20 +100,18 @@ def int_det_solve(m: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, li
                 f = a[i][k]
                 a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], rk)]
         prev = pk
-    return sign * prev, [sign * row[n] for row in a]
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def _adjugate(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """(A, D) with A / D = M^-1, D = |det M| and A = +-adj(M) integral,
-    for an integer matrix M; column l of adj(M) is det M * M^-1 e_l, from
-    ``int_det_solve``.  A singular M raises ValueError."""
+    for an integer matrix M; adj(M) = det M * M^-1 is ``int_det_solve``
+    on M X = I.  A singular M raises ValueError."""
     n = len(m)
-    solved = [int_det_solve(m, [int(k == l) for k in range(n)]) for l in range(n)]
-    det = solved[0][0]
+    det, adj = int_det_solve(m, [[int(k == l) for l in range(n)] for k in range(n)])
     if det == 0:
         raise ValueError("matrix is singular")
-    sign = 1 if det > 0 else -1
-    return [[sign * col[k] for _, col in solved] for k in range(n)], abs(det)
+    return (adj, det) if det > 0 else ([[-x for x in row] for row in adj], -det)
 
 
 def _integer_coords(coords: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -120,6 +120,21 @@ def _integer_coords(coords: Sequence[Fraction]) -> tuple[list[int], int]:
     if d == 1:
         return [c.numerator for c in coords], 1
     return [c.numerator * (d // c.denominator) for c in coords], d
+
+
+def _sparse(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row i of M as the (k, M_ik) with M_ik != 0."""
+    return tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in m)
+
+
+def _vec_mat(v: Sequence[int], m: Sequence[Sequence[tuple[int, int]]], n: int) -> list[int]:
+    """The row vector v M, for integers v and a ``_sparse`` matrix M."""
+    acc = [0] * n
+    for x, row in zip(v, m):
+        if x:
+            for k, y in row:
+                acc[k] += x * y
+    return acc
 
 
 def _is_rational_square(r: Fraction) -> Optional[Fraction]:
@@ -159,14 +174,12 @@ class NumberField:
         if rational_roots:
             raise ReducibleDetected(f"rational root {rational_roots[0]} detected")
         if len(roots) != n:
-            raise NotTotallyReal(
-                f"only {len(roots)} of {n} roots are real")
+            raise NotTotallyReal(f"only {len(roots)} of {n} roots are real")
 
         self.min_poly = min_poly
         self.degree = n
-        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         if integral_basis is None:
-            basis = identity
+            basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         else:
             basis = [[Fraction(x) for x in row] for row in integral_basis]
             if len(basis) != n or any(len(row) != n for row in basis):
@@ -174,13 +187,12 @@ class NumberField:
         if basis[0] != [Fraction(1)] + [Fraction(0)] * (n - 1):
             raise ValueError("basis element 0 must be the constant 1")
         self.integral_basis = tuple(tuple(row) for row in basis)
-        # (A, D) with A / D the inverse of the basis matrix; None for the
-        # power basis, whose coordinates need no change of basis
-        self._basis_inv = None
-        if basis != identity:
-            rows, dens = zip(*map(_integer_coords, basis))
-            adj, det = _adjugate(rows)  # basis = diag(1/dens) rows
-            self._basis_inv = [[a * d for a, d in zip(row, dens)] for row in adj], det
+        # (M, d) with M / d the basis matrix, and the same for its inverse
+        flat, den = _integer_coords([x for row in basis for x in row])
+        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+        adj, det = _adjugate(rows)  # basis^-1 = den * adj / det
+        self._basis = _sparse(rows), den
+        self._basis_inv = _sparse([[den * a for a in row] for row in adj]), det
         self._table = self._multiplication_table()
         self._embeddings: list[RootInterval] = list(roots)
 
@@ -195,30 +207,21 @@ class NumberField:
         already 1); otherwise ValueError."""
         n = self.degree
         f = [int(c) for c in self.min_poly.coeffs]
-        if self._basis_inv is None:  # theta^i * theta^j = theta^(i+j) mod min_poly
-            products = {(i, j): divide_monic([int(k == i + j) for k in range(2 * n - 1)], f)[1]
-                        for i in range(n) for j in range(i, n)}
-        else:
-            rows, dens = zip(*map(_integer_coords, self.integral_basis))
-            inv, den_inv = self._basis_inv
-            products = {}
-            for i in range(n):
-                for j in range(i, n):
-                    prod = [0] * (2 * n - 1)
-                    for s, x in enumerate(rows[i]):
-                        for t, y in enumerate(rows[j]):
-                            prod[s + t] += x * y
-                    power = divide_monic(prod, f)[1]
-                    den = den_inv * dens[i] * dens[j]
-                    coords = []
-                    for k in range(n):
-                        q, r = divmod(sum(c * row[k] for c, row in zip(power, inv)), den)
-                        if r:
-                            raise ValueError("integral basis does not span an order")
-                        coords.append(q)
-                    products[i, j] = coords
-        sparse = {ij: tuple((k, t) for k, t in enumerate(v) if t) for ij, v in products.items()}
-        return tuple(tuple(sparse[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+        rows, den = self._basis
+        inv, den_inv = self._basis_inv
+        den = den * den * den_inv
+        products = {}
+        for i in range(n):
+            for j in range(i, n):
+                prod = [0] * (2 * n - 1)
+                for s, x in rows[i]:
+                    for t, y in rows[j]:
+                        prod[s + t] += x * y
+                coords = [divmod(c, den) for c in _vec_mat(divide_monic(prod, f)[1], inv, n)]
+                if any(r for _, r in coords):
+                    raise ValueError("integral basis does not span an order")
+                products[i, j] = tuple((k, t) for k, (t, _) in enumerate(coords) if t)
+        return tuple(tuple(products[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
 
     # -- constructors ---------------------------------------------------
 
@@ -247,14 +250,14 @@ class NumberField:
             raise ValueError(f"expected {self.degree} coordinates, got {len(cs)}")
         return FieldElement(self, cs)
 
-    def from_power(self, power: Sequence) -> "FieldElement":
-        """Element from power-basis coordinates (reduced mod min_poly)."""
-        v = [Fraction(c) for c in power] + [Fraction(0)] * self.degree  # n remainder terms
-        v = divide_monic(v, [int(c) for c in self.min_poly.coeffs])[1]
-        if self._basis_inv is not None:
-            inv, den = self._basis_inv
-            v = [sum(x * row[k] for x, row in zip(v, inv)) / den for k in range(self.degree)]
-        return FieldElement(self, tuple(v))
+    def from_power(self, power: Sequence, den: int = 1) -> "FieldElement":
+        """The element sum power_l theta^l / den, for rationals power_l
+        (reduced mod min_poly) and an integer den > 0."""
+        v, d = _integer_coords(power)
+        v = divide_monic(v + [0] * self.degree, [int(c) for c in self.min_poly.coeffs])[1]
+        inv, den_inv = self._basis_inv
+        den *= d * den_inv
+        return FieldElement(self, tuple(Fraction(c, den) for c in _vec_mat(v, inv, self.degree)))
 
     def zero(self) -> "FieldElement":
         return self.element([0] * self.degree)
@@ -340,15 +343,15 @@ class FieldElement:
 
     # -- representation conversions ------------------------------------
 
-    def power_coords(self) -> list[Fraction]:
-        if self.field._basis_inv is None:
-            return list(self.coords)
-        basis = self.field.integral_basis
-        return [sum(c * row[l] for c, row in zip(self.coords, basis))
-                for l in range(self.field.degree)]
+    def _power_ints(self) -> tuple[list[int], int]:
+        """(p, d) with p / d the power-basis coordinates, leading first."""
+        a, d = _integer_coords(self.coords)
+        rows, den = self.field._basis
+        return _vec_mat(a, rows, self.field.degree)[::-1], d * den
 
-    def power_poly(self) -> Poly:
-        return Poly(self.power_coords())
+    def power_coords(self) -> list[Fraction]:
+        p, d = self._power_ints()
+        return [Fraction(c, d) for c in reversed(p)]
 
     # -- ring / field structure ----------------------------------------
 
@@ -404,10 +407,10 @@ class FieldElement:
         # y = sum_j y_j omega_j with self * y = 1 solves M^T y = d e_0
         m, d = self._mult_rows()
         n = self.field.degree
-        det, y = int_det_solve(list(zip(*m)), [d] + [0] * (n - 1))
+        det, y = int_det_solve(list(zip(*m)), [[d]] + [[0]] * (n - 1))
         if det == 0:
             raise ReducibleDetected("zero divisor: the minimal polynomial is reducible")
-        return FieldElement(self.field, tuple(Fraction(c, det) for c in y))
+        return FieldElement(self.field, tuple(Fraction(c, det) for c, in y))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -449,27 +452,23 @@ class FieldElement:
         """Exact sign of the i-th real embedding."""
         if self.is_zero:
             return 0
-        q = self.power_poly()
+        cs = self._power_ints()[0]
         r = self.field.embedding(i)
-        while True:
-            lo, hi, _ = q.eval_scaled(r.scaled)
+        while True:  # only an inexact r can give an enclosure around sigma_i(x) != 0
+            lo, hi, _ = horner_scaled(cs, 1, r.scaled)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            if r.is_exact:
-                # the embedding value is sigma_i(x) != 0 for x != 0, so the
-                # enclosure can only straddle 0 while the interval is inexact
-                return 1 if q.sign_at(r.low) > 0 else -1
             r = self.field.embedding(i, r.width / 4)
 
     def embed_scaled(self, i: int, width: Fraction) -> ScaledInterval:
         """Enclosure of sigma_i(x) of width <= ``width``, over one
         denominator."""
-        q = self.power_poly()
+        cs, d = self._power_ints()
         r = self.field.embedding(i)
         while True:
-            v = q.eval_scaled(r.scaled)
+            v = horner_scaled(cs, d, r.scaled)
             if v.width_at_most(width):
                 return v
             r = self.field.embedding(i, r.width / 4)
@@ -482,7 +481,7 @@ class FieldElement:
 
     def norm(self) -> Fraction:
         m, d = self._mult_rows()
-        return Fraction(int_det_solve(m, [0] * len(m))[0], d ** len(m))
+        return Fraction(int_det_solve(m, [()] * len(m))[0], d ** len(m))
 
     # -- serialization --------------------------------------------------
 
@@ -555,7 +554,7 @@ def _lattice_root(field: NumberField, enclose, assignments, verify) -> Optional[
             if any(a > b for a, b in pins):
                 break
             if all(a == b for a, b in pins):
-                y = field.from_power([Fraction(a, den) for a, _ in pins])
+                y = field.from_power([a for a, _ in pins], den)
                 if verify(y):
                     return y
                 break
@@ -578,7 +577,8 @@ def has_square_root(c: FieldElement) -> SearchOutcome:
         return SearchOutcome(None)
     if _is_rational_square(c.norm()) is None:
         return SearchOutcome(None)  # N(y)^2 = N(c) forces a square norm
-    s = math.lcm(*(x.denominator for x in c.power_coords()))
+    p, d = c._power_ints()
+    s = d // math.gcd(d, *p)  # the lcm of the power-basis denominators
     cs = c * (s * s)  # in Z[theta], so its square roots are algebraic integers
 
     def enclose(w):

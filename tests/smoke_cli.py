@@ -4,8 +4,9 @@
 
 Runs ``python -m hilmod.cli`` with this interpreter on the golden cases
 (five goldens, and ``field-info`` and ``torsion-search --max-order 18``
-on three fields)
-and compares stdout byte for byte with ``tests/golden`` and the exit code
+on three fields and on ``sqrt2_power_basis.json``, Q(sqrt 2) with its
+power basis given explicitly, against the Q(sqrt 2) goldens) and
+compares stdout byte for byte with ``tests/golden`` and the exit code
 with the one the case expects.  The mixed-element ``normalizer`` case runs
 at ``--height 1000000``: a mixed element provably has no inverting
 involution, so the search must end at once, with exit 4 and the same
@@ -42,6 +43,10 @@ CASES = [  # (golden, argv, expected exit code)
     (f"torsion_search_{name}_18.json",
      ["torsion-search", "--field", DATA / f"{name}.json", "--max-order", "18"], 0)
     for name in ("sqrt2", "sqrt5", "cubic")
+] + [  # the power basis given explicitly must answer as the default basis does
+    ("field_info_sqrt2.json", ["field-info", "--field", DATA / "sqrt2_power_basis.json"], 0),
+    ("torsion_search_sqrt2_18.json",
+     ["torsion-search", "--field", DATA / "sqrt2_power_basis.json", "--max-order", "18"], 0),
 ]
 
 

@@ -165,6 +165,32 @@ def test_wh_decomp_rejects_orders_below_two(tmp_path, order):
         f"got {order}\n"
 
 
+@pytest.mark.parametrize("n", [10 ** 19, 10 ** 12])
+def test_wh_decomp_rejects_huge_degrees(tmp_path, n):
+    # 10**19 overflowed a tuple size, 10**12 asked for a tuple of 10**12 slots
+    spec = tmp_path / "census.json"
+    spec.write_text(json.dumps({"n": n}))
+    proc = subprocess.run([sys.executable, "-m", "hilmod.cli", "wh-decomp", "--census", str(spec)],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: bad census spec: degree must be <= 100, got {n}\n"
+
+
+def test_wh_decomp_largest_census_is_quick(tmp_path):
+    # the largest accepted census, every slot filled, answers well within 10 s
+    n, one = 100, {"finite": 1}
+    census = {"n": n, "finite": [{"order": 2, "count": one}], "m1": [one] * (n - 1),
+              "m2": [one] * (n - 1), **{k: one for k in ("p", "h1", "h2", "hp1", "hp2")}}
+    spec = tmp_path / "census.json"
+    spec.write_text(json.dumps(census))
+    proc = subprocess.run([sys.executable, "-m", "hilmod.cli", "wh-decomp", "--census", str(spec),
+                           "--sl"], capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert '"degree": -98' in proc.stdout  # NK_{1-i}(R[Z/2]) for i up to n - 1
+
+
 def test_field_info_golden(capsys):
     code, out, _ = run(capsys, "field-info", "--field", SQRT5)
     assert code == 0
@@ -313,7 +339,7 @@ def test_smoke_script():
     proc = subprocess.run([sys.executable, str(Path(__file__).parent / "smoke_cli.py")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout
-    assert proc.stdout.endswith("11/11 cases match\n")
+    assert proc.stdout.endswith("13/13 cases match\n")
 
 
 def test_torsion_search(capsys):

@@ -9,6 +9,7 @@ from hilmod.exactnum import (
     RootInterval,
     ScaledInterval,
     _sturm_sequence,
+    horner_scaled,
     isolate_real_roots,
     refine_root,
 )
@@ -206,7 +207,8 @@ def test_eval_interval_encloses():
         p = RefPoly([rng.randint(-4, 4) for _ in range(5)])
         a = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
         b = a + Fraction(rng.randint(0, 8), rng.randint(1, 4))
-        lo, hi = p.eval_scaled(ScaledInterval.of(a, b)).fractions()
+        lcm, cs = p.integer_coeffs
+        lo, hi = horner_scaled(cs, lcm, ScaledInterval.of(a, b)).fractions()
         for t in (a, b, (a + b) / 2):
             assert lo <= p(t) <= hi
 

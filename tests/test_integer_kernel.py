@@ -1,6 +1,6 @@
 """The integer real layer against Fraction references.
 
-``refine_root``, ``Poly.eval_scaled``, ``_lattice_root`` (with the
+``refine_root``, ``horner_scaled``, ``_lattice_root`` (with the
 interval helpers ``_imul``/``_isum``), ``cyclotomic`` and
 ``cos_trace_min_poly`` run on integers; the references below are their
 Fraction forms.  Every endpoint, pin and return value must be the same
@@ -15,7 +15,8 @@ from math import isqrt
 
 import pytest
 
-from hilmod.exactnum import Poly, RootInterval, ScaledInterval, isolate_real_roots, refine_root
+from hilmod.exactnum import (Poly, RootInterval, ScaledInterval, horner_scaled,
+                             isolate_real_roots, refine_root)
 from hilmod.modgrp import cos_trace_min_poly, cyclotomic, torsion_orders
 from hilmod.numfield import NumberField, _balanced_assignments, contains_root_of, has_square_root
 from refpoly import RefPoly, mat_inverse
@@ -92,7 +93,7 @@ class RefField:
     def embed_sign(self, x, i):
         if x.is_zero:
             return 0
-        q = RefPoly(x.power_poly().coeffs)
+        q = RefPoly(x.power_coords())
         r = self.embedding(i)
         while True:
             lo, hi = ref_eval_interval(q, r.low, r.high)
@@ -105,7 +106,7 @@ class RefField:
             r = self.embedding(i, r.width / 4)
 
     def embed_interval(self, x, i, width):
-        q = x.power_poly()
+        q = Poly(x.power_coords())
         r = self.embedding(i)
         while True:
             lo, hi = ref_eval_interval(q, r.low, r.high)
@@ -228,7 +229,7 @@ def ref_cos_trace_min_poly(m: int) -> RefPoly:
     return RefPoly(coeffs)
 
 
-# -- refine_root and eval_scaled -----------------------------------------
+# -- refine_root and horner_scaled ---------------------------------------
 
 
 def _same(a: RootInterval, b: RootInterval) -> bool:
@@ -338,7 +339,9 @@ def test_eval_interval_matches_fraction_horner():
             a, b = -abs(a) - Fraction(1, 5), abs(b) + Fraction(1, 7)  # straddling 0
         elif kind == 2:
             b = a  # degenerate
-        assert p.eval_scaled(ScaledInterval.of(a, b)).fractions() == ref_eval_interval(p, a, b)
+        lcm, cs = p.integer_coeffs
+        assert horner_scaled(cs, lcm, ScaledInterval.of(a, b)).fractions() \
+            == ref_eval_interval(p, a, b)
 
 
 # -- in-field root searches -----------------------------------------------

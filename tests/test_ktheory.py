@@ -9,6 +9,7 @@ from hilmod.ktheory import (
     Census,
     KExpression,
     KTerm,
+    MAX_CENSUS_DEGREE,
     OPAQUE_LABEL,
     RingProps,
     bhs_iterate,
@@ -132,6 +133,13 @@ def test_census_rejects_orders_below_two():
         with pytest.raises(ValueError, match=f"order must be >= 2, got {order}"):
             Census(n=2, finite=((3, FIN(1)), (order, FIN(1))))
     assert Census(n=2, finite=((2, FIN(1)),)).finite == ((2, FIN(1)),)
+
+
+def test_census_rejects_degrees_above_maximum():
+    assert Census(n=MAX_CENSUS_DEGREE).n == MAX_CENSUS_DEGREE
+    for n in (MAX_CENSUS_DEGREE + 1, 10 ** 12, 10 ** 19):
+        with pytest.raises(ValueError, match=f"degree must be <= {MAX_CENSUS_DEGREE}, got {n}"):
+            Census(n=n)
 
 
 def test_census_json_roundtrip():

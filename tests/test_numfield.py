@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from conftest import embed_mp
 
-from hilmod.exactnum import NotSquarefree, Poly, refine_root
+from hilmod.exactnum import NotSquarefree, Poly, ScaledInterval, divide_monic, refine_root
 from hilmod.modgrp import cos_trace_min_poly
 from hilmod.numfield import (
     NotMonic,
@@ -396,3 +396,147 @@ def test_basis_must_span_an_order():
     # {1, theta/2} over x^2 - 2: (theta/2)^2 = 1/2 is not in its span
     with pytest.raises(ValueError, match="does not span an order"):
         NumberField(Poly([-2, 0, 1]), [[1, 0], [0, Fraction(1, 2)]])
+
+
+# -- the integer change of basis against the Fraction path it replaced --
+
+_BASIS_FIELDS = [  # (name, builder); each call builds a fresh field
+    ("sqrt2", lambda: NumberField(Poly([-2, 0, 1]))),
+    ("sqrt2_identity", lambda: NumberField(Poly([-2, 0, 1]), [[1, 0], [0, 1]])),
+    ("sqrt5", lambda: NumberField.quadratic(5)),
+    ("sqrt5_negative", lambda: NumberField(Poly([-5, 0, 1]),
+                                           [[1, 0], [Fraction(1, 2), Fraction(-1, 2)]])),
+    ("cubic", lambda: NumberField(Poly([1, -2, -1, 1]))),
+    ("quartic", _quartic),
+]
+
+
+def _is_power_basis(field) -> bool:
+    n = field.degree
+    return field.integral_basis == tuple(tuple(Fraction(int(i == j)) for j in range(n))
+                                         for i in range(n))
+
+
+def ref_power_coords(x) -> list[Fraction]:
+    """Fraction sums over the basis rows; on the power basis, the
+    coordinates themselves."""
+    if _is_power_basis(x.field):
+        return list(x.coords)
+    basis = x.field.integral_basis
+    return [sum(c * row[l] for c, row in zip(x.coords, basis)) for l in range(x.field.degree)]
+
+
+def ref_from_power(field, power):
+    """Fraction reduction mod min_poly; off the power basis, then the
+    Fraction inverse of the basis matrix."""
+    v = [Fraction(c) for c in power] + [Fraction(0)] * field.degree
+    v = divide_monic(v, [int(c) for c in field.min_poly.coeffs])[1]
+    if not _is_power_basis(field):
+        inv = mat_inverse(field.integral_basis)
+        v = [sum(x * row[k] for x, row in zip(v, inv)) for k in range(field.degree)]
+    return field.element(v)
+
+
+def ref_table(field):
+    """On the power basis theta^(i+j) reduced mod min_poly, otherwise each
+    omega_i * omega_j by Fraction polynomial arithmetic (``_ref_mul``);
+    stored sparsely, as the field stores its table."""
+    n = field.degree
+    f = [int(c) for c in field.min_poly.coeffs]
+    if _is_power_basis(field):
+        products = [[divide_monic([int(k == i + j) for k in range(2 * n - 1)], f)[1]
+                     for j in range(n)] for i in range(n)]
+    else:
+        e = [field.element([int(k == i) for k in range(n)]) for i in range(n)]
+        products = [[_ref_mul(a, b).coords for b in e] for a in e]
+    return tuple(tuple(tuple((k, t) for k, t in enumerate(v) if t) for v in row)
+                 for row in products)
+
+
+def ref_eval_scaled(p: Poly, x: ScaledInterval) -> ScaledInterval:
+    """Interval Horner over the integer coefficients of L * p."""
+    lcm, cs = p.integer_coeffs
+    if not cs:
+        return ScaledInterval(0, 0, 1)
+    a, b, d = x
+    lo = hi = cs[0]
+    dpow = 1
+    for c in cs[1:]:
+        dpow *= d
+        cd = c * dpow
+        p = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(p) + cd, max(p) + cd
+    return ScaledInterval(lo, hi, lcm * dpow)
+
+
+def ref_embed_sign(x, i: int) -> int:
+    if x.is_zero:
+        return 0
+    q = Poly(ref_power_coords(x))
+    r = x.field.embedding(i)
+    while True:
+        lo, hi, _ = ref_eval_scaled(q, r.scaled)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        if r.is_exact:
+            return 1 if q.sign_at(r.low) > 0 else -1
+        r = x.field.embedding(i, r.width / 4)
+
+
+def ref_embed_scaled(x, i: int, width: Fraction) -> ScaledInterval:
+    q = Poly(ref_power_coords(x))
+    r = x.field.embedding(i)
+    while True:
+        v = ref_eval_scaled(q, r.scaled)
+        if v.width_at_most(width):
+            return v
+        r = x.field.embedding(i, r.width / 4)
+
+
+@pytest.mark.parametrize("seed, build", [(k, b) for k, (_, b) in enumerate(_BASIS_FIELDS)],
+                         ids=[name for name, _ in _BASIS_FIELDS])
+def test_change_of_basis_matches_fraction_path(seed, build):
+    # two copies of the field, so the library and the reference refine
+    # their roots alike and their enclosures can be compared endpoint for
+    # endpoint
+    field, ref = build(), build()
+    n = field.degree
+    assert field._table == ref_table(ref)
+    rng = random.Random(seed)
+    for _ in range(60):
+        coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+        x, y = field.element(coords), ref.element(coords)
+        p = x.power_coords()
+        assert p == ref_power_coords(y)
+        assert field.from_power(p) == x
+        power = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for _ in range(rng.randint(0, 2 * n))]
+        assert field.from_power(power).coords == ref_from_power(ref, power).coords
+        for i in range(n):
+            assert x.embed_sign(i) == ref_embed_sign(y, i)
+            w = Fraction(1, rng.choice((3, 100, 10 ** 6)))
+            assert x.embed_scaled(i, w).fractions() == ref_embed_scaled(y, i, w).fractions()
+
+
+def test_change_of_basis_does_no_fraction_arithmetic(monkeypatch):
+    elements = []
+    for _, build in _BASIS_FIELDS:
+        field = build()
+        for i in range(field.degree):  # narrow enough that no enclosure below refines
+            field.embedding(i, Fraction(1, 10 ** 40))
+        elements.append(field.element([Fraction(3 - 2 * k, k + 1) for k in range(field.degree)]))
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    for op in ("add", "sub", "mul", "truediv"):
+        monkeypatch.setattr(Fraction, f"__{op}__", forbidden)
+        monkeypatch.setattr(Fraction, f"__r{op}__", forbidden)
+    for x in elements:
+        field = x.field
+        assert field.from_power(x.power_coords()).coords == x.coords
+        for i in range(field.degree):
+            assert x.embed_sign(i) in (-1, 1)
+            assert x.embed_scaled(i, Fraction(1, 100)).den > 0
