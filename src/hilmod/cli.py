@@ -3,13 +3,15 @@
 Subcommands: field-info, classify, normalizer, torsion-search, wh-decomp,
 ktop.  All machine output is deterministic JSON on stdout (sorted keys, no
 timestamps); diagnostics go to stderr.  Exit codes: 0 success, 2 invalid
-input, 3 matrix not in SL_2(O_k), 4 bounded search inconclusive.
+input, 3 matrix not in SL_2(O_k), 4 bounded search inconclusive, 141
+(128 + SIGPIPE) stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NOT_SL2 = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class ParseError(ValueError):
@@ -117,28 +120,6 @@ def parse_element(text: str, field: NumberField) -> FieldElement:
         if e >= n:
             x = x + field.generator() ** e * c
     return x
-
-
-def render_element(x: FieldElement) -> str:
-    """Inverse of parse_element on the power basis."""
-    parts = []
-    for i, c in enumerate(x.power_coords()):
-        if c == 0:
-            continue
-        mag = str(abs(c))
-        if i == 0:
-            body = mag
-        else:
-            gen = "g" if i == 1 else f"g^{i}"
-            body = gen if abs(c) == 1 else f"{mag}*{gen}"
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    first_sign, first = parts[0]
-    out = ("-" if first_sign == "-" else "") + first
-    for s, body in parts[1:]:
-        out += s + body
-    return out
 
 
 def parse_matrix(text: str, field: NumberField) -> Mat2:
@@ -349,13 +330,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_join_matrix_values(argv))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except BrokenPipeError:
+        # what is still buffered goes to the null device, so the flush at
+        # interpreter exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -296,14 +296,6 @@ class RootInterval:
     def width(self) -> Fraction:
         return self.high - self.low
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.low + self.high) / 2
-
-    @property
-    def is_exact(self) -> bool:
-        return self.low == self.high
-
     @cached_property
     def scaled(self) -> ScaledInterval:
         return ScaledInterval.of(self.low, self.high)

@@ -53,7 +53,7 @@ class Cardinal:
 
     def __add__(self, other: "Cardinal") -> "Cardinal":
         if self.kind == "finite" and other.kind == "finite":
-            return Cardinal.finite(self.count + other.count)
+            return Cardinal("finite", self.count + other.count)
         if "infinite" in (self.kind, other.kind):
             return Cardinal.infinite()
         # unknown absorbs, except against a hard zero
@@ -63,7 +63,7 @@ class Cardinal:
         if self.is_zero or other.is_zero:
             return Cardinal.finite(0)
         if self.kind == "finite" and other.kind == "finite":
-            return Cardinal.finite(self.count * other.count)
+            return Cardinal("finite", self.count * other.count)
         if "unknown" in (self.kind, other.kind):
             return Cardinal.unknown()
         return Cardinal.infinite()
@@ -168,15 +168,12 @@ class KExpression:
                  notes: Optional[list] = None):
         merged: dict[KTerm, Cardinal] = {}
         for term, mult in pairs:
-            merged[term] = merged.get(term, Cardinal.finite(0)) + mult
+            prev = merged.get(term)
+            merged[term] = mult if prev is None else prev + mult
         items = [(t, m) for t, m in merged.items() if not m.is_zero]
         items.sort(key=lambda tm: tm[0].sort_key())
         self.terms = tuple(items)
         self.notes = list(notes or [])
-
-    @staticmethod
-    def empty() -> "KExpression":
-        return KExpression()
 
     @staticmethod
     def single(term: KTerm, mult: Cardinal = Cardinal.finite(1)) -> "KExpression":
@@ -311,22 +308,23 @@ def _pad(cs: Sequence[Cardinal], want: int) -> tuple[Cardinal, ...]:
 # -- Nil block generators ------------------------------------------------
 
 
+def _nil_pairs(s: int, q: int, ring: str, copies: int) -> list[tuple[KTerm, Cardinal]]:
+    """The (term, multiplicity) pairs of one binomial Nil block: NK_{q-i}(ring)
+    with multiplicity copies*binom(s, i) for i = 0..s, none for s = -1."""
+    return [(KTerm.nk(q - i, ring), Cardinal.finite(copies * math.comb(s, i)))
+            for i in range(s + 1)]
+
+
 def dos_nil(s: int, q: int, ring: str = BASE) -> KExpression:
     """Two-copy Nil block: sum over i of NK_{q-i}(ring) with multiplicity
     2*binom(s, i).  s = -1 yields the empty expression."""
-    if s < 0:
-        return KExpression.empty()
-    return KExpression([(KTerm.nk(q - i, ring), Cardinal.finite(2 * math.comb(s, i)))
-                        for i in range(s + 1)])
+    return KExpression(_nil_pairs(s, q, ring, 2))
 
 
 def nil_single(s: int, q: int, ring: str = BASE) -> KExpression:
     """One-copy Nil block (Z/4 coinvariants of the flipped pairs):
     multiplicities binom(s, i)."""
-    if s < 0:
-        return KExpression.empty()
-    return KExpression([(KTerm.nk(q - i, ring), Cardinal.finite(math.comb(s, i)))
-                        for i in range(s + 1)])
+    return KExpression(_nil_pairs(s, q, ring, 1))
 
 
 def bhs_iterate(d: int, q: int) -> KExpression:
@@ -356,30 +354,25 @@ def bhs_iterate(d: int, q: int) -> KExpression:
 # -- assembled decompositions -------------------------------------------
 
 
-def _nil_blocks(census: Census, q: int, ring: str) -> KExpression:
-    """The shared block pattern: a slot whose normalizer has rank r gets a
-    Nil block with s = r - 1; two-copy for the type-1 slots, one-copy for
-    the type-2 slots."""
+def _nil_blocks(census: Census, q: int, ring: str) -> list[tuple[KTerm, Cardinal]]:
+    """The shared block pattern, as pairs for one merge: a slot whose
+    normalizer has rank r gets a Nil block with s = r - 1; two-copy for the
+    type-1 slots, one-copy for the type-2 slots."""
     n = census.n
-    expr = KExpression.empty()
-    expr = expr + dos_nil(n - 1, q, ring).scale(census.p)
-    expr = expr + dos_nil(n - 1, q, ring).scale(census.h1)
-    expr = expr + nil_single(n - 1, q, ring).scale(census.h2)
-    expr = expr + dos_nil(n - 2, q, ring).scale(census.hp1)
-    expr = expr + nil_single(n - 2, q, ring).scale(census.hp2)
+    table = [(n - 1, 2, census.p), (n - 1, 2, census.h1), (n - 1, 1, census.h2),
+             (n - 2, 2, census.hp1), (n - 2, 1, census.hp2)]
     for j in range(1, n):
-        expr = expr + dos_nil(j - 1, q, ring).scale(census.m1[j - 1])
-        expr = expr + nil_single(j - 1, q, ring).scale(census.m2[j - 1])
-    return expr
+        table += [(j - 1, 2, census.m1[j - 1]), (j - 1, 1, census.m2[j - 1])]
+    return [(term, m * mult) for s, copies, mult in table
+            for term, m in _nil_pairs(s, q, ring, copies)]
 
 
 def wh_decomposition_psl(census: Census, q: int,
                          props: RingProps = RingProps()) -> KExpression:
     """Whitehead group of PSL_2(O_k) in degree q: Wh_q of the finite
     maximal subgroups plus the Nil blocks of the infinite cyclic census."""
-    wh = KExpression([(KTerm.wh(q, order, f"C{order}"), count)
-                      for order, count in census.finite])
-    return simplify(wh + _nil_blocks(census, q, BASE), props)
+    wh = [(KTerm.wh(q, order, f"C{order}"), count) for order, count in census.finite]
+    return simplify(KExpression(wh + _nil_blocks(census, q, BASE)), props)
 
 
 OPAQUE_LABEL = "H_q^G(EbarG;K_R)"
@@ -391,9 +384,8 @@ def wh_decomposition_sl(census: Census, q: int,
     homology leading term plus the same Nil block pattern with R[Z/2]
     coefficients.  The long exact sequence constraining the opaque term is
     attached as a note."""
-    expr = KExpression.single(KTerm.opaque(OPAQUE_LABEL))
-    expr = expr + _nil_blocks(census, q, BASE_C2)
-    expr = simplify(expr, props)
+    opaque = [(KTerm.opaque(OPAQUE_LABEL), Cardinal.finite(1))]
+    expr = simplify(KExpression(opaque + _nil_blocks(census, q, BASE_C2)), props)
     expr.notes.append({
         "long_exact_sequence": [
             "... -> (+)_{M in F} H_q^M(EM;K_R)",

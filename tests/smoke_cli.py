@@ -3,15 +3,17 @@
     python tests/smoke_cli.py
 
 Runs ``python -m hilmod.cli`` with this interpreter on the golden cases
-(five goldens, and ``field-info`` and ``torsion-search --max-order 18``
+(six goldens, and ``field-info`` and ``torsion-search --max-order 18``
 on three fields and on ``sqrt2_power_basis.json``, Q(sqrt 2) with its
 power basis given explicitly, against the Q(sqrt 2) goldens) and
 compares stdout byte for byte with ``tests/golden`` and the exit code
 with the one the case expects.  The mixed-element ``normalizer`` case runs
 at ``--height 1000000``: a mixed element provably has no inverting
 involution, so the search must end at once, with exit 4 and the same
-record as at ``--height 2``.  Prints one line per case; exits 1 when any
-case differs, 0 otherwise.  Useful on Python versions without pytest.
+record as at ``--height 2``.  ``whdecomp_full100_sl.json`` is the largest
+census, every slot filled, under ``wh-decomp --sl``.  Prints one line per
+case; exits 1 when any case differs, 0 otherwise.  Useful on Python
+versions without pytest.
 """
 
 import os
@@ -36,6 +38,8 @@ CASES = [  # (golden, argv, expected exit code)
      ["normalizer", "--field", DATA / "sqrt2.json", "--matrix=1+1g;1+1g;2;1+1g",
       "--height", "1000000"], 4),
     ("whdecomp_p.json", ["wh-decomp", "--census", DATA / "census_p.json", "--q", "1"], 0),
+    ("whdecomp_full100_sl.json",
+     ["wh-decomp", "--census", DATA / "census_full100.json", "--sl"], 0),
 ] + [
     (f"field_info_{name}.json", ["field-info", "--field", DATA / f"{name}.json"], 0)
     for name in ("sqrt2", "sqrt5", "cubic")

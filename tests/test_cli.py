@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from hilmod.cli import ParseError, main, parse_element, parse_matrix, render_element
+from hilmod.cli import ParseError, main, parse_element, parse_matrix
+from hilmod.numfield import FieldElement
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,6 +55,28 @@ def test_parse_element_errors(sqrt2):
         parse_element("1+?", sqrt2)
     except ParseError as exc:
         assert exc.position == 2
+
+
+def render_element(x: FieldElement) -> str:
+    """Inverse of parse_element on the power basis, for the round trip."""
+    parts = []
+    for i, c in enumerate(x.power_coords()):
+        if c == 0:
+            continue
+        mag = str(abs(c))
+        if i == 0:
+            body = mag
+        else:
+            gen = "g" if i == 1 else f"g^{i}"
+            body = gen if abs(c) == 1 else f"{mag}*{gen}"
+        parts.append(("-" if c < 0 else "+", body))
+    if not parts:
+        return "0"
+    first_sign, first = parts[0]
+    out = ("-" if first_sign == "-" else "") + first
+    for s, body in parts[1:]:
+        out += s + body
+    return out
 
 
 def test_render_parse_roundtrip(sqrt2, sqrt5, cubic7):
@@ -217,6 +240,24 @@ def test_exit_code_not_sl2(capsys):
     assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["field-info", "--field", SQRT5],  # fits the stdout buffer: fails at the flush
+    ["wh-decomp", "--census", str(DATA / "census_full100.json"), "--sl"],  # fails in print
+])
+def test_closed_stdout_exits_141_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hilmod.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=30,
+                              env={**env, "PYTHONPATH": SRC})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_exit_code_inconclusive(capsys):
     # a mixed element has no inverting involution (the search certifies
     # None at any height), and the report still maps that to exit 4
@@ -339,7 +380,7 @@ def test_smoke_script():
     proc = subprocess.run([sys.executable, str(Path(__file__).parent / "smoke_cli.py")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout
-    assert proc.stdout.endswith("13/13 cases match\n")
+    assert proc.stdout.endswith("14/14 cases match\n")
 
 
 def test_torsion_search(capsys):

@@ -31,7 +31,7 @@ def _sign(x: Fraction) -> int:
 
 def ref_refine_root(r: RootInterval, width: Fraction) -> RootInterval:
     width = Fraction(width)
-    if r.width <= width or r.is_exact:
+    if r.width <= width or r.low == r.high:
         return r
     p = RefPoly(r.polynomial.coeffs)
     lo, hi = r.low, r.high
@@ -101,7 +101,7 @@ class RefField:
                 return 1
             if hi < 0:
                 return -1
-            if r.is_exact:
+            if r.low == r.high:
                 return 1 if q(r.low) > 0 else -1
             r = self.embedding(i, r.width / 4)
 
@@ -296,7 +296,7 @@ def test_refine_root_exact_midpoint_hits():
         r = RootInterval(p, lo, hi, 0)
         got, want = refine_root(r, Fraction(1, 10 ** 6)), ref_refine_root(r, Fraction(1, 10 ** 6))
         assert _same(got, want)
-        hits += got.is_exact
+        hits += got.low == got.high
     assert hits == 150
     # a root at an endpoint is returned at once
     p = Poly([-1, 3])

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -226,3 +227,50 @@ def test_infinite_census_multiplicities():
     assert e.multiplicity(KTerm.nk(0)) == INF
     e2 = wh_decomposition_psl(Census(n=2, h2=UNK), 0, RingProps())
     assert e2.multiplicity(KTerm.nk(0)) == UNK
+
+
+def _one_block_at_a_time(census: Census, q: int, sl: bool) -> KExpression:
+    """Reference: each binomial Nil block is its own KExpression, scaled by
+    its slot's multiplicity and added with + in slot order, so every step
+    re-merges and re-sorts the terms so far.  Not yet simplified."""
+    ring = BASE_C2 if sl else BASE
+    n = census.n
+    blocks = [(n - 1, 2, census.p), (n - 1, 2, census.h1), (n - 1, 1, census.h2),
+              (n - 2, 2, census.hp1), (n - 2, 1, census.hp2)]
+    for j in range(1, n):
+        blocks += [(j - 1, 2, census.m1[j - 1]), (j - 1, 1, census.m2[j - 1])]
+    if sl:
+        expr = KExpression.single(KTerm.opaque(OPAQUE_LABEL))
+    else:
+        expr = KExpression([(KTerm.wh(q, order, f"C{order}"), c) for order, c in census.finite])
+    for s, copies, mult in blocks:
+        block = KExpression([(KTerm.nk(q - i, ring), FIN(copies * math.comb(s, i)))
+                             for i in range(s + 1)])
+        expr = expr + block.scale(mult)
+    return expr
+
+
+def test_decompositions_match_one_block_at_a_time():
+    rng = random.Random(20171)
+
+    def card():
+        return rng.choice([FIN(0), FIN(0), FIN(1), FIN(rng.randrange(2, 10 ** 6)), INF, UNK])
+    all_props = [RingProps(), RingProps(regular=True), RingProps(nk_finite_exponent=True),
+                 RingProps(regular=True, nk_finite_exponent=True)]
+    kinds = set()
+    for _ in range(300):
+        n = rng.choice([1, 2, 3, rng.randrange(4, 13), rng.randrange(13, 25)])
+        census = Census(n=n, finite=tuple((rng.randrange(2, 13), card())  # orders may repeat
+                                          for _ in range(rng.randrange(4))),
+                        m1=tuple(card() for _ in range(n - 1)), m2=tuple(card() for _ in range(n - 1)),
+                        **{k: card() for k in ("p", "h1", "h2", "hp1", "hp2")})
+        q = rng.randrange(-2, 4)
+        kinds |= {m.kind for m in census.m1 + (census.p, census.h2)}
+        for sl, fn in ((False, wh_decomposition_psl), (True, wh_decomposition_sl)):
+            unsimplified = _one_block_at_a_time(census, q, sl)
+            for props in all_props:
+                got, want = fn(census, q, props), simplify(unsimplified, props)
+                assert got.to_json() == want.to_json()
+                assert got.notes[:len(want.notes)] == want.notes  # sl appends its sequence
+                assert len(got.notes) == len(want.notes) + sl
+    assert kinds == {"finite", "infinite", "unknown"}

@@ -480,7 +480,7 @@ def ref_embed_sign(x, i: int) -> int:
             return 1
         if hi < 0:
             return -1
-        if r.is_exact:
+        if r.low == r.high:
             return 1 if q.sign_at(r.low) > 0 else -1
         r = x.field.embedding(i, r.width / 4)
 
