@@ -328,8 +328,12 @@ def _join_matrix_values(argv: list[str]) -> list[str]:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_join_matrix_values(argv))
     try:
+        try:
+            args = _build_parser().parse_args(_join_matrix_values(argv))
+        except SystemExit:  # after --help on stdout, or a usage error on stderr
+            sys.stdout.flush()
+            raise
         code = args.fn(args)
         sys.stdout.flush()
         return code

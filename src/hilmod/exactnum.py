@@ -4,11 +4,15 @@ root isolation.
 Values are exact rationals (``fractions.Fraction``), with no floating
 point, so every sign decision is exact.  ``Poly`` is a normalised tuple
 of Fraction coefficients; everything computed from it runs on integers:
-signs at rational points (``_horner_sign``), bisection (``refine_root``)
-and the Sturm sequence, a fraction-free pseudo-remainder sequence (Cohen,
-GTM 138, 3.1-3.3).  Interval Horner evaluation of integer coefficients
-over a ``ScaledInterval`` (integer endpoints over one positive
-denominator) is ``horner_scaled``.  Division by a monic integer
+signs at rational points (``_horner_sign``), the Sturm sequence, a
+fraction-free pseudo-remainder sequence (Cohen, GTM 138, 3.1-3.3), and
+the bisections of root isolation and refinement.  There is one interval
+type, ``ScaledInterval`` (integer endpoints over one positive
+denominator, not reduced), and a ``RootInterval`` holds one: isolation
+splits the Cauchy interval on numerators, a worklist with no depth
+limit, and ``refine_root`` halves it over a doubling denominator.
+Interval Horner evaluation of integer coefficients over a
+``ScaledInterval`` is ``horner_scaled``.  Division by a monic integer
 polynomial is ``divide_monic``; there is no Fraction polynomial division.
 Each result is the rational that Fraction arithmetic gives.
 """
@@ -18,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -58,12 +61,6 @@ class ScaledInterval(NamedTuple):
     lo: int
     hi: int
     den: int
-
-    @staticmethod
-    def of(lo: Fraction, hi: Fraction) -> "ScaledInterval":
-        d = math.lcm(lo.denominator, hi.denominator)
-        return ScaledInterval(lo.numerator * (d // lo.denominator),
-                              hi.numerator * (d // hi.denominator), d)
 
     def fractions(self) -> tuple[Fraction, Fraction]:
         return Fraction(self.lo, self.den), Fraction(self.hi, self.den)
@@ -212,22 +209,10 @@ class Poly:
             object.__setattr__(self, "_integer_coeffs", (lcm, cs))
             return lcm, cs
 
-    def sign_at(self, x: Fraction | int) -> int:
-        """Sign of p(x), from integers only (see ``sign_num``)."""
-        return self.sign_num(x.numerator, x.denominator)
-
     def sign_num(self, u: int, v: int) -> int:
         """Sign of p(u/v) for integers u and v > 0, not necessarily
         coprime, from the integer coefficients of L * p."""
         return _horner_sign(self.integer_coeffs[1], u, v)
-
-    # -- root bound ---------------------------------------------------
-
-    def cauchy_bound(self) -> Fraction:
-        """1 + max |a_i / a_n|; every real root lies strictly inside (-B, B)."""
-        lc = self.leading
-        m = max((abs(c / lc) for c in self.coeffs[:-1]), default=Fraction(0))
-        return 1 + m
 
     # -- serialization --------------------------------------------------
 
@@ -275,39 +260,44 @@ def _sturm_sequence(cs: Sequence[int]) -> list[list[int]]:
     return chain
 
 
-def sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+def sign_variations(chain: Sequence[Sequence[int]], u: int, v: int) -> int:
     """Sign changes along a chain of integer polynomials (leading first)
-    at x, zeros skipped."""
-    signs = [s for s in (_horner_sign(cs, x.numerator, x.denominator) for cs in chain) if s]
+    at u/v, for integers u and v > 0, zeros skipped."""
+    signs = [s for s in (_horner_sign(cs, u, v) for cs in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 @dataclass(frozen=True)
 class RootInterval:
-    """An isolating interval [low, high] for one real root of a squarefree
+    """An isolating interval ``scaled`` for one real root of a squarefree
     polynomial; ``index`` is the ordinal of the root in ascending order."""
 
     polynomial: Poly
-    low: Fraction
-    high: Fraction
+    scaled: ScaledInterval
     index: int
 
     @property
+    def low(self) -> Fraction:
+        return Fraction(self.scaled.lo, self.scaled.den)
+
+    @property
+    def high(self) -> Fraction:
+        return Fraction(self.scaled.hi, self.scaled.den)
+
+    @property
     def width(self) -> Fraction:
-        return self.high - self.low
-
-    @cached_property
-    def scaled(self) -> ScaledInterval:
-        return ScaledInterval.of(self.low, self.high)
+        lo, hi, d = self.scaled
+        return Fraction(hi - lo, d)
 
 
-def _nonroot_point(p: Poly, a: Fraction, b: Fraction) -> Fraction:
-    """Point in (a, b) that is not a root of p; tries the midpoint first."""
+def _nonroot_point(p: Poly, lo: int, hi: int, d: int) -> tuple[int, int]:
+    """(u, v) with u/v in (lo/d, hi/d) not a root of p; tries the midpoint
+    first, then 1/3, 2/3, 1/5, ... of the span.  v is a multiple of d."""
     for num, den in ((1, 2), (1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (4, 5),
                      (1, 7), (2, 7), (3, 7), (4, 7), (5, 7), (6, 7)):
-        m = a + (b - a) * Fraction(num, den)
-        if p.sign_at(m) != 0:
-            return m
+        u, v = lo * den + (hi - lo) * num, d * den
+        if p.sign_num(u, v) != 0:
+            return u, v
     raise RuntimeError("could not find a non-root sample point")  # p has finitely many roots
 
 
@@ -319,37 +309,31 @@ def isolate_real_roots(p: Poly) -> list[RootInterval]:
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    chain = _sturm_sequence(p.integer_coeffs[1])
+    cs = p.integer_coeffs[1]
+    chain = _sturm_sequence(cs)
     if len(chain[-1]) != 1:  # the last term is gcd(p, p') up to a constant
         raise NotSquarefree("polynomial has a repeated root")
     if p.degree == 0:
         return []
 
-    bound = p.cauchy_bound()
-    lo, hi = -bound, bound
-    # Cauchy bound is strict, but be safe about endpoint roots anyway.
-    while p.sign_at(lo) == 0:
-        lo -= 1
-    while p.sign_at(hi) == 0:
-        hi += 1
-
-    intervals: list[tuple[Fraction, Fraction]] = []
-
-    def split(a: Fraction, b: Fraction, va: int, vb: int) -> None:
-        count = va - vb
-        if count == 0:
-            return
+    # the Cauchy bound B = 1 + max |c_i / c_0|: every real root lies
+    # strictly inside (-B, B), so neither endpoint is a root
+    lc = abs(cs[0])
+    b = lc + max(abs(c) for c in cs[1:])
+    intervals: list[RootInterval] = []
+    todo = [(-b, b, lc, sign_variations(chain, -b, lc), sign_variations(chain, b, lc))]
+    while todo:  # left halves first, so the intervals come out ascending
+        lo, hi, d, vlo, vhi = todo.pop()
+        count = vlo - vhi
         if count == 1:
-            intervals.append((a, b))
-            return
-        m = _nonroot_point(p, a, b)
-        vm = sign_variations(chain, m)
-        split(a, m, va, vm)
-        split(m, b, vm, vb)
-
-    split(lo, hi, sign_variations(chain, lo), sign_variations(chain, hi))
-    intervals.sort(key=lambda ab: ab[0])
-    return [RootInterval(p, a, b, i) for i, (a, b) in enumerate(intervals)]
+            intervals.append(RootInterval(p, ScaledInterval(lo, hi, d), len(intervals)))
+        elif count > 1:
+            m, e = _nonroot_point(p, lo, hi, d)
+            k = e // d
+            vm = sign_variations(chain, m, e)
+            todo.append((m, hi * k, e, vm, vhi))
+            todo.append((lo * k, m, e, vlo, vm))
+    return intervals
 
 
 def refine_root(r: RootInterval, width: Fraction) -> RootInterval:
@@ -368,17 +352,17 @@ def refine_root(r: RootInterval, width: Fraction) -> RootInterval:
     lo, hi, d = r.scaled
     slo = p.sign_num(lo, d)
     if slo == 0:
-        return RootInterval(p, r.low, r.low, r.index)
+        return RootInterval(p, ScaledInterval(lo, lo, d), r.index)
     if p.sign_num(hi, d) == 0:
-        return RootInterval(p, r.high, r.high, r.index)
+        return RootInterval(p, ScaledInterval(hi, hi, d), r.index)
     wn, wd = width.numerator, width.denominator
     while (hi - lo) * wd > wn * d:
         m, d = lo + hi, 2 * d  # the midpoint m/d
         sm = p.sign_num(m, d)
         if sm == 0:
-            return RootInterval(p, Fraction(m, d), Fraction(m, d), r.index)
+            return RootInterval(p, ScaledInterval(m, m, d), r.index)
         if sm == slo:
             lo, hi = m, 2 * hi
         else:
             lo, hi = 2 * lo, m
-    return RootInterval(p, Fraction(lo, d), Fraction(hi, d), r.index)
+    return RootInterval(p, ScaledInterval(lo, hi, d), r.index)

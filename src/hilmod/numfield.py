@@ -272,7 +272,7 @@ class NumberField:
 
     def embedding(self, i: int, width: Optional[Fraction] = None) -> RootInterval:
         r = self._embeddings[i]
-        if width is not None and not r.scaled.width_at_most(width):
+        if width is not None:
             r = self._embeddings[i] = refine_root(r, width)
         return r
 
@@ -326,8 +326,9 @@ def _integer_roots(roots: Sequence[RootInterval]) -> list[int]:
     """The integer roots among ``_narrow_roots`` output, ascending; each
     interval holds at most one integer.  For a monic integer polynomial
     these are all of its rational roots."""
-    return [m for r in roots for m in range(math.ceil(r.low), math.floor(r.high) + 1)
-            if r.polynomial.sign_at(m) == 0]
+    return [m for r in roots for m in range(-(-r.scaled.lo // r.scaled.den),
+                                             r.scaled.hi // r.scaled.den + 1)
+            if r.polynomial.sign_num(m, 1) == 0]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Fraction references for the tests: polynomial ring operations and
 Euclidean division (``RefPoly``), the Fraction Sturm chain with the root
-isolation built on it, and Gauss-Jordan matrix inversion.
+isolation built on it (Cauchy bound, split points and signs in
+Fractions), Gauss-Jordan matrix inversion, and builders of the integer
+intervals from Fraction endpoints (``scaled_of``, ``root_interval``).
 
 The library computes all of these on integers (pseudo-remainders, exact
 division by a monic divisor, the fraction-free solver); these are the
@@ -9,10 +11,11 @@ plain Fraction forms it must agree with, and builders for test inputs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from hilmod.exactnum import NotSquarefree, Poly, RootInterval, _nonroot_point
+from hilmod.exactnum import NotSquarefree, Poly, RootInterval, ScaledInterval
 
 
 class RefPoly(Poly):
@@ -162,13 +165,49 @@ class RefPoly(Poly):
         return sgn * self.resultant(self.derivative()) / self.leading
 
 
+def scaled_of(lo: Fraction, hi: Fraction) -> ScaledInterval:
+    """[lo, hi] over the lcm of the two denominators."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    d = math.lcm(lo.denominator, hi.denominator)
+    return ScaledInterval(lo.numerator * (d // lo.denominator),
+                          hi.numerator * (d // hi.denominator), d)
+
+
+def root_interval(p: Poly, lo: Fraction, hi: Fraction, index: int) -> RootInterval:
+    return RootInterval(p, scaled_of(lo, hi), index)
+
+
+def ref_sign(p: Poly, x: Fraction) -> int:
+    v = RefPoly(p.coeffs)(x)
+    return (v > 0) - (v < 0)
+
+
+def ref_cauchy_bound(p: Poly) -> Fraction:
+    """1 + max |a_i / a_n|; every real root lies strictly inside (-B, B)."""
+    lc = p.leading
+    return 1 + max((abs(c / lc) for c in p.coeffs[:-1]), default=Fraction(0))
+
+
+REF_SPLITS = ((1, 2), (1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (4, 5),
+              (1, 7), (2, 7), (3, 7), (4, 7), (5, 7), (6, 7))
+
+
+def ref_nonroot_point(p: Poly, a: Fraction, b: Fraction) -> Fraction:
+    """Point in (a, b) that is not a root of p; tries the midpoint first."""
+    for num, den in REF_SPLITS:
+        m = a + (b - a) * Fraction(num, den)
+        if ref_sign(p, m) != 0:
+            return m
+    raise RuntimeError("could not find a non-root sample point")
+
+
 def ref_sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = [s for s in (p.sign_at(x) for p in chain) if s != 0]
+    signs = [s for s in (ref_sign(p, x) for p in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def ref_isolate_real_roots(p: Poly) -> list[RootInterval]:
-    """``isolate_real_roots`` on the Fraction Sturm chain."""
+    """``isolate_real_roots`` on the Fraction Sturm chain, recursively."""
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     chain = RefPoly(p.coeffs).sturm_chain()
@@ -177,11 +216,11 @@ def ref_isolate_real_roots(p: Poly) -> list[RootInterval]:
     if p.degree == 0:
         return []
 
-    bound = p.cauchy_bound()
+    bound = ref_cauchy_bound(p)
     lo, hi = -bound, bound
-    while p.sign_at(lo) == 0:
+    while ref_sign(p, lo) == 0:
         lo -= 1
-    while p.sign_at(hi) == 0:
+    while ref_sign(p, hi) == 0:
         hi += 1
 
     intervals: list[tuple[Fraction, Fraction]] = []
@@ -193,14 +232,14 @@ def ref_isolate_real_roots(p: Poly) -> list[RootInterval]:
         if count == 1:
             intervals.append((a, b))
             return
-        m = _nonroot_point(p, a, b)
+        m = ref_nonroot_point(p, a, b)
         vm = ref_sign_variations(chain, m)
         split(a, m, va, vm)
         split(m, b, vm, vb)
 
     split(lo, hi, ref_sign_variations(chain, lo), ref_sign_variations(chain, hi))
     intervals.sort(key=lambda ab: ab[0])
-    return [RootInterval(p, a, b, i) for i, (a, b) in enumerate(intervals)]
+    return [root_interval(p, a, b, i) for i, (a, b) in enumerate(intervals)]
 
 
 def mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:

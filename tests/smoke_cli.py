@@ -3,9 +3,10 @@
     python tests/smoke_cli.py
 
 Runs ``python -m hilmod.cli`` with this interpreter on the golden cases
-(six goldens, and ``field-info`` and ``torsion-search --max-order 18``
-on three fields and on ``sqrt2_power_basis.json``, Q(sqrt 2) with its
-power basis given explicitly, against the Q(sqrt 2) goldens) and
+(six goldens, ``field-info`` on the sextic ``ct13.json``, and
+``field-info`` and ``torsion-search --max-order 18`` on three fields and
+on ``sqrt2_power_basis.json``, Q(sqrt 2) with its power basis given
+explicitly, against the Q(sqrt 2) goldens) and
 compares stdout byte for byte with ``tests/golden`` and the exit code
 with the one the case expects.  The mixed-element ``normalizer`` case runs
 at ``--height 1000000``: a mixed element provably has no inverting
@@ -42,7 +43,7 @@ CASES = [  # (golden, argv, expected exit code)
      ["wh-decomp", "--census", DATA / "census_full100.json", "--sl"], 0),
 ] + [
     (f"field_info_{name}.json", ["field-info", "--field", DATA / f"{name}.json"], 0)
-    for name in ("sqrt2", "sqrt5", "cubic")
+    for name in ("sqrt2", "sqrt5", "cubic", "ct13")
 ] + [
     (f"torsion_search_{name}_18.json",
      ["torsion-search", "--field", DATA / f"{name}.json", "--max-order", "18"], 0)

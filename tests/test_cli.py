@@ -243,6 +243,8 @@ def test_exit_code_not_sl2(capsys):
 @pytest.mark.parametrize("argv", [
     ["field-info", "--field", SQRT5],  # fits the stdout buffer: fails at the flush
     ["wh-decomp", "--census", str(DATA / "census_full100.json"), "--sl"],  # fails in print
+    ["--help"],  # argparse writes the help, then raises SystemExit
+    ["wh-decomp", "--help"],
 ])
 def test_closed_stdout_exits_141_quietly(argv):
     read_end, write_end = os.pipe()
@@ -254,8 +256,7 @@ def test_closed_stdout_exits_141_quietly(argv):
                               env={**env, "PYTHONPATH": SRC})
     finally:
         os.close(write_end)
-    assert proc.returncode == 141
-    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.returncode == 141 and proc.stderr == ""
 
 
 def test_exit_code_inconclusive(capsys):
@@ -333,6 +334,32 @@ def test_normalizer_negative_height(capsys):
     assert code == 2 and out == "" and err.startswith("error:") and "height" in err
 
 
+def _at_most_sqrt2(x: Fraction) -> bool:
+    return x <= 0 or x * x <= 2
+
+
+def _at_least_sqrt2(x: Fraction) -> bool:
+    return x >= 0 and x * x >= 2
+
+
+@pytest.mark.parametrize("e", [200, 400])
+def test_field_info_roots_far_from_zero(tmp_path, e):
+    """(x - N)^2 - 2 with N = 10^e: the roots N -+ sqrt2 sit about N from 0
+    in a Cauchy interval about N^2 wide, so isolating them takes more than
+    1000 nested splits (about 1330 at e = 200)."""
+    n = 10 ** e
+    spec = tmp_path / "far.json"
+    spec.write_text(json.dumps({"min_poly": [str(n * n - 2), str(-2 * n), "1"]}))
+    proc = subprocess.run([sys.executable, "-m", "hilmod.cli", "field-info", "--field", str(spec)],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-300:]
+    (a, b), (c, d) = [[Fraction(x) for x in pair] for pair in json.loads(proc.stdout)["embeddings"]]
+    # a <= N - sqrt2 <= b and c <= N + sqrt2 <= d, decided on rationals
+    assert _at_most_sqrt2(n - b) and _at_least_sqrt2(n - a)
+    assert _at_most_sqrt2(c - n) and _at_least_sqrt2(d - n)
+
+
 def test_large_generator_power():
     """g^100000 over Q(sqrt2) is 2^50000: parsed at once, not in SL_2 (exit 3)."""
     proc = subprocess.run([sys.executable, "-m", "hilmod.cli", "classify", "--field", SQRT2,
@@ -380,7 +407,7 @@ def test_smoke_script():
     proc = subprocess.run([sys.executable, str(Path(__file__).parent / "smoke_cli.py")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout
-    assert proc.stdout.endswith("14/14 cases match\n")
+    assert proc.stdout.endswith("15/15 cases match\n")
 
 
 def test_torsion_search(capsys):

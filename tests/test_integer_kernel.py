@@ -15,11 +15,12 @@ from math import isqrt
 
 import pytest
 
-from hilmod.exactnum import (Poly, RootInterval, ScaledInterval, horner_scaled,
+from hilmod.exactnum import (Poly, RootInterval, ScaledInterval, _nonroot_point, horner_scaled,
                              isolate_real_roots, refine_root)
 from hilmod.modgrp import cos_trace_min_poly, cyclotomic, torsion_orders
 from hilmod.numfield import NumberField, _balanced_assignments, contains_root_of, has_square_root
-from refpoly import RefPoly, mat_inverse
+from refpoly import (REF_SPLITS, RefPoly, mat_inverse, ref_isolate_real_roots,
+                     ref_nonroot_point, root_interval, scaled_of)
 
 
 def _sign(x: Fraction) -> int:
@@ -37,19 +38,19 @@ def ref_refine_root(r: RootInterval, width: Fraction) -> RootInterval:
     lo, hi = r.low, r.high
     slo = _sign(p(lo))
     if slo == 0:
-        return RootInterval(p, lo, lo, r.index)
+        return root_interval(p, lo, lo, r.index)
     if p(hi) == 0:
-        return RootInterval(p, hi, hi, r.index)
+        return root_interval(p, hi, hi, r.index)
     while hi - lo > width:
         m = (lo + hi) / 2
         sm = _sign(p(m))
         if sm == 0:
-            return RootInterval(p, m, m, r.index)
+            return root_interval(p, m, m, r.index)
         if sm == slo:
             lo = m
         else:
             hi = m
-    return RootInterval(p, lo, hi, r.index)
+    return root_interval(p, lo, hi, r.index)
 
 
 def ref_eval_interval(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -263,7 +264,7 @@ def test_refine_root_non_dyadic_intervals():
         if not p.is_squarefree():
             continue
         lo, hi = _bracket(rng, p)
-        r = RootInterval(p, lo, hi, 0)
+        r = root_interval(p, lo, hi, 0)
         for width in (Fraction(1, 2), Fraction(1, 3 * 10 ** 4), Fraction(2, 7 ** 30)):
             assert _same(refine_root(r, width), ref_refine_root(r, width))
         checked += 1
@@ -293,15 +294,15 @@ def test_refine_root_exact_midpoint_hits():
         t = rng.randint(1, 12)
         root = lo + (hi - lo) * Fraction(2 * rng.randint(0, 2 ** (t - 1) - 1) + 1, 2 ** t)
         p = RefPoly([-root.numerator, root.denominator]) * RefPoly([1, 0, 1])
-        r = RootInterval(p, lo, hi, 0)
+        r = root_interval(p, lo, hi, 0)
         got, want = refine_root(r, Fraction(1, 10 ** 6)), ref_refine_root(r, Fraction(1, 10 ** 6))
         assert _same(got, want)
         hits += got.low == got.high
     assert hits == 150
     # a root at an endpoint is returned at once
     p = Poly([-1, 3])
-    for r in (RootInterval(p, Fraction(1, 3), Fraction(2, 5), 0),
-              RootInterval(p, Fraction(-1, 5), Fraction(1, 3), 0)):
+    for r in (root_interval(p, Fraction(1, 3), Fraction(2, 5), 0),
+              root_interval(p, Fraction(-1, 5), Fraction(1, 3), 0)):
         assert _same(refine_root(r, Fraction(1, 100)), ref_refine_root(r, Fraction(1, 100)))
 
 
@@ -313,15 +314,41 @@ def test_refine_root_negative_and_straddling():
             continue
         for r in isolate_real_roots(p):
             for lo, hi in ((r.low, r.high), (r.low - Fraction(1, 3), r.high + Fraction(2, 5))):
-                s = RootInterval(p, lo, hi, r.index)
+                s = root_interval(p, lo, hi, r.index)
                 width = Fraction(1, rng.choice((3, 5, 7)) ** rng.randint(1, 25))
                 assert _same(refine_root(s, width), ref_refine_root(s, width))
     # a negative interval and one straddling 0
     p = Poly([-2, 0, 1])
     for lo, hi in ((Fraction(-8, 5), Fraction(-4, 3)), (Fraction(-1, 3), Fraction(8, 5))):
         q = p if lo < -1 else Poly([-1, 5])
-        r = RootInterval(q, lo, hi, 0)
+        r = root_interval(q, lo, hi, 0)
         assert _same(refine_root(r, Fraction(1, 10 ** 9)), ref_refine_root(r, Fraction(1, 10 ** 9)))
+
+
+def test_nonroot_point_fallbacks_match_reference():
+    """p vanishes at the first k split points of (a/d, b/d), so the integer
+    _nonroot_point must return the (k+1)-th, as the Fraction reference
+    does; isolation on the same p must give the reference intervals."""
+    rng = random.Random(28)
+    leads = (1, -1, 2, -3, Fraction(1, 7), Fraction(-5, 3))
+    for k in range(7):
+        for _ in range(12):
+            d = rng.choice((1, 2, 3, 4, 6, 7, 10))
+            a = rng.randint(-30, 30)
+            b = a + rng.randint(1, 25)
+            lo, hi = Fraction(a, d), Fraction(b, d)
+            p = RefPoly([rng.choice(leads)])
+            for num, den in REF_SPLITS[:k]:
+                root = lo + (hi - lo) * Fraction(num, den)
+                p = p * RefPoly([-root.numerator, root.denominator])
+            t = rng.randint(-3, 3)
+            p = p * RefPoly([t * t + rng.randint(1, 4), 2 * t, 1])  # (x + t)^2 + s, s > 0
+            u, v = _nonroot_point(p, a, b, d)
+            num, den = REF_SPLITS[k]
+            assert v % d == 0
+            assert Fraction(u, v) == ref_nonroot_point(p, lo, hi) == lo + (hi - lo) * Fraction(num, den)
+            assert [(r.low, r.high, r.index) for r in isolate_real_roots(p)] == \
+                [(r.low, r.high, r.index) for r in ref_isolate_real_roots(p)], p
 
 
 def test_eval_interval_matches_fraction_horner():
@@ -340,7 +367,7 @@ def test_eval_interval_matches_fraction_horner():
         elif kind == 2:
             b = a  # degenerate
         lcm, cs = p.integer_coeffs
-        assert horner_scaled(cs, lcm, ScaledInterval.of(a, b)).fractions() \
+        assert horner_scaled(cs, lcm, scaled_of(a, b)).fractions() \
             == ref_eval_interval(p, a, b)
 
 
@@ -462,7 +489,7 @@ def test_scaled_division_matches_fraction_intervals():
     for _ in range(300):
         (a, b), (c, d) = interval(), interval(nonzero=True)
         quotients = (a / c, a / d, b / c, b / d)
-        got = ScaledInterval.of(a, b).divided_by(ScaledInterval.of(c, d))
+        got = scaled_of(a, b).divided_by(scaled_of(c, d))
         assert got.fractions() == (min(quotients), max(quotients))
     with pytest.raises(ZeroDivisionError):
         ScaledInterval(1, 2, 1).divided_by(ScaledInterval(0, 3, 2))

@@ -481,7 +481,7 @@ def ref_embed_sign(x, i: int) -> int:
         if hi < 0:
             return -1
         if r.low == r.high:
-            return 1 if q.sign_at(r.low) > 0 else -1
+            return 1 if q.sign_num(r.scaled.lo, r.scaled.den) > 0 else -1
         r = x.field.embedding(i, r.width / 4)
 
 
