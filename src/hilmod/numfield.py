@@ -1,20 +1,21 @@
 """Totally real number fields with certified real embeddings.
 
 A field is presented by a monic integer minimal polynomial plus an
-integral basis given in the power basis of the defining root.  Elements
-are exact coordinate vectors in the integral basis.  There is one
-change-of-basis path, on integers (Cohen, GTM 138, ch. 4): the field
-stores the basis matrix and its inverse, an integer adjugate from the
-fraction-free solver ``int_det_solve``, each as a sparse integer matrix
-over one denominator, the power basis as the identity over 1.  Power
-coordinates, ``from_power`` and the multiplication table T with omega_i *
-omega_j = sum_k T_ijk omega_k are integer products with them.  Products,
-trace, norm and inverse are integer sums over T.  Every T_ijk must be an
-integer, which certifies that the basis spans an order; a basis that
-does not, or a singular one, is rejected with ValueError.  A rational
-root of the minimal polynomial is always rejected, which settles
+integral basis given in the power basis of the defining root.  An element
+is stored as integer coordinates in the integral basis over one positive
+denominator, in lowest terms.  There is one change-of-basis path, on
+integers (Cohen, GTM 138, ch. 4): the field stores the basis matrix and
+its inverse, an integer adjugate from the fraction-free solver
+``int_det_solve``, each as a sparse integer matrix over one denominator,
+the power basis as the identity over 1.  Power coordinates, ``from_power``
+and the multiplication table T with omega_i * omega_j = sum_k T_ijk
+omega_k are integer products with them.  Products, trace, norm and
+inverse are integer sums over T, sums one pass over the numerators.  Every
+T_ijk must be an integer, which certifies that the basis spans an order;
+a basis that does not, or a singular one, is rejected with ValueError.  A
+rational root of the minimal polynomial is always rejected, which settles
 irreducibility up to degree 3; above that it is a caller contract, and
-``inverse`` raises ReducibleDetected on a zero divisor.
+``inverse`` and ``embed_sign`` raise ReducibleDetected on a zero divisor.
 
 Sign decisions at an embedding evaluate the integer power coordinates by
 interval Horner (``exactnum.horner_scaled``) over the refined root, so
@@ -245,10 +246,10 @@ class NumberField:
     # -- elements -------------------------------------------------------
 
     def element(self, coords: Sequence) -> "FieldElement":
-        cs = tuple(Fraction(c) for c in coords)
+        cs = [Fraction(c) for c in coords]
         if len(cs) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(cs)}")
-        return FieldElement(self, cs)
+        return _element(self, *_integer_coords(cs))
 
     def from_power(self, power: Sequence, den: int = 1) -> "FieldElement":
         """The element sum power_l theta^l / den, for rationals power_l
@@ -256,14 +257,13 @@ class NumberField:
         v, d = _integer_coords(power)
         v = divide_monic(v + [0] * self.degree, [int(c) for c in self.min_poly.coeffs])[1]
         inv, den_inv = self._basis_inv
-        den *= d * den_inv
-        return FieldElement(self, tuple(Fraction(c, den) for c in _vec_mat(v, inv, self.degree)))
+        return _element(self, _vec_mat(v, inv, self.degree), den * d * den_inv)
 
     def zero(self) -> "FieldElement":
-        return self.element([0] * self.degree)
+        return _element(self, [0] * self.degree, 1)
 
     def one(self) -> "FieldElement":
-        return self.element([1] + [0] * (self.degree - 1))
+        return _element(self, [1] + [0] * (self.degree - 1), 1)
 
     def generator(self) -> "FieldElement":
         return self.from_power([0, 1])
@@ -331,12 +331,27 @@ def _integer_roots(roots: Sequence[RootInterval]) -> list[int]:
             if r.polynomial.sign_num(m, 1) == 0]
 
 
+def _element(field: NumberField, num: Sequence[int], den: int) -> "FieldElement":
+    """The element sum num_i omega_i / den, den != 0, in canonical form."""
+    g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+    if g != 1:
+        num, den = [a // g for a in num], den // g
+    return FieldElement(field, tuple(num), den)
+
+
 @dataclass(frozen=True)
 class FieldElement:
-    """An element of a NumberField; coords are in the integral basis."""
+    """An element of a NumberField with integral-basis coordinates num_i / den
+    in canonical form (Cohen, GTM 138, 4.2.1), built by ``_element``: den > 0,
+    gcd(den, *num) = 1, zero as 0 / 1.  Equality compares (field, num, den)."""
 
     field: NumberField
-    coords: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def _same_field(self, other: "FieldElement") -> None:
         if self.field is not other.field:
@@ -346,9 +361,8 @@ class FieldElement:
 
     def _power_ints(self) -> tuple[list[int], int]:
         """(p, d) with p / d the power-basis coordinates, leading first."""
-        a, d = _integer_coords(self.coords)
         rows, den = self.field._basis
-        return _vec_mat(a, rows, self.field.degree)[::-1], d * den
+        return _vec_mat(self.num, rows, self.field.degree)[::-1], self.den * den
 
     def power_coords(self) -> list[Fraction]:
         p, d = self._power_ints()
@@ -358,60 +372,55 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._same_field(other)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d, e = self.den, other.den
+        return _element(self.field, [a * e + b * d for a, b in zip(self.num, other.num)], d * e)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._same_field(other)
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        d, e = self.den, other.den
+        return _element(self.field, [a * e - b * d for a, b in zip(self.num, other.num)], d * e)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other) -> "FieldElement":
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, tuple(a * other for a in self.coords))
+            p = other.numerator
+            return _element(self.field, [a * p for a in self.num], self.den * other.denominator)
         self._same_field(other)
-        a, da = _integer_coords(self.coords)
-        b, db = _integer_coords(other.coords)
-        acc = [0] * len(a)
-        for ai, row in zip(a, self.field._table):
+        acc = [0] * len(self.num)
+        for ai, row in zip(self.num, self.field._table):
             if ai:
-                for bj, entries in zip(b, row):
+                for bj, entries in zip(other.num, row):
                     if bj:
                         c = ai * bj
                         for k, t in entries:
                             acc[k] += c * t
-        den = da * db
-        if den == 1:
-            return FieldElement(self.field, tuple(Fraction(c) for c in acc))
-        return FieldElement(self.field, tuple(Fraction(c, den) for c in acc))
+        return _element(self.field, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def _mult_rows(self) -> tuple[list[list[int]], int]:
-        """(M, d): self * omega_j = sum_k M[j][k] / d * omega_k, i.e. d times
-        the matrix of multiplication by self, with M = sum_i a_i T_i.. for
-        the integer coordinates a = d * coords."""
-        a, d = _integer_coords(self.coords)
+    def _mult_rows(self) -> list[list[int]]:
+        """M with self * omega_j = sum_k M[j][k] / den * omega_k, i.e. den
+        times the matrix of multiplication by self: M = sum_i num_i T_i.."""
         n = self.field.degree
         m = [[0] * n for _ in range(n)]
-        for ai, row in zip(a, self.field._table):
+        for ai, row in zip(self.num, self.field._table):
             if ai:
                 for mj, entries in zip(m, row):
                     for k, t in entries:
                         mj[k] += ai * t
-        return m, d
+        return m
 
     def inverse(self) -> "FieldElement":
         if self.is_zero:
             raise DivisionByZero("cannot invert zero")
-        # y = sum_j y_j omega_j with self * y = 1 solves M^T y = d e_0
-        m, d = self._mult_rows()
-        n = self.field.degree
-        det, y = int_det_solve(list(zip(*m)), [[d]] + [[0]] * (n - 1))
+        # y = sum_j y_j omega_j with self * y = 1 solves M^T y = den e_0
+        m = self._mult_rows()
+        det, y = int_det_solve(list(zip(*m)), [[self.den]] + [[0]] * (len(m) - 1))
         if det == 0:
             raise ReducibleDetected("zero divisor: the minimal polynomial is reducible")
-        return FieldElement(self.field, tuple(Fraction(c, det) for c, in y))
+        return _element(self.field, [c for c, in y], det)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -428,20 +437,13 @@ class FieldElement:
                 base = base * base
         return acc
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElement) and self.field is other.field
-                and self.coords == other.coords)
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.coords))
-
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_integral(self) -> bool:
         """True iff all integral-basis coordinates are integers."""
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def height(self) -> int:
         """Max absolute numerator over the integral-basis coordinates."""
@@ -450,18 +452,18 @@ class FieldElement:
     # -- embeddings -----------------------------------------------------
 
     def embed_sign(self, i: int) -> Sign:
-        """Exact sign of the i-th real embedding."""
+        """Exact sign of the i-th real embedding; a zero divisor raises."""
         if self.is_zero:
             return 0
         cs = self._power_ints()[0]
         r = self.field.embedding(i)
-        while True:  # only an inexact r can give an enclosure around sigma_i(x) != 0
-            lo, hi, _ = horner_scaled(cs, 1, r.scaled)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+        lo, hi, _ = horner_scaled(cs, 1, r.scaled)
+        if lo <= 0 <= hi and self.norm() == 0:  # x != 0 is then a zero divisor
+            raise ReducibleDetected("zero divisor: the minimal polynomial is reducible")
+        while lo <= 0 <= hi:  # sigma_i(x) != 0, so refining decides it
             r = self.field.embedding(i, r.width / 4)
+            lo, hi, _ = horner_scaled(cs, 1, r.scaled)
+        return 1 if lo > 0 else -1
 
     def embed_scaled(self, i: int, width: Fraction) -> ScaledInterval:
         """Enclosure of sigma_i(x) of width <= ``width``, over one
@@ -477,12 +479,12 @@ class FieldElement:
     # -- trace and norm -------------------------------------------------
 
     def trace(self) -> Fraction:
-        m, d = self._mult_rows()
-        return Fraction(sum(m[j][j] for j in range(len(m))), d)
+        m = self._mult_rows()
+        return Fraction(sum(m[j][j] for j in range(len(m))), self.den)
 
     def norm(self) -> Fraction:
-        m, d = self._mult_rows()
-        return Fraction(int_det_solve(m, [()] * len(m))[0], d ** len(m))
+        m = self._mult_rows()
+        return Fraction(int_det_solve(m, [()] * len(m))[0], self.den ** len(m))
 
     # -- serialization --------------------------------------------------
 

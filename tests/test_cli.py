@@ -370,6 +370,20 @@ def test_large_generator_power():
     assert proc.stderr.startswith("error:")
 
 
+def test_zero_divisor_sign_exits_2(tmp_path):
+    """(x^2 - 2)(x^2 - 3) loads, and theta^2 - 3 embeds to exactly 0 at
+    theta = -sqrt3, where refining the root never decides its sign: the CLI
+    reports the zero divisor at once."""
+    spec = tmp_path / "quartic.json"
+    spec.write_text('{"min_poly": ["6", "0", "-5", "0", "1"]}')
+    proc = subprocess.run([sys.executable, "-m", "hilmod.cli", "classify", "--field", str(spec),
+                           "--matrix", "g^2-3;1;-1;0"],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: zero divisor: the minimal polynomial is reducible\n"
+
+
 def test_parse_element_large_powers(sqrt2, sqrt5, cubic7):
     # square-and-multiply against repeated multiplication by the generator
     for field in (sqrt2, sqrt5, cubic7):

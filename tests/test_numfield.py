@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -25,6 +26,8 @@ from hilmod.numfield import (
     has_square_root,
 )
 from refpoly import RefPoly, mat_inverse
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_field_construction(sqrt2):
@@ -540,3 +543,74 @@ def test_change_of_basis_does_no_fraction_arithmetic(monkeypatch):
         for i in range(field.degree):
             assert x.embed_sign(i) in (-1, 1)
             assert x.embed_scaled(i, Fraction(1, 100)).den > 0
+
+
+# -- the canonical element representation -------------------------------
+
+
+def _assert_canonical(x) -> None:
+    """num / den with den > 0 and gcd(den, *num) = 1, so zero is 0 / 1."""
+    assert type(x.num) is tuple and all(type(a) is int for a in x.num), x
+    assert type(x.den) is int and x.den > 0 and math.gcd(x.den, *x.num) == 1, x
+
+
+def test_elements_are_canonical(monkeypatch, sqrt2, sqrt5, cubic7):
+    ct13 = NumberField.from_json(json.loads((DATA / "ct13.json").read_text()))
+    rng = random.Random(13)
+    samples = []
+    for field in (sqrt2, sqrt5, cubic7, ct13):
+        n = field.degree
+
+        def rationals(k):
+            return [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6))) for _ in range(k)]
+
+        for _ in range(12):
+            cx, cy, power = rationals(n), rationals(n), rationals(rng.randint(0, 2 * n))
+            x, y = field.element(cx), field.element(cy)
+            k, s = rng.randint(-6, 6), Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            ints = [c.numerator for c in cx]
+            cases = [  # (result, its coordinates computed on Fractions)
+                (x, tuple(cx)),
+                (field.element(ints), tuple(map(Fraction, ints))),
+                (x + y, tuple(a + b for a, b in zip(cx, cy))),
+                (x - y, tuple(a - b for a, b in zip(cx, cy))),
+                (x - x, (Fraction(0),) * n),
+                (-x, tuple(-a for a in cx)),
+                (x * y, _ref_mul(x, y).coords),
+                (x * k, tuple(a * k for a in cx)),
+                (x * s, tuple(a * s for a in cx)),
+                (s * x, tuple(a * s for a in cx)),
+                (field.from_power(power), ref_from_power(field, power).coords),
+            ]
+            if not x.is_zero:
+                cases.append((x.inverse(), _ref_inverse(x).coords))
+            for z, want in cases:
+                _assert_canonical(z)
+                assert z.coords == want
+            same = [  # equal values along different paths
+                ((x + y) - y, x),
+                (x * (x + y), x * x + x * y),
+                (x * 6 * Fraction(1, 6), x),
+                (field.element(x.coords), x),
+                (field.from_power(x.power_coords()), x),
+                (x - x, field.zero()),
+                (x * 0, field.zero()),
+            ]
+            if not y.is_zero:
+                same.append(((x * y) / y, x))
+            for a, b in same:
+                assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+            samples.append((x, y))
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    for op in ("add", "sub", "mul", "truediv"):
+        monkeypatch.setattr(Fraction, f"__{op}__", forbidden)
+        monkeypatch.setattr(Fraction, f"__r{op}__", forbidden)
+    for x, y in samples:  # each of these raises on a Fraction operation
+        x.trace(), x.norm()
+        for z in [x + y, x - y, x * y, x * 3, x * Fraction(2, 3)]:
+            _assert_canonical(z)
+        if not x.is_zero:
+            _assert_canonical(x.inverse())
