@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .classify import classification_json, default_order_bound
+from .exactnum import require_json
 from .modgrp import Mat2, NotUnimodular, psl_normalize, torsion_orders
 from .normalizer import normalizer_json
 from .numfield import FieldElement, NumberField
@@ -69,6 +70,40 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-string limit, or its default of 4300 digits
+    when the limit is off (0) or the interpreter has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def _too_large(x: FieldElement, digits: int) -> bool:
+    """Whether a numerator or the denominator of x has more than ``digits``
+    decimal digits; below 3 * digits bits (2^3 < 10) no power of 10 is
+    built."""
+    big = max(x.den, *map(abs, x.num))
+    return big.bit_length() > 3 * digits and big >= 10 ** digits
+
+
+def _generator_power(field: NumberField, e: int, digits: int, pos: int) -> FieldElement:
+    """g^e by square-and-multiply in the field, about log2(e) products;
+    ParseError as soon as a product has more than ``digits`` digits
+    (``_too_large``), so the work stays bounded for any e."""
+    acc, base = field.one(), field.generator()
+    while e:
+        if e & 1:
+            acc = acc * base
+            if _too_large(acc, digits):
+                break
+        e >>= 1
+        if e:
+            base = base * base
+            if _too_large(base, digits):
+                break
+    else:
+        return acc
+    raise ParseError(f"generator power too large: computing it passes {digits} digits", pos)
+
+
 def parse_element(text: str, field: NumberField) -> FieldElement:
     """Parse "c0 + c1*g + c2*g^2 + ..." into an exact field element.
 
@@ -76,11 +111,22 @@ def parse_element(text: str, field: NumberField) -> FieldElement:
     products of the two; '*' is optional.  Powers beyond the field degree
     are reduced by square-and-multiply in the field, so a large exponent
     costs about log2(e) products.
+
+    With L the interpreter's int-string limit (``_digit_limit``), a number
+    of more than L digits, a generator power whose computation reaches a
+    coordinate of 2L digits, and a value with an integral-basis coordinate
+    of more than L digits (numerators over the common denominator, and
+    that denominator) are each rejected with ParseError.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty element literal", 0)
+    limit = _digit_limit()
+    for _, value, pos in tokens:  # only a number's text can be longer than limit
+        if len(value) > limit and max(map(len, value.split("/"))) > limit:
+            raise ParseError(f"number of more than {limit} digits", pos)
     power: dict[int, Fraction] = {}
+    where: dict[int, int] = {}  # exponent: position of its first term
     i = 0
     while i < len(tokens):
         sign = 1
@@ -112,13 +158,16 @@ def parse_element(text: str, field: NumberField) -> FieldElement:
         else:
             raise ParseError(f"unexpected {value!r}", pos)
         power[exp] = power.get(exp, Fraction(0)) + sign * coeff
+        where.setdefault(exp, pos)
         if i < len(tokens) and tokens[i][0] not in ("sign",):
             raise ParseError("terms must be separated by '+' or '-'", tokens[i][2])
     n = field.degree
     x = field.from_power([power.get(e, Fraction(0)) for e in range(n)])
     for e, c in power.items():
         if e >= n:
-            x = x + field.generator() ** e * c
+            x = x + _generator_power(field, e, 2 * limit, where[e]) * c
+    if _too_large(x, limit):
+        raise ParseError(f"value has a coordinate of more than {limit} digits", 0)
     return x
 
 
@@ -242,10 +291,13 @@ def _cmd_wh_decomp(args) -> int:
 def _cmd_ktop(args) -> int:
     field = _load_field(args.field)
     data = _load_json(args.cusp_dims) if args.cusp_dims else []
+    shape = 'a list of objects {"p": p, "r": r, "dim": d}'
     try:
-        cusp = tuple((e["p"], e["r"], e["dim"]) for e in data)
-    except (KeyError, TypeError) as exc:
-        raise CliError(EXIT_INVALID, f"bad cusp dims: {exc!r}")
+        entries = [require_json(e, dict, shape, ("p", "r", "dim"))
+                   for e in require_json(data, list, shape)]
+    except ValueError as exc:
+        raise CliError(EXIT_INVALID, f"bad cusp dims: {exc}")
+    cusp = tuple((e["p"], e["r"], e["dim"]) for e in entries)
     try:
         prof = BettiProfile(field.degree, args.class_number, cusp)
         fc = FiniteCensus.from_json(_load_json(args.finite_census)) \

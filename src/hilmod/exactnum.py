@@ -52,6 +52,23 @@ def require_ints(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def require_json(data, kind: type, shape: str, keys: Sequence[str] = ()):
+    """``data``, when it is a JSON value of ``kind`` (dict or list) that holds
+    every key of ``keys``; otherwise ValueError naming the expected
+    ``shape`` and what was found instead, or the first missing key."""
+    if not isinstance(data, kind):
+        found = _JSON_KINDS.get(type(data), type(data).__name__)
+        raise ValueError(f"expected {shape}, got {found}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"expected {shape}, missing key {key!r}")
+    return data
+
+
 class ScaledInterval(NamedTuple):
     """The closed interval [lo/den, hi/den]: integer endpoints over one
     positive denominator, not necessarily in lowest terms.  Arithmetic

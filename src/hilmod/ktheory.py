@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .exactnum import require_ints
+from .exactnum import require_ints, require_json
 
 BASE = "base"
 BASE_C2 = "base_c2"  # the group ring R[Z/2]
@@ -74,6 +74,7 @@ class Cardinal:
     @staticmethod
     def from_json(data) -> "Cardinal":
         if isinstance(data, dict):
+            require_json(data, dict, 'an object {"finite": count}', ("finite",))
             return Cardinal.finite(data["finite"])
         if data == "infinite":
             return Cardinal.infinite()
@@ -282,18 +283,29 @@ class Census:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "Census":
+    def from_json(data) -> "Census":
+        """The census of a ``to_json`` object; ValueError naming the expected
+        shape on any other input."""
+        data = require_json(data, dict, 'an object {"n": degree, "finite": [...], "p": cardinal, '
+                                        '..., "m1": [...], "m2": [...]}, only "n" required', ("n",))
+
         def card(key: str, value) -> Cardinal:
             try:
                 return Cardinal.from_json(value)
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
 
+        def listed(key: str) -> list:
+            return require_json(data.get(key, []), list, f"{key!r} as a list")
+
+        finite = [require_json(e, dict, 'each "finite" entry as an object '
+                                        '{"order": m, "count": cardinal}', ("order", "count"))
+                  for e in listed("finite")]
         return Census(
             n=data["n"],
-            finite=tuple((e["order"], card("count", e["count"])) for e in data.get("finite", [])),
-            m1=tuple(card("m1", c) for c in data.get("m1", [])),
-            m2=tuple(card("m2", c) for c in data.get("m2", [])),
+            finite=tuple((e["order"], card("count", e["count"])) for e in finite),
+            m1=tuple(card("m1", c) for c in listed("m1")),
+            m2=tuple(card("m2", c) for c in listed("m2")),
             **{k: card(k, data[k]) for k in ("p", "h1", "h2", "hp1", "hp2") if k in data},
         )
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .exactnum import Poly, divide_monic
 from .numfield import (FieldElement, NumberField, _sqrt_interval, contains_root_of,
@@ -245,19 +245,24 @@ def _enclose_quadratic_roots(qa: FieldElement, qb: FieldElement, qc: FieldElemen
 # -- torsion orders -----------------------------------------------------
 
 
-def _cyclotomic_coeffs(m: int) -> list[int]:
-    """Coefficients of Phi_m, ascending: Phi_d for each d | m in turn, as
-    x^d - 1 divided by Phi_e for the proper divisors e of d."""
+def _cyclotomic_table(orders: Iterable[int]) -> dict[int, list[int]]:
+    """Coefficients of Phi_d, ascending, for each d of ``orders`` taken in
+    ascending order, which must hold every divisor of each d: x^d - 1
+    divided by Phi_e for the proper divisors e of d, on integers."""
     phis: dict[int, list[int]] = {}
-    for d in range(1, m + 1):
-        if m % d == 0:
-            p = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-            for e, phi in phis.items():
-                if d % e == 0:
-                    p, r = divide_monic(p, phi)
-                    assert not any(r), "inexact division"
-            phis[d] = p
-    return phis[m]
+    for d in sorted(orders):
+        p = [-1] + [0] * (d - 1) + [1]  # x^d - 1
+        for e, phi in phis.items():
+            if d % e == 0:
+                p, r = divide_monic(p, phi)
+                assert not any(r), "inexact division"
+        phis[d] = p
+    return phis
+
+
+def _cyclotomic_coeffs(m: int) -> list[int]:
+    """Coefficients of Phi_m, ascending, from the table of its divisors."""
+    return _cyclotomic_table(d for d in range(1, m + 1) if m % d == 0)[m]
 
 
 def cyclotomic(m: int) -> Poly:
@@ -271,10 +276,17 @@ def cos_trace_min_poly(m: int) -> Poly:
         return Poly([-2, 1])
     if m == 2:
         return Poly([2, 1])
-    residual = _cyclotomic_coeffs(m)
+    return _cos_trace_from_cyclotomic(_cyclotomic_coeffs(m))
+
+
+def _cos_trace_from_cyclotomic(phi: Sequence[int]) -> Poly:
+    """psi with Phi_m(z) = z^s * psi(z + 1/z), for the coefficients of
+    Phi_m, m >= 3, ascending (2s = phi(m)); psi is the minimal polynomial
+    of 2*cos(2*pi/m).  ``phi`` is left as it is."""
+    residual = list(phi)
     s = (len(residual) - 1) // 2
-    # Phi_m(z) = z^s * psi(z + 1/z); peel coefficients from the top, where
-    # z^(s-j) * (z^2 + 1)^j has coefficient C(j, t) at degree s - j + 2t
+    # peel coefficients from the top, where z^(s-j) * (z^2 + 1)^j has
+    # coefficient C(j, t) at degree s - j + 2t
     coeffs = [0] * (s + 1)
     for j in range(s, -1, -1):
         c = coeffs[j] = residual[s + j]
@@ -359,7 +371,9 @@ def torsion_orders(field: NumberField, m_max: int) -> list[tuple[int, Mat2]]:
     out: list[tuple[int, Mat2]] = []
     one = Mat2.identity(field)
     # every m above default_order_bound has phi(m)/2 > n, so fails the test below
-    for m in range(1, min(m_max, default_order_bound(field.degree)) + 1):
+    top = min(m_max, default_order_bound(field.degree))
+    phis = _cyclotomic_table(range(1, top + 1))
+    for m in range(1, top + 1):
         if m == 1:
             out.append((1, one))
             continue
@@ -370,7 +384,7 @@ def torsion_orders(field: NumberField, m_max: int) -> list[tuple[int, Mat2]]:
             continue
         if field.degree % (_euler_phi(m) // 2):
             continue  # Q(2cos(2*pi/m)) has degree phi(m)/2, which must divide n
-        res = contains_root_of(field, cos_trace_min_poly(m))
+        res = contains_root_of(field, _cos_trace_from_cyclotomic(phis[m]))
         if res.value is None or not res.value.is_integral():
             continue
         t = res.value

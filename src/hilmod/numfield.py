@@ -31,6 +31,17 @@ certified.  A root of a polynomial is searched for over the balanced
 assignments of its real roots to the embeddings only: the embeddings of
 an irrational root y of degree e take each of its e conjugates exactly
 n / e times, so no other assignment can be realised.
+
+``contains_root_of`` scales p to a monic integer q and decides in three
+steps.  First a residue-field certificate (Dedekind; Cohen, GTM 138,
+6.2): for a prime p not dividing D, D = [O_k : Z[theta]]^2 d_k, so
+O_k / pO_k = F_p[x] / (min_poly mod p); a root r of min_poly mod p gives
+a ring map O_k -> F_p with theta -> r, and a root of q in k, an algebraic
+integer, maps to a root of q mod p.  So q without a root mod such a p
+has no root in k.  The primes below ``RESIDUE_PRIME_BOUND`` at which
+min_poly has a root are found once per field.  Then a rational root of
+q, then the lattice.  The certificate never fires when a root exists, so
+it changes no answer, only how soon an absence is known.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ from .exactnum import (
     rational_from_string,
     rational_to_string,
     refine_root,
+    require_json,
 )
 
 Sign = int  # -1, 0 or +1
@@ -272,13 +284,22 @@ class NumberField:
 
     def embedding(self, i: int, width: Optional[Fraction] = None) -> RootInterval:
         r = self._embeddings[i]
-        if width is not None:
+        if width is not None and not r.scaled.width_at_most(width):
             r = self._embeddings[i] = refine_root(r, width)
         return r
 
     def discriminant(self) -> int:
         """disc(min_poly) = det T > 0 for the trace form T (``_trace_form``)."""
         return self._trace_form[1]
+
+    @cached_property
+    def _residue_primes(self) -> tuple[int, ...]:
+        """The primes p < ``RESIDUE_PRIME_BOUND``, ascending, with p not
+        dividing D = disc(min_poly) and min_poly having a root mod p; each
+        gives a ring map O_k -> F_p (see the module docstring)."""
+        f = [int(c) for c in reversed(self.min_poly.coeffs)]
+        disc = self.discriminant()
+        return tuple(p for p in _SMALL_PRIMES if disc % p and _has_root_mod(f, p))
 
     @cached_property
     def _trace_form(self) -> tuple[list[list[int]], int]:
@@ -306,11 +327,18 @@ class NumberField:
         return out
 
     @staticmethod
-    def from_json(data: dict) -> "NumberField":
-        p = Poly.from_json(data["min_poly"])
+    def from_json(data) -> "NumberField":
+        """The field of a ``to_json`` object; ValueError naming the expected
+        shape on any other input."""
+        data = require_json(data, dict, 'an object {"min_poly": [...], "integral_basis": '
+                                        '[[...], ...]}, "integral_basis" optional', ("min_poly",))
+        p = Poly.from_json(require_json(data["min_poly"], list,
+                                        '"min_poly" as a list of rational strings'))
         basis = data.get("integral_basis")
         if basis is not None:
-            basis = [[rational_from_string(x) for x in row] for row in basis]
+            rows = '"integral_basis" as a list of rows of rational strings'
+            basis = [[rational_from_string(x) for x in require_json(row, list, rows)]
+                     for row in require_json(basis, list, rows)]
         return NumberField(p, basis)
 
     def __repr__(self) -> str:
@@ -320,6 +348,31 @@ class NumberField:
 def _narrow_roots(p: Poly) -> list[RootInterval]:
     """The real roots of p, ascending, isolated to width < 1."""
     return [refine_root(r, Fraction(1, 2)) for r in isolate_real_roots(p)]
+
+
+RESIDUE_PRIME_BOUND = 100
+_SMALL_PRIMES = tuple(p for p in range(2, RESIDUE_PRIME_BOUND)
+                      if all(p % k for k in range(2, isqrt(p) + 1)))
+
+
+def _has_root_mod(cs: Sequence[int], p: int) -> bool:
+    """Whether the integer polynomial with coefficients ``cs``, leading
+    first, has a root mod p."""
+    for x in range(p):
+        acc = 0
+        for c in cs:
+            acc = acc * x + c
+        if acc % p == 0:
+            return True
+    return False
+
+
+def _residue_obstruction(field: NumberField, q: Poly) -> Optional[int]:
+    """The first prime of ``field._residue_primes`` at which the monic
+    integer polynomial q has no root mod p, which certifies that q has no
+    root in k (proof in the module docstring); None if there is none."""
+    cs = [int(c) for c in reversed(q.coeffs)]
+    return next((p for p in field._residue_primes if not _has_root_mod(cs, p)), None)
 
 
 def _integer_roots(roots: Sequence[RootInterval]) -> list[int]:
@@ -601,10 +654,14 @@ def contains_root_of(field: NumberField, p: Poly) -> SearchOutcome:
     rational root, else the first root found over the assignments of real
     roots of p to the embeddings, in lexicographic order.
 
-    Every embedding of a root y in k is a real root of p; a None answer
-    certifies that k holds no root.  Only the balanced assignments
-    (``_balanced_assignments``) are tried, since an irrational y can
-    realise no other; each candidate is still verified exactly.
+    A None answer certifies that k holds no root, in this order: a prime
+    at which p, scaled to a monic integer q of degree 2 or more, has no
+    root in a residue field of degree 1 (``_residue_obstruction``, which
+    answers for a q with a repeated root too), then no rational root and
+    lattice exclusion.  Every embedding of a root y in k is a real root
+    of p; only the balanced assignments (``_balanced_assignments``) are
+    tried, since an irrational y can realise no other; each candidate is
+    still verified exactly.
     """
     if p.is_zero or not p.is_monic:
         raise ValueError("expected a monic polynomial")
@@ -612,6 +669,8 @@ def contains_root_of(field: NumberField, p: Poly) -> SearchOutcome:
     d = p.degree
     s = math.lcm(*(a.denominator for a in p.coeffs))
     q = Poly([a * s ** (d - i) for i, a in enumerate(p.coeffs)])  # roots s*y
+    if d > 1 and _residue_obstruction(field, q) is not None:
+        return SearchOutcome(None)
     roots = _narrow_roots(q)
     rational = _integer_roots(roots)
     if rational:

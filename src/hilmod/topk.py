@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .exactnum import require_ints
+from .exactnum import require_ints, require_json
 
 
 class BadProfile(ValueError):
@@ -82,8 +81,11 @@ class FiniteCensus:
         return [{"order": o, "count": c} for o, c in self.classes]
 
     @staticmethod
-    def from_json(data: Sequence[dict]) -> "FiniteCensus":
-        return FiniteCensus(tuple((e["order"], e["count"]) for e in data))
+    def from_json(data) -> "FiniteCensus":
+        shape = 'a list of objects {"order": m, "count": c}'
+        entries = [require_json(e, dict, shape, ("order", "count"))
+                   for e in require_json(data, list, shape)]
+        return FiniteCensus(tuple((e["order"], e["count"]) for e in entries))
 
 
 def betti_breakdown(q: int, prof: BettiProfile) -> dict:

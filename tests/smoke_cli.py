@@ -3,7 +3,8 @@
     python tests/smoke_cli.py
 
 Runs ``python -m hilmod.cli`` with this interpreter on the golden cases
-(six goldens, ``field-info`` on the sextic ``ct13.json``, and
+(six goldens, ``field-info`` and ``torsion-search`` at its default
+order bound on the sextic ``ct13.json``, and
 ``field-info`` and ``torsion-search --max-order 18`` on three fields and
 on ``sqrt2_power_basis.json``, Q(sqrt 2) with its power basis given
 explicitly, against the Q(sqrt 2) goldens) and
@@ -48,6 +49,8 @@ CASES = [  # (golden, argv, expected exit code)
     (f"torsion_search_{name}_18.json",
      ["torsion-search", "--field", DATA / f"{name}.json", "--max-order", "18"], 0)
     for name in ("sqrt2", "sqrt5", "cubic")
+] + [
+    ("torsion_search_ct13.json", ["torsion-search", "--field", DATA / "ct13.json"], 0),
 ] + [  # the power basis given explicitly must answer as the default basis does
     ("field_info_sqrt2.json", ["field-info", "--field", DATA / "sqrt2_power_basis.json"], 0),
     ("torsion_search_sqrt2_18.json",

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hilmod.cli import ParseError, main, parse_element, parse_matrix
+from hilmod.cli import ParseError, _digit_limit, main, parse_element, parse_matrix
 from hilmod.numfield import FieldElement
 
 DATA = Path(__file__).parent / "data"
@@ -361,13 +362,41 @@ def test_field_info_roots_far_from_zero(tmp_path, e):
 
 
 def test_large_generator_power():
-    """g^100000 over Q(sqrt2) is 2^50000: parsed at once, not in SL_2 (exit 3)."""
-    proc = subprocess.run([sys.executable, "-m", "hilmod.cli", "classify", "--field", SQRT2,
-                           "--matrix", "g^100000;0;0;1"],
-                          capture_output=True, text=True, timeout=10,
-                          env={**os.environ, "PYTHONPATH": SRC})
+    """Over Q(sqrt2), g^e is 2^(e/2).  g^20000, 3011 digits, is parsed at
+    once and is not in SL_2 (exit 3).  Under the default int-string limit
+    of 4300 digits, a literal whose value passes it exits 2 at once, in a
+    child process with a timeout: g^30000 has 4516 digits, g^100000 15052
+    (it once ran 56 s), and g^99999999999 about 1.5e10 (it once ran out of
+    memory)."""
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONINTMAXSTRDIGITS": "4300"}
+
+    def classify(matrix: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "hilmod.cli", "classify", "--field", SQRT2,
+                               "--matrix", matrix], capture_output=True, text=True, timeout=10,
+                              env=env)
+
+    proc = classify("g^20000;0;0;1")
     assert proc.returncode == 3 and proc.stdout == "", proc.stderr
     assert proc.stderr.startswith("error:")
+    for matrix in ("1+g^30000;g^30000;1;1", "1+g^100000;g^100000;1;1", "g^99999999999;0;0;1"):
+        proc = classify(matrix)
+        assert proc.returncode == 2 and proc.stdout == "", (matrix, proc.stderr)
+        assert proc.stderr.startswith("error: bad matrix literal: "), (matrix, proc.stderr)
+        assert "Exceeds the limit" not in proc.stderr
+
+
+def test_parse_element_size_limit(sqrt2):
+    """A number, a generator power or a value past the int-string limit is
+    a ParseError; a literal whose large terms cancel is not."""
+    limit = _digit_limit()
+    half = 2 * math.ceil(limit / math.log10(2))  # 2^(half/2) has over `limit` digits
+    for bad in ("1" * (limit + 1), "1/" + "3" * (limit + 1), "g^" + "9" * (limit + 1),
+                f"g^{half}", f"1+g^{half}", f"g^{4 * half}", "g^99999999999"):
+        with pytest.raises(ParseError):
+            parse_element(bad, sqrt2)
+    assert parse_element("9" * limit, sqrt2) == sqrt2.element([int("9" * limit), 0])
+    assert parse_element(f"g^{half}-g^{half}+1", sqrt2) == sqrt2.one()
+    assert parse_element(f"g^{half - 2}", sqrt2) == sqrt2.element([2 ** (half // 2 - 1), 0])
 
 
 def test_zero_divisor_sign_exits_2(tmp_path):
@@ -421,7 +450,7 @@ def test_smoke_script():
     proc = subprocess.run([sys.executable, str(Path(__file__).parent / "smoke_cli.py")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout
-    assert proc.stdout.endswith("15/15 cases match\n")
+    assert proc.stdout.endswith("16/16 cases match\n")
 
 
 def test_torsion_search(capsys):

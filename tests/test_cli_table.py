@@ -1,7 +1,9 @@
 """The CLI on tables of good and bad inputs, in-process: every case ends
 with a documented exit code (0, 2, 3 or 4) and no exception escapes
 ``main``; exit 2 comes with a stderr that starts with "error:", and exits
-0 and 4 print one JSON object unless the format is human.  The zero
+0 and 4 print one JSON object unless the format is human.  No exit-2
+message passes Python's own text for a malformed JSON input through
+(``_PYTHON_TEXT``): each names the shape it expected.  The zero
 divisor that once made ``classify`` loop is a child-process case with a
 timeout in test_cli.py."""
 
@@ -83,6 +85,9 @@ _FINITE_CENSUSES = ['[{"order": 2, "count": 1}, {"order": 3, "count": 2}]', "{",
 _CUSP_DIMS = ['[{"p": 1, "r": 1, "dim": 2}]', '[{"p": 1}]', '[{"p": 1, "r": 1, "dim": -1}]', "[1]"]
 
 
+_PYTHON_TEXT = ("NoneType", "subscriptable", "list indices", "string indices")
+
+
 def _check(capsys, argv: list[str]) -> None:
     try:
         code = main(argv)
@@ -92,6 +97,7 @@ def _check(capsys, argv: list[str]) -> None:
     assert code in (0, 2, 3, 4), (argv, code, err)
     if code == 2:
         assert out == "" and err.startswith("error:"), (argv, err)
+        assert not any(text in err for text in _PYTHON_TEXT), (argv, err)
     if code in (0, 4) and "human" not in argv:
         assert isinstance(json.loads(out), dict), argv
 
@@ -124,3 +130,21 @@ def test_ktop_inputs(capsys, tmp_path):
                    for k, t in enumerate(_CUSP_DIMS)]
     for h, fc, cd, q in itertools.product(("1", "2", "0", "-1"), finite, cusp, ("0", "2", "-1")):
         _check(capsys, ["ktop", "--field", field, "--class-number", h, "--degree", q, *fc, *cd])
+
+
+def test_malformed_json_names_expected_shape(capsys, tmp_path):
+    """null, [] and {} as a field spec or a census: exit 2 with a message
+    that names the expected object and what was found or is missing."""
+    cases = [
+        (["field-info", "--field"], "null", "got null"),
+        (["field-info", "--field"], "[]", "got a list"),
+        (["field-info", "--field"], "{}", "missing key 'min_poly'"),
+        (["wh-decomp", "--census"], "null", "got null"),
+        (["wh-decomp", "--census"], "[]", "got a list"),
+        (["wh-decomp", "--census"], "{}", "missing key 'n'"),
+    ]
+    for k, (argv, text, found) in enumerate(cases):
+        assert main(argv + [_write(tmp_path, f"spec{k}", text)]) == 2
+        err = capsys.readouterr().err
+        key = '"min_poly"' if argv[0] == "field-info" else '"n"'
+        assert "expected an object {" in err and key in err and found in err, err

@@ -4,7 +4,9 @@
 interval helpers ``_imul``/``_isum``), ``cyclotomic`` and
 ``cos_trace_min_poly`` run on integers; the references below are their
 Fraction forms.  Every endpoint, pin and return value must be the same
-rational, and so must the refinement history a field keeps.
+rational, and so must the refinement history a field keeps; so the
+reference ``contains_root_of`` has its own form of the residue-field
+certificate, which decides an absence before any embedding is refined.
 """
 
 import itertools
@@ -17,8 +19,10 @@ import pytest
 
 from hilmod.exactnum import (Poly, RootInterval, ScaledInterval, _nonroot_point, horner_scaled,
                              isolate_real_roots, refine_root)
-from hilmod.modgrp import cos_trace_min_poly, cyclotomic, torsion_orders
-from hilmod.numfield import NumberField, _balanced_assignments, contains_root_of, has_square_root
+from hilmod.modgrp import (_cos_trace_from_cyclotomic, _cyclotomic_table, cos_trace_min_poly,
+                           cyclotomic, torsion_orders)
+from hilmod.numfield import (RESIDUE_PRIME_BOUND, NumberField, _balanced_assignments,
+                             contains_root_of, has_square_root)
 from refpoly import (REF_SPLITS, RefPoly, mat_inverse, ref_isolate_real_roots,
                      ref_nonroot_point, root_interval, scaled_of)
 
@@ -175,6 +179,8 @@ class RefField:
         n, d = field.degree, p.degree
         s = math.lcm(*(a.denominator for a in p.coeffs))
         q = RefPoly([a * s ** (d - i) for i, a in enumerate(p.coeffs)])
+        if d > 1 and ref_residue_obstruction(field.min_poly, q) is not None:
+            return None
         roots = [ref_refine_root(r, Fraction(1, 2)) for r in isolate_real_roots(q)]
         rational = [m for r in roots for m in range(math.ceil(r.low), math.floor(r.high) + 1)
                     if q(m) == 0]
@@ -193,6 +199,20 @@ class RefField:
 
         y = self.lattice_root(enclose, ref_balanced_assignments(len(roots), n), is_root)
         return None if y is None else y * Fraction(1, s)
+
+
+def ref_residue_obstruction(f, q):
+    """The first prime p < RESIDUE_PRIME_BOUND with p not dividing disc(f),
+    f having a root mod p and q none, by trial division and evaluation at
+    every residue; None if there is no such p."""
+    f, q = RefPoly(f.coeffs), RefPoly(q.coeffs)
+    disc = f.discriminant()
+    for p in range(2, RESIDUE_PRIME_BOUND):
+        if any(p % k == 0 for k in range(2, p)) or disc % p == 0:
+            continue
+        if any(f(x) % p == 0 for x in range(p)) and all(q(x) % p for x in range(p)):
+            return p
+    return None
 
 
 def ref_balanced_assignments(d: int, n: int):
@@ -453,9 +473,13 @@ def test_contains_root_of_matches_reference():
 
 
 def test_cyclotomic_polynomials_match_reference():
+    table = _cyclotomic_table(range(1, 61))  # the one pass torsion_orders makes
     for m in range(1, 61):
-        assert cyclotomic(m) == ref_cyclotomic(m)
+        assert cyclotomic(m) == ref_cyclotomic(m) == Poly(table[m])
         assert cos_trace_min_poly(m) == ref_cos_trace_min_poly(m)
+        if m > 2:
+            assert _cos_trace_from_cyclotomic(table[m]) == ref_cos_trace_min_poly(m)
+            assert Poly(table[m]) == ref_cyclotomic(m)  # the table is left as it was
 
 
 def test_field_info_enclosures_after_torsion_search():

@@ -14,6 +14,7 @@ from conftest import embed_mp
 from hilmod.exactnum import NotSquarefree, Poly, ScaledInterval, divide_monic, refine_root
 from hilmod.modgrp import cos_trace_min_poly
 from hilmod.numfield import (
+    RESIDUE_PRIME_BOUND,
     NotMonic,
     NotTotallyReal,
     NumberField,
@@ -21,6 +22,7 @@ from hilmod.numfield import (
     _integer_roots,
     _lattice_root,
     _narrow_roots,
+    _residue_obstruction,
     contains_root_of,
     element_from_json,
     has_square_root,
@@ -298,6 +300,82 @@ def test_contains_root_of_input_checks(sqrt2):
         contains_root_of(sqrt2, Poly([1, 0, 2]))
     with pytest.raises(NotSquarefree):
         contains_root_of(sqrt2, Poly([1, -2, 1]))
+
+
+def test_residue_primes_match_brute_force(sqrt2, sqrt5, cubic7):
+    """A prime below the bound is kept exactly when it does not divide
+    disc(min_poly) and min_poly has a root mod p."""
+    for field in (sqrt2, sqrt5, cubic7, NumberField(cos_trace_min_poly(15))):
+        f = RefPoly(field.min_poly.coeffs)
+        disc = f.discriminant()
+        want = tuple(p for p in range(2, RESIDUE_PRIME_BOUND)
+                     if all(p % k for k in range(2, p)) and disc % p
+                     and any(f(x) % p == 0 for x in range(p)))
+        assert field._residue_primes == want and want
+
+
+def test_residue_certificate_is_sound(sqrt2, sqrt5, cubic7):
+    """Each y in O_k is a root of its characteristic polynomial, a monic
+    integer polynomial, which therefore has a root mod every prime kept."""
+    rng = random.Random(41)
+    for field in (sqrt2, sqrt5, cubic7, NumberField(cos_trace_min_poly(15))):
+        n = field.degree
+        for _ in range(30):
+            y = field.element([rng.randint(-20, 20) for _ in range(n)])
+            f = _min_poly_over_q(y)
+            char = Poly((f ** (n // f.degree)).coeffs)
+            assert _residue_obstruction(field, char) is None, (field, y)
+
+
+def test_residue_certificate_decides_absence_first(monkeypatch, sqrt5, cubic7):
+    """The absent orders of the torsion census, and 2cos(2pi/37) over
+    Q(zeta_15)^+ (18 real roots; the lattice alone took about 9 s), are
+    decided by a residue field, before any root of q is isolated: the
+    first prime kept, except for m = 12 over Q(sqrt5), where x^2 - 3 has a
+    root mod 11 and 19 decides."""
+    ct15 = NumberField(cos_trace_min_poly(15))
+
+    def fail(*args):
+        raise AssertionError("root isolation or the lattice ran")
+
+    monkeypatch.setattr("hilmod.numfield._lattice_root", fail)
+    monkeypatch.setattr("hilmod.numfield._narrow_roots", fail)
+    for field, m, k, p in ((sqrt5, 8, 0, 11), (sqrt5, 12, 1, 19), (cubic7, 9, 0, 13),
+                           (ct15, 37, 0, 29)):
+        q = cos_trace_min_poly(m)
+        assert _residue_obstruction(field, q) == field._residue_primes[k] == p
+        assert contains_root_of(field, q).value is None
+
+
+def test_residue_scan_skipped_for_linear_polynomials():
+    """A degree-1 polynomial has a rational root: no prime is scanned."""
+    field = NumberField(cos_trace_min_poly(15))
+    assert contains_root_of(field, Poly([Fraction(-3, 2), 1])).value == field.one() * Fraction(3, 2)
+    assert "_residue_primes" not in vars(field)
+    assert contains_root_of(field, cos_trace_min_poly(5)).value is not None
+    assert "_residue_primes" in vars(field)
+
+
+def test_embedding_refines_only_when_wider(monkeypatch, sqrt2):
+    """``embedding(i, width)`` calls refine_root only for an interval wider
+    than ``width``."""
+    from hilmod import numfield
+    calls = []
+
+    def counted(r, width):
+        calls.append(width)
+        return refine_root(r, width)
+
+    field = NumberField(sqrt2.min_poly)
+    monkeypatch.setattr(numfield, "refine_root", counted)
+    r = field.embedding(1, Fraction(1, 10 ** 6))
+    assert len(calls) == 1 and r.width <= Fraction(1, 10 ** 6)
+    assert field.embedding(1, Fraction(1, 10 ** 6)) is r
+    assert field.embedding(1, r.width) is r
+    assert field.embedding(1, Fraction(1)) is r
+    assert len(calls) == 1
+    field.embedding(1, r.width / 2)
+    assert len(calls) == 2
 
 
 def test_json_roundtrips(sqrt5):
