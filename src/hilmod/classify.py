@@ -8,9 +8,8 @@ the normalizer and the census slots read it rather than recompute them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .modgrp import PslElem, default_order_bound, element_order
 from .numfield import FieldElement, has_square_root
@@ -30,8 +29,7 @@ class ClassKind(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class ElementClass:
+class ElementClass(NamedTuple):
     """The classification facts of one element, computed once by
     ``classify`` and passed along."""
 

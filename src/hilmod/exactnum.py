@@ -15,12 +15,21 @@ Interval Horner evaluation of integer coefficients over a
 ``ScaledInterval`` is ``horner_scaled``.  Division by a monic integer
 polynomial is ``divide_monic``; there is no Fraction polynomial division.
 Each result is the rational that Fraction arithmetic gives.
+
+Value types across the library are immutable records of one idiom,
+``Record``: the fields are named in ``__slots__``, ``__init__`` validates
+and sets each one with ``object.__setattr__``, assignment and deletion
+raise AttributeError, and a record equals, and hashes like, a record of
+its class with equal fields.  A class on a hot path spells ``__eq__`` and
+``__hash__`` out on its fields.  ``typing.NamedTuple`` serves only plain
+records that no caller adds, multiplies, iterates or compares with a
+tuple.  No record is a dataclass, so importing the library loads neither
+``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -67,6 +76,34 @@ def require_json(data, kind: type, shape: str, keys: Sequence[str] = ()):
         if key not in data:
             raise ValueError(f"expected {shape}, missing key {key!r}")
     return data
+
+
+class Record:
+    """Base of the immutable records (see the module docstring).  Equality
+    and hashing use ``_key``, the field values in ``__slots__`` order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class ScaledInterval(NamedTuple):
@@ -164,7 +201,7 @@ def divide_monic(a: Sequence, b: Sequence[int]) -> tuple[list, list]:
     return q, rem[:d]
 
 
-class Poly:
+class Poly(Record):
     """Univariate polynomial with Fraction coefficients, ascending degree.
 
     Immutable; trailing zero coefficients are never stored, so the zero
@@ -179,9 +216,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):  # immutability guard
-        raise AttributeError("Poly is immutable")
 
     # -- basics ---------------------------------------------------------
 
@@ -284,14 +318,25 @@ def sign_variations(chain: Sequence[Sequence[int]], u: int, v: int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-@dataclass(frozen=True)
-class RootInterval:
+class RootInterval(Record):
     """An isolating interval ``scaled`` for one real root of a squarefree
     polynomial; ``index`` is the ordinal of the root in ascending order."""
 
-    polynomial: Poly
-    scaled: ScaledInterval
-    index: int
+    __slots__ = ("polynomial", "scaled", "index")
+
+    def __init__(self, polynomial: Poly, scaled: ScaledInterval, index: int):
+        object.__setattr__(self, "polynomial", polynomial)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index == other.index and self.scaled == other.scaled
+                and self.polynomial == other.polynomial)
+
+    def __hash__(self) -> int:
+        return hash((self.polynomial, self.scaled, self.index))
 
     @property
     def low(self) -> Fraction:

@@ -12,10 +12,9 @@ Nil-groups and only the diagonal survives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .exactnum import require_ints, require_json
+from .exactnum import Record, require_ints, require_json
 
 BASE = "base"
 BASE_C2 = "base_c2"  # the group ring R[Z/2]
@@ -25,12 +24,14 @@ _RING_NAMES = {BASE: "R", BASE_C2: "R[Z/2]"}
 MAX_CENSUS_DEGREE = 100  # a census of degree n has about n^2 Nil-block terms
 
 
-@dataclass(frozen=True)
-class Cardinal:
+class Cardinal(Record):
     """A multiplicity: a finite count, countably infinite, or unknown."""
 
-    kind: str  # "finite" | "infinite" | "unknown"
-    count: int = 0
+    __slots__ = ("kind", "count")
+
+    def __init__(self, kind: str, count: int = 0):
+        object.__setattr__(self, "kind", kind)  # "finite" | "infinite" | "unknown"
+        object.__setattr__(self, "count", count)
 
     @staticmethod
     def finite(k: int) -> "Cardinal":
@@ -85,8 +86,7 @@ class Cardinal:
         raise ValueError(f"bad cardinal: {data!r}")
 
 
-@dataclass(frozen=True)
-class KTerm:
+class KTerm(NamedTuple):
     """One symbolic summand.  Exactly one kind:
 
     - wh: Wh_degree of a finite maximal subgroup (order + census id kept)
@@ -190,7 +190,8 @@ class KExpression:
         out = []
         for t, m in self.terms:
             if t.degree is not None:
-                t = replace(t, degree=t.degree + delta)
+                t = KTerm(t.kind, t.degree + delta, t.ring, t.group_order, t.group_id,
+                          t.label, t.level)
             out.append((t, m))
         return KExpression(out, self.notes)
 
@@ -233,44 +234,40 @@ class KExpression:
                              Cardinal.from_json(e["multiplicity"])) for e in data])
 
 
-@dataclass(frozen=True)
-class RingProps:
+class RingProps(NamedTuple):
     regular: bool = False            # all NK groups vanish
     nk_finite_exponent: bool = False  # NK blocks collapse (up to iso) to one copy each
 
 
-@dataclass(frozen=True)
-class Census:
+_ZERO = Cardinal.finite(0)
+
+
+class Census(Record):
     """Conjugacy-class counts feeding the decomposition theorems.
 
     ``finite``: (group order, count) for maximal finite subgroup classes.
     ``m1``/``m2`` are indexed by the hyperbolic component count j = 1..n-1.
     """
 
-    n: int
-    finite: tuple[tuple[int, Cardinal], ...] = ()
-    p: Cardinal = Cardinal.finite(0)
-    h1: Cardinal = Cardinal.finite(0)
-    h2: Cardinal = Cardinal.finite(0)
-    hp1: Cardinal = Cardinal.finite(0)
-    hp2: Cardinal = Cardinal.finite(0)
-    m1: tuple[Cardinal, ...] = ()
-    m2: tuple[Cardinal, ...] = ()
+    __slots__ = ("n", "finite", "p", "h1", "h2", "hp1", "hp2", "m1", "m2")
 
-    def __post_init__(self):
-        require_ints(n=self.n)
-        for order, _ in self.finite:
+    def __init__(self, n: int, finite: Sequence[tuple[int, Cardinal]] = (),
+                 p: Cardinal = _ZERO, h1: Cardinal = _ZERO, h2: Cardinal = _ZERO,
+                 hp1: Cardinal = _ZERO, hp2: Cardinal = _ZERO,
+                 m1: Sequence[Cardinal] = (), m2: Sequence[Cardinal] = ()):
+        require_ints(n=n)
+        finite = tuple(finite)
+        for order, _ in finite:
             require_ints(order=order)
             if order < 2:
                 raise ValueError(f"finite subgroup order must be >= 2, got {order}")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("degree must be >= 1")
-        if self.n > MAX_CENSUS_DEGREE:
-            raise ValueError(f"degree must be <= {MAX_CENSUS_DEGREE}, got {self.n}")
-        want = self.n - 1
-        object.__setattr__(self, "m1", _pad(self.m1, want))
-        object.__setattr__(self, "m2", _pad(self.m2, want))
-        object.__setattr__(self, "finite", tuple(self.finite))
+        if n > MAX_CENSUS_DEGREE:
+            raise ValueError(f"degree must be <= {MAX_CENSUS_DEGREE}, got {n}")
+        values = (n, finite, p, h1, h2, hp1, hp2, _pad(m1, n - 1), _pad(m2, n - 1))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
         return {

@@ -4,11 +4,10 @@ points, and the census of torsion orders."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .exactnum import Poly, divide_monic
+from .exactnum import Poly, Record, divide_monic
 from .numfield import (FieldElement, NumberField, _sqrt_interval, contains_root_of,
                        has_square_root)
 
@@ -21,19 +20,27 @@ class IdentityElement(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(Record):
     """Row-major [[a, b], [c, d]] over one number field."""
 
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-    d: FieldElement
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        f = self.a.field
-        if any(x.field is not f for x in (self.b, self.c, self.d)):
+    def __init__(self, a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement):
+        f = a.field
+        if b.field is not f or c.field is not f or d.field is not f:
             raise ValueError("matrix entries belong to different fields")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.c == other.c and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
 
     @property
     def field(self) -> NumberField:
@@ -103,15 +110,25 @@ def check_sl(m: Mat2) -> bool:
             and m.det() == m.field.one())
 
 
-@dataclass(frozen=True)
-class PslElem:
+class PslElem(Record):
     """Canonical representative of a class {A, -A} in PSL_2(O_k).
 
     The sign is chosen so the first nonzero entry in scan order (a,b,c,d)
     is positive under the smallest embedding; use psl_normalize to build.
     """
 
-    rep: Mat2
+    __slots__ = ("rep",)
+
+    def __init__(self, rep: Mat2):
+        object.__setattr__(self, "rep", rep)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rep == other.rep
+
+    def __hash__(self) -> int:
+        return hash((self.rep,))
 
     @property
     def field(self) -> NumberField:
@@ -155,8 +172,7 @@ def psl_normalize(m: Mat2) -> PslElem:
 Infinity = "infinity"
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     """A fixed point on the boundary R U {inf} of one embedded component.
 
     ``exact`` is set when the point is sigma_i of an element of k (the
@@ -168,8 +184,7 @@ class BoundaryPoint:
     enclosure: Optional[tuple[Fraction, Fraction]] = None
 
 
-@dataclass(frozen=True)
-class FixedPointData:
+class FixedPointData(NamedTuple):
     """Per-embedding boundary fixed points of a nonidentity PSL element.
 
     ``quadratic`` is c x^2 + (d-a) x - b over k; component i lists the

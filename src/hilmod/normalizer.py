@@ -24,13 +24,12 @@ the bound."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .classify import ClassKind, ElementClass, classify
+from .exactnum import Record
 from .modgrp import Mat2, PslElem, check_sl, psl_normalize
 from .numfield import FieldElement, has_square_root
 
@@ -54,27 +53,31 @@ SEMIDIRECT_Z4 = "semidirect_z4"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class NormalizerType:
+class NormalizerType(Record):
     """Z^r (free_abelian), Z^r x| Z/2 (semidirect_z2), or rank-certain but
     Z/2-factor undecided (inconclusive).  A semidirect_z2 type found by
-    ``involution_search`` carries its witness; it is not part of the type."""
+    ``involution_search`` carries its witness; it is not part of the type,
+    so equality and hashing ignore it."""
 
-    kind: str
-    rank: int
-    witness: Optional[PslElem] = dataclasses.field(default=None, compare=False)
+    __slots__ = ("kind", "rank", "witness")
+
+    def __init__(self, kind: str, rank: int, witness: Optional[PslElem] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "witness", witness)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.rank)
 
 
-@dataclass(frozen=True)
-class SlNormalizerType:
+class SlNormalizerType(NamedTuple):
     """Z^r + Z/2 (direct_sum_z2) or Z^r x| Z/4 (semidirect_z4)."""
 
     kind: str
     rank: int
 
 
-@dataclass(frozen=True)
-class CensusSlot:
+class CensusSlot(NamedTuple):
     kind: str  # "P" | "H1" | "H2" | "HP1" | "HP2" | "M1" | "M2" |
                # "finite_maximal" | "undetermined"
     j: Optional[int] = None      # mixed slots: hyperbolic component count

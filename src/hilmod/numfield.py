@@ -48,14 +48,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactnum import (
     Poly,
+    Record,
     RootInterval,
     ScaledInterval,
     divide_monic,
@@ -392,15 +392,25 @@ def _element(field: NumberField, num: Sequence[int], den: int) -> "FieldElement"
     return FieldElement(field, tuple(num), den)
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Record):
     """An element of a NumberField with integral-basis coordinates num_i / den
     in canonical form (Cohen, GTM 138, 4.2.1), built by ``_element``: den > 0,
     gcd(den, *num) = 1, zero as 0 / 1.  Equality compares (field, num, den)."""
 
-    field: NumberField
-    num: tuple[int, ...]
-    den: int
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num: tuple[int, ...], den: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den and self.field is other.field
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.num, self.den))
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -555,8 +565,7 @@ def element_from_json(field: NumberField, data: Sequence[str]) -> FieldElement:
 # -- square roots and rational-polynomial roots inside k ----------------
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of an in-field root search: an exactly verified root, or
     None, which certifies that k holds no root."""
 
@@ -650,9 +659,10 @@ def has_square_root(c: FieldElement) -> SearchOutcome:
 
 
 def contains_root_of(field: NumberField, p: Poly) -> SearchOutcome:
-    """A root in k of the monic rational polynomial p, if any: the smallest
-    rational root, else the first root found over the assignments of real
-    roots of p to the embeddings, in lexicographic order.
+    """A root in k of the monic rational polynomial p, if any: -a_0 for a
+    linear p = x + a_0, else the smallest rational root, else the first
+    root found over the assignments of real roots of p to the embeddings,
+    in lexicographic order.
 
     A None answer certifies that k holds no root, in this order: a prime
     at which p, scaled to a monic integer q of degree 2 or more, has no
@@ -665,8 +675,10 @@ def contains_root_of(field: NumberField, p: Poly) -> SearchOutcome:
     """
     if p.is_zero or not p.is_monic:
         raise ValueError("expected a monic polynomial")
-    n = field.degree
     d = p.degree
+    if d == 1:
+        return SearchOutcome(field.one() * -p.coeffs[0])
+    n = field.degree
     s = math.lcm(*(a.denominator for a in p.coeffs))
     q = Poly([a * s ** (d - i) for i, a in enumerate(p.coeffs)])  # roots s*y
     if d > 1 and _residue_obstruction(field, q) is not None:

@@ -6,39 +6,39 @@ conjugacy classes of maximal finite subgroups."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
-from .exactnum import require_ints, require_json
+from .exactnum import Record, require_ints, require_json
 
 
 class BadProfile(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BettiProfile:
+class BettiProfile(Record):
     """Numeric inputs: field degree n, class number h (an input, never
     computed), and cusp-form Hodge dimensions as (p, r, dim) triples with
     p + r = n.  Cusp dimensions default to empty, which makes the rank at
     the middle degree a lower bound only (flagged in output)."""
 
-    n: int
-    h: int
-    cusp_dims: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ("n", "h", "cusp_dims")
 
-    def __post_init__(self):
-        require_ints(degree=self.n, class_number=self.h)
-        if self.n < 1:
+    def __init__(self, n: int, h: int, cusp_dims: Sequence[Sequence[int]] = ()):
+        require_ints(degree=n, class_number=h)
+        if n < 1:
             raise BadProfile("degree must be >= 1")
-        if self.h < 1:
+        if h < 1:
             raise BadProfile("class number must be >= 1")
-        object.__setattr__(self, "cusp_dims", tuple(tuple(t) for t in self.cusp_dims))
-        for p, r, dim in self.cusp_dims:
+        cusp_dims = tuple(tuple(t) for t in cusp_dims)
+        for p, r, dim in cusp_dims:
             require_ints(p=p, r=r, dim=dim)
             if p < 0 or r < 0 or dim < 0:
                 raise BadProfile("cusp entries must be nonnegative")
-            if p + r != self.n:
-                raise BadProfile(f"cusp split {p}+{r} != {self.n}")
+            if p + r != n:
+                raise BadProfile(f"cusp split {p}+{r} != {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "cusp_dims", cusp_dims)
 
     @property
     def cusp_total(self) -> int:
@@ -59,20 +59,20 @@ class BettiProfile:
                                   for e in data.get("cusp_dims", [])))
 
 
-@dataclass(frozen=True)
-class FiniteCensus:
+class FiniteCensus(Record):
     """Conjugacy classes of maximal finite subgroups as (order, count)
     pairs; a class of order o contributes a free summand of rank o - 1 in
     even degree."""
 
-    classes: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("classes",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(tuple(t) for t in self.classes))
-        for order, count in self.classes:
+    def __init__(self, classes: Sequence[Sequence[int]] = ()):
+        classes = tuple(tuple(t) for t in classes)
+        for order, count in classes:
             require_ints(order=order, count=count)
             if order < 2 or count < 0:
                 raise BadProfile("census needs orders >= 2 and counts >= 0")
+        object.__setattr__(self, "classes", classes)
 
     def correction(self) -> int:
         return sum(count * (order - 1) for order, count in self.classes)
