@@ -2,17 +2,18 @@
 root isolation.
 
 Values are exact rationals (``fractions.Fraction``), with no floating
-point, so every sign decision is exact.  ``Poly`` is a normalised tuple
-of Fraction coefficients; everything computed from it runs on integers:
-signs at rational points (``_horner_sign``), the Sturm sequence, a
-fraction-free pseudo-remainder sequence (Cohen, GTM 138, 3.1-3.3), and
-the bisections of root isolation and refinement.  There is one interval
-type, ``ScaledInterval`` (integer endpoints over one positive
-denominator, not reduced), and a ``RootInterval`` holds one: isolation
-splits the Cauchy interval on numerators, a worklist with no depth
-limit, and ``refine_root`` halves it over a doubling denominator.
-Interval Horner evaluation of integer coefficients over a
-``ScaledInterval`` is ``horner_scaled``.  Division by a monic integer
+point, so every sign decision is exact.  A ``Poly`` stores integer
+numerators, ascending as every coefficient list here is, over one
+positive denominator (``coeffs`` is a Fraction view), and everything
+computed from it reads those integers: signs at rational points
+(``_horner_sign``), the Sturm sequence, a fraction-free pseudo-remainder
+sequence (Cohen, GTM 138, 3.1-3.3), and the bisections of root isolation
+and refinement.  There is one interval type, ``ScaledInterval`` (integer
+endpoints over one positive denominator, not reduced), and a
+``RootInterval`` holds one: isolation splits the Cauchy interval on
+numerators, a worklist with no depth limit, and ``refine_root`` halves
+it over a doubling denominator.  Interval Horner evaluation of integer
+coefficients over a ``ScaledInterval`` is ``horner_scaled``.  Division by a monic integer
 polynomial is ``divide_monic``; there is no Fraction polynomial division.
 Each result is the rational that Fraction arithmetic gives.
 
@@ -49,8 +50,18 @@ def rational_from_string(s: str) -> Fraction:
         raise ValueError(f"zero denominator in {s!r}") from None
 
 
-def rational_to_string(r: Fraction) -> str:
-    return f"{r.numerator}/{r.denominator}"
+def ratio_to_string(a: int, d: int) -> str:
+    """a / d in lowest terms as "p/q", for integers a and d > 0."""
+    g = math.gcd(a, d)
+    return f"{a // g}/{d // g}"
+
+
+def integer_coords(coords: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """(a, d) with coords = a / d for d the least common denominator: gcd 1."""
+    d = math.lcm(*(c.denominator for c in coords))
+    if d == 1:
+        return [c.numerator for c in coords], 1
+    return [c.numerator * (d // c.denominator) for c in coords], d
 
 
 def require_ints(**values) -> None:
@@ -155,13 +166,13 @@ class ScaledInterval(NamedTuple):
 
 
 def _horner_sign(cs: Sequence[int], u: int, v: int) -> int:
-    """Sign of c(u/v) for integer coefficients ``cs``, leading first, and
+    """Sign of c(u/v) for integer coefficients ``cs``, ascending, and
     integers u and v > 0, not necessarily coprime: the sign of
-    sum cs[j] * u^(d-j) * v^j, which is c(u/v) * v^d."""
+    sum cs[j] * u^j * v^(d-j), which is c(u/v) * v^d."""
     if not cs:
         return 0
-    acc, vpow = cs[0], 1
-    for c in cs[1:]:
+    acc, vpow = cs[-1], 1
+    for c in cs[-2::-1]:
         vpow *= v
         acc = acc * u + c * vpow
     return (acc > 0) - (acc < 0)
@@ -169,16 +180,16 @@ def _horner_sign(cs: Sequence[int], u: int, v: int) -> int:
 
 def horner_scaled(cs: Sequence[int], den: int, x: ScaledInterval) -> ScaledInterval:
     """Enclosure of c(x) / den under Horner interval arithmetic, for integer
-    coefficients ``cs``, leading first, and an integer den > 0, on integers
+    coefficients ``cs``, ascending, and an integer den > 0, on integers
     over one denominator.  After j steps the accumulator is [lo, hi] /
     (den * x.den^j), so each step multiplies by the numerators of x and
     adds c * x.den^j."""
     if not cs:
         return ScaledInterval(0, 0, 1)
     a, b, d = x
-    lo = hi = cs[0]
+    lo = hi = cs[-1]
     dpow = 1
-    for c in cs[1:]:
+    for c in cs[-2::-1]:
         dpow *= d
         cd = c * dpow
         p = (lo * a, lo * b, hi * a, hi * b)
@@ -202,73 +213,56 @@ def divide_monic(a: Sequence, b: Sequence[int]) -> tuple[list, list]:
 
 
 class Poly(Record):
-    """Univariate polynomial with Fraction coefficients, ascending degree.
+    """Univariate polynomial stored like a field element: integer
+    numerators ``num``, ascending, over one positive denominator ``den``,
+    gcd 1, no trailing zero numerator (zero is ((), 1)).  Immutable; equal
+    polynomials have equal (num, den) whatever they were built from."""
 
-    Immutable; trailing zero coefficients are never stored, so the zero
-    polynomial has an empty coefficient tuple.  Arithmetic on polynomials
-    runs on integer coefficient lists (``integer_coeffs``).
-    """
-
-    __slots__ = ("coeffs", "_integer_coeffs")
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int | str]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        num, den = integer_coords([c if isinstance(c, (int, Fraction)) else Fraction(c)
+                                   for c in coeffs])
+        while num and not num[-1]:
+            num.pop()
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
 
     # -- basics ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.num) - 1  # -1 for the zero polynomial
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return not self.num
 
     @property
     def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == 1
+        return not self.is_zero and self.num[-1] == self.den
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
-    # -- evaluation -----------------------------------------------------
-
-    @property
-    def integer_coeffs(self) -> tuple[int, tuple[int, ...]]:
-        """(L, cs): L the lcm of the coefficient denominators and cs the
-        integer coefficients of L * p, leading first.  Computed once."""
-        try:
-            return self._integer_coeffs
-        except AttributeError:
-            lcm = math.lcm(*(c.denominator for c in self.coeffs))
-            cs = tuple(c.numerator * (lcm // c.denominator) for c in reversed(self.coeffs))
-            object.__setattr__(self, "_integer_coeffs", (lcm, cs))
-            return lcm, cs
-
     def sign_num(self, u: int, v: int) -> int:
-        """Sign of p(u/v) for integers u and v > 0, not necessarily
-        coprime, from the integer coefficients of L * p."""
-        return _horner_sign(self.integer_coeffs[1], u, v)
+        """Sign of p(u/v) for integers u and v > 0, not necessarily coprime."""
+        return _horner_sign(self.num, u, v)
 
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> list[str]:
-        return [rational_to_string(c) for c in self.coeffs]
+        return [ratio_to_string(a, self.den) for a in self.num]
 
     @staticmethod
     def from_json(data: Sequence[str]) -> "Poly":
@@ -277,29 +271,26 @@ class Poly(Record):
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     """|lc(b)|^(deg a - deg b + 1) times the remainder of a by b over Q,
-    for integer lists (leading first) with deg a >= deg b; no step divides."""
-    lc = b[0]
-    m = abs(lc)
+    for integer lists (ascending) with deg a >= deg b; no step divides."""
+    lc, m, db = b[-1], abs(b[-1]), len(b) - 1
     r = list(a)
-    steps = len(a) - len(b) + 1
-    for k in range(steps):
+    for k in range(len(a) - 1, db - 1, -1):  # cancel r[k] against lc
         f = r[k] if lc > 0 else -r[k]
-        r[k:] = [m * c for c in r[k:]]
-        for i, c in enumerate(b):
-            r[k + i] -= f * c
-    r = r[steps:]
-    while r and not r[0]:
-        r.pop(0)
+        r[:k + 1] = [m * c for c in r[:k + 1]]
+        for i, c in enumerate(b, k - db):
+            r[i] -= f * c
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
     return r
 
 
 def _sturm_sequence(cs: Sequence[int]) -> list[list[int]]:
     """The Sturm sequence p, p', -rem, ... of the integer polynomial ``cs``
-    (leading first), each remainder a pseudo-remainder over its positive
+    (ascending), each remainder a pseudo-remainder over its positive
     content: a positive multiple of the Fraction term, with the same signs.
     The last term is gcd(p, p') up to a constant."""
-    d = len(cs) - 1
-    chain = [list(cs), [c * (d - j) for j, c in enumerate(cs[:-1])]]
+    chain = [list(cs), [j * c for j, c in enumerate(cs) if j]]
     while len(chain[-1]) > 1:
         r = _pseudo_remainder(chain[-2], chain[-1])
         if not r:
@@ -312,7 +303,7 @@ def _sturm_sequence(cs: Sequence[int]) -> list[list[int]]:
 
 
 def sign_variations(chain: Sequence[Sequence[int]], u: int, v: int) -> int:
-    """Sign changes along a chain of integer polynomials (leading first)
+    """Sign changes along a chain of integer polynomials (ascending)
     at u/v, for integers u and v > 0, zeros skipped."""
     signs = [s for s in (_horner_sign(cs, u, v) for cs in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -355,10 +346,11 @@ class RootInterval(Record):
 def _nonroot_point(p: Poly, lo: int, hi: int, d: int) -> tuple[int, int]:
     """(u, v) with u/v in (lo/d, hi/d) not a root of p; tries the midpoint
     first, then 1/3, 2/3, 1/5, ... of the span.  v is a multiple of d."""
+    cs = p.num
     for num, den in ((1, 2), (1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (4, 5),
                      (1, 7), (2, 7), (3, 7), (4, 7), (5, 7), (6, 7)):
         u, v = lo * den + (hi - lo) * num, d * den
-        if p.sign_num(u, v) != 0:
+        if _horner_sign(cs, u, v) != 0:
             return u, v
     raise RuntimeError("could not find a non-root sample point")  # p has finitely many roots
 
@@ -371,17 +363,17 @@ def isolate_real_roots(p: Poly) -> list[RootInterval]:
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    cs = p.integer_coeffs[1]
+    cs = p.num
     chain = _sturm_sequence(cs)
     if len(chain[-1]) != 1:  # the last term is gcd(p, p') up to a constant
         raise NotSquarefree("polynomial has a repeated root")
     if p.degree == 0:
         return []
 
-    # the Cauchy bound B = 1 + max |c_i / c_0|: every real root lies
+    # the Cauchy bound B = 1 + max |c_i / c_d|: every real root lies
     # strictly inside (-B, B), so neither endpoint is a root
-    lc = abs(cs[0])
-    b = lc + max(abs(c) for c in cs[1:])
+    lc = abs(cs[-1])
+    b = lc + max(abs(c) for c in cs[:-1])
     intervals: list[RootInterval] = []
     todo = [(-b, b, lc, sign_variations(chain, -b, lc), sign_variations(chain, b, lc))]
     while todo:  # left halves first, so the intervals come out ascending
@@ -405,22 +397,24 @@ def refine_root(r: RootInterval, width: Fraction) -> RootInterval:
     midpoint yields the degenerate interval [m, m].  Bisection runs on
     the numerators over one denominator, which doubles at every step.
     """
-    width = Fraction(width)
-    if width <= 0:
+    if not isinstance(width, Fraction):
+        width = Fraction(width)
+    wn, wd = width.numerator, width.denominator
+    if wn <= 0:
         raise ValueError("width must be positive")
-    if r.scaled.width_at_most(width):
+    lo, hi, d = r.scaled
+    if (hi - lo) * wd <= wn * d:
         return r
     p = r.polynomial
-    lo, hi, d = r.scaled
-    slo = p.sign_num(lo, d)
+    cs = p.num
+    slo = _horner_sign(cs, lo, d)
     if slo == 0:
         return RootInterval(p, ScaledInterval(lo, lo, d), r.index)
-    if p.sign_num(hi, d) == 0:
+    if _horner_sign(cs, hi, d) == 0:
         return RootInterval(p, ScaledInterval(hi, hi, d), r.index)
-    wn, wd = width.numerator, width.denominator
     while (hi - lo) * wd > wn * d:
         m, d = lo + hi, 2 * d  # the midpoint m/d
-        sm = p.sign_num(m, d)
+        sm = _horner_sign(cs, m, d)
         if sm == 0:
             return RootInterval(p, ScaledInterval(m, m, d), r.index)
         if sm == slo:

@@ -62,6 +62,8 @@ class Mat2(Record):
         return self.a + self.d
 
     def __mul__(self, other: "Mat2") -> "Mat2":
+        if not isinstance(other, Mat2):
+            return NotImplemented
         return Mat2(self.a * other.a + self.b * other.c,
                     self.a * other.b + self.b * other.d,
                     self.c * other.a + self.d * other.c,
@@ -135,6 +137,8 @@ class PslElem(Record):
         return self.rep.field
 
     def __mul__(self, other: "PslElem") -> "PslElem":
+        if not isinstance(other, PslElem):
+            return NotImplemented
         return psl_normalize(self.rep * other.rep)
 
     def inv(self) -> "PslElem":
@@ -351,30 +355,23 @@ def element_order(m: Mat2, bound: int) -> Optional[int]:
     return None
 
 
-def _euler_phi(m: int) -> int:
-    out, k = m, 2
-    mm = m
-    while k * k <= mm:
-        if mm % k == 0:
-            while mm % k == 0:
-                mm //= k
-            out -= out // k
-        k += 1
-    if mm > 1:
-        out -= out // mm
-    return out
+def _totients(top: int) -> list[int]:
+    """[phi(0), phi(1), ..., phi(top)] from one sieve, phi(0) = 0: each
+    prime p, still phi(p) = p when reached, scales its multiples by
+    (1 - 1/p)."""
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
 
 
 def default_order_bound(n: int) -> int:
     """Largest m with phi(m) <= 2n; beyond it no trace 2cos(2*pi/m) can
-    live in a degree-n field (SL order is at most twice the PSL order)."""
-    best, m = 1, 1
-    # phi(m) >= sqrt(m/2), so m <= 2*(2n)^2 suffices
-    while m <= 2 * (2 * n) ** 2 + 2:
-        if _euler_phi(m) <= 2 * n:
-            best = m
-        m += 1
-    return best
+    live in a degree-n field (SL order is at most twice the PSL order).
+    phi(m) >= sqrt(m/2), so no m above 2(2n)^2 + 2 counts."""
+    return max(m for m, t in enumerate(_totients(2 * (2 * n) ** 2 + 2)) if t <= 2 * n)
 
 
 def torsion_orders(field: NumberField, m_max: int) -> list[tuple[int, Mat2]]:
@@ -383,22 +380,19 @@ def torsion_orders(field: NumberField, m_max: int) -> list[tuple[int, Mat2]]:
     [[0, -1], [1, t]] for t = 2cos(2*pi/m) in O_k."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    out: list[tuple[int, Mat2]] = []
+    n = field.degree
     one = Mat2.identity(field)
-    # every m above default_order_bound has phi(m)/2 > n, so fails the test below
-    top = min(m_max, default_order_bound(field.degree))
-    phis = _cyclotomic_table(range(1, top + 1))
-    for m in range(1, top + 1):
-        if m == 1:
-            out.append((1, one))
-            continue
-        if m == 2:
-            wit = -one
-            assert element_order(wit, 2) == 2
-            out.append((2, wit))
-            continue
-        if field.degree % (_euler_phi(m) // 2):
-            continue  # Q(2cos(2*pi/m)) has degree phi(m)/2, which must divide n
+    out: list[tuple[int, Mat2]] = [(1, one)]
+    if m_max >= 2:
+        wit = -one
+        assert element_order(wit, 2) == 2
+        out.append((2, wit))
+    # Q(2cos(2*pi/m)) has degree phi(m)/2, which must divide n, so
+    # phi(m) <= 2n and m <= 2(2n)^2 + 2 (default_order_bound)
+    totient = _totients(min(m_max, 2 * (2 * n) ** 2 + 2))
+    orders = [m for m in range(3, len(totient)) if n % (totient[m] // 2) == 0]
+    phis = _cyclotomic_table({d for m in orders for d in range(1, m + 1) if m % d == 0})
+    for m in orders:
         res = contains_root_of(field, _cos_trace_from_cyclotomic(phis[m]))
         if res.value is None or not res.value.is_integral():
             continue

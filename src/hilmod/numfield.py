@@ -38,10 +38,12 @@ steps.  First a residue-field certificate (Dedekind; Cohen, GTM 138,
 O_k / pO_k = F_p[x] / (min_poly mod p); a root r of min_poly mod p gives
 a ring map O_k -> F_p with theta -> r, and a root of q in k, an algebraic
 integer, maps to a root of q mod p.  So q without a root mod such a p
-has no root in k.  The primes below ``RESIDUE_PRIME_BOUND`` at which
-min_poly has a root are found once per field.  Then a rational root of
-q, then the lattice.  The certificate never fires when a root exists, so
-it changes no answer, only how soon an absence is known.
+has no root in k.  One pass over x below ``RESIDUE_PRIME_BOUND``, a
+running product of the values (``_residue_roots``), decides every prime
+at once: it finds the primes at which min_poly has a root once per
+field, and q's first obstructing prime.  Then a rational root of q, then
+the lattice.  The certificate never fires when a root exists, so it
+changes no answer, only how soon an absence is known.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ from .exactnum import (
     horner_scaled,
     isolate_real_roots,
     rational_from_string,
-    rational_to_string,
+    integer_coords,
+    ratio_to_string,
     refine_root,
     require_json,
 )
@@ -127,14 +130,6 @@ def _adjugate(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return (adj, det) if det > 0 else ([[-x for x in row] for row in adj], -det)
 
 
-def _integer_coords(coords: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(a, d) with coords = a / d, d the least common denominator."""
-    d = math.lcm(*(c.denominator for c in coords))
-    if d == 1:
-        return [c.numerator for c in coords], 1
-    return [c.numerator * (d // c.denominator) for c in coords], d
-
-
 def _sparse(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Row i of M as the (k, M_ik) with M_ik != 0."""
     return tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in m)
@@ -177,7 +172,7 @@ class NumberField:
                  integral_basis: Optional[Sequence[Sequence[Fraction]]] = None):
         if min_poly.is_zero or not min_poly.is_monic:
             raise NotMonic("minimal polynomial must be monic and nonzero")
-        if any(c.denominator != 1 for c in min_poly.coeffs):
+        if min_poly.den != 1:
             raise NotMonic("minimal polynomial must have integer coefficients")
         n = min_poly.degree
         if n < 1:
@@ -201,7 +196,7 @@ class NumberField:
             raise ValueError("basis element 0 must be the constant 1")
         self.integral_basis = tuple(tuple(row) for row in basis)
         # (M, d) with M / d the basis matrix, and the same for its inverse
-        flat, den = _integer_coords([x for row in basis for x in row])
+        flat, den = integer_coords([x for row in basis for x in row])
         rows = [flat[i * n:(i + 1) * n] for i in range(n)]
         adj, det = _adjugate(rows)  # basis^-1 = den * adj / det
         self._basis = _sparse(rows), den
@@ -219,7 +214,7 @@ class NumberField:
         integer, which certifies that the basis spans an order (row 0 is
         already 1); otherwise ValueError."""
         n = self.degree
-        f = [int(c) for c in self.min_poly.coeffs]
+        f = self.min_poly.num
         rows, den = self._basis
         inv, den_inv = self._basis_inv
         den = den * den * den_inv
@@ -261,13 +256,13 @@ class NumberField:
         cs = [Fraction(c) for c in coords]
         if len(cs) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(cs)}")
-        return _element(self, *_integer_coords(cs))
+        return _element(self, *integer_coords(cs))
 
     def from_power(self, power: Sequence, den: int = 1) -> "FieldElement":
         """The element sum power_l theta^l / den, for rationals power_l
         (reduced mod min_poly) and an integer den > 0."""
-        v, d = _integer_coords(power)
-        v = divide_monic(v + [0] * self.degree, [int(c) for c in self.min_poly.coeffs])[1]
+        v, d = integer_coords(power)
+        v = divide_monic(v + [0] * self.degree, self.min_poly.num)[1]
         inv, den_inv = self._basis_inv
         return _element(self, _vec_mat(v, inv, self.degree), den * d * den_inv)
 
@@ -297,9 +292,9 @@ class NumberField:
         """The primes p < ``RESIDUE_PRIME_BOUND``, ascending, with p not
         dividing D = disc(min_poly) and min_poly having a root mod p; each
         gives a ring map O_k -> F_p (see the module docstring)."""
-        f = [int(c) for c in reversed(self.min_poly.coeffs)]
         disc = self.discriminant()
-        return tuple(p for p in _SMALL_PRIMES if disc % p and _has_root_mod(f, p))
+        primes = [p for p in _SMALL_PRIMES if disc % p]
+        return tuple(p for p, root in _residue_roots(self.min_poly.num, primes) if root)
 
     @cached_property
     def _trace_form(self) -> tuple[list[list[int]], int]:
@@ -311,7 +306,7 @@ class NumberField:
         A = adj(T) is integral, and so is Tr(theta^l y) for an algebraic
         integer y, hence c lies in (1/D)Z^n."""
         n = self.degree
-        a = [int(c) for c in self.min_poly.coeffs]
+        a = self.min_poly.num
         s = [n]  # Newton's identities: s_m = Tr(theta^m)
         for m in range(1, 2 * n - 1):
             s.append(-(m * a[n - m] if m <= n else 0)
@@ -322,7 +317,7 @@ class NumberField:
 
     def to_json(self) -> dict:
         out = {"min_poly": self.min_poly.to_json()}
-        out["integral_basis"] = [[rational_to_string(x) for x in row]
+        out["integral_basis"] = [[ratio_to_string(*x.as_integer_ratio()) for x in row]
                                  for row in self.integral_basis]
         return out
 
@@ -355,24 +350,30 @@ _SMALL_PRIMES = tuple(p for p in range(2, RESIDUE_PRIME_BOUND)
                       if all(p % k for k in range(2, isqrt(p) + 1)))
 
 
-def _has_root_mod(cs: Sequence[int], p: int) -> bool:
-    """Whether the integer polynomial with coefficients ``cs``, leading
-    first, has a root mod p."""
-    for x in range(p):
-        acc = 0
-        for c in cs:
-            acc = acc * x + c
-        if acc % p == 0:
-            return True
-    return False
+def _residue_roots(cs: Sequence[int], primes: Sequence[int]) -> Iterator[tuple[int, bool]]:
+    """(p, whether the integer polynomial ``cs``, ascending, has a root mod
+    p) for each of the ascending ``primes``: exactly when p divides
+    prod_{x < p} cs(x).  One pass over x, the values by Horner side by side
+    and the running product modulo M = prod(primes), which every p divides;
+    a coefficient past M is reduced too, so no number exceeds M^2 * p^deg."""
+    m = math.prod(primes)
+    red = [c if -m < c < m else c % m for c in cs]
+    xs = range(primes[-1] if primes else 0)
+    vals = [red[-1]] * len(xs)
+    for c in red[-2::-1]:
+        vals = [v * x + c for v, x in zip(vals, xs)]
+    prod, x = 1, 0  # prod_{t < x} cs(t) mod M
+    for p in primes:
+        prod = prod * math.prod(vals[x:p]) % m
+        x = p
+        yield p, prod % p == 0
 
 
 def _residue_obstruction(field: NumberField, q: Poly) -> Optional[int]:
     """The first prime of ``field._residue_primes`` at which the monic
     integer polynomial q has no root mod p, which certifies that q has no
     root in k (proof in the module docstring); None if there is none."""
-    cs = [int(c) for c in reversed(q.coeffs)]
-    return next((p for p in field._residue_primes if not _has_root_mod(cs, p)), None)
+    return next((p for p, root in _residue_roots(q.num, field._residue_primes) if not root), None)
 
 
 def _integer_roots(roots: Sequence[RootInterval]) -> list[int]:
@@ -423,22 +424,26 @@ class FieldElement(Record):
     # -- representation conversions ------------------------------------
 
     def _power_ints(self) -> tuple[list[int], int]:
-        """(p, d) with p / d the power-basis coordinates, leading first."""
+        """(p, d) with p / d the power-basis coordinates, ascending."""
         rows, den = self.field._basis
-        return _vec_mat(self.num, rows, self.field.degree)[::-1], self.den * den
+        return _vec_mat(self.num, rows, self.field.degree), self.den * den
 
     def power_coords(self) -> list[Fraction]:
         p, d = self._power_ints()
-        return [Fraction(c, d) for c in reversed(p)]
+        return [Fraction(c, d) for c in p]
 
     # -- ring / field structure ----------------------------------------
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
+        if not isinstance(other, FieldElement):
+            return NotImplemented
         self._same_field(other)
         d, e = self.den, other.den
         return _element(self.field, [a * e + b * d for a, b in zip(self.num, other.num)], d * e)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
+        if not isinstance(other, FieldElement):
+            return NotImplemented
         self._same_field(other)
         d, e = self.den, other.den
         return _element(self.field, [a * e - b * d for a, b in zip(self.num, other.num)], d * e)
@@ -447,7 +452,9 @@ class FieldElement(Record):
         return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other) -> "FieldElement":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, FieldElement):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             p = other.numerator
             return _element(self.field, [a * p for a in self.num], self.den * other.denominator)
         self._same_field(other)
@@ -486,6 +493,8 @@ class FieldElement(Record):
         return _element(self.field, [c for c, in y], det)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
+        if not isinstance(other, FieldElement):
+            return NotImplemented
         return self * other.inverse()
 
     def __pow__(self, e: int) -> "FieldElement":
@@ -510,7 +519,7 @@ class FieldElement(Record):
 
     def height(self) -> int:
         """Max absolute numerator over the integral-basis coordinates."""
-        return max(abs(c.numerator) for c in self.coords)
+        return max(abs(a) // math.gcd(a, self.den) for a in self.num)
 
     # -- embeddings -----------------------------------------------------
 
@@ -552,7 +561,7 @@ class FieldElement(Record):
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> list[str]:
-        return [rational_to_string(c) for c in self.coords]
+        return [ratio_to_string(a, self.den) for a in self.num]
 
     def __repr__(self) -> str:
         return f"FieldElement({[str(c) for c in self.coords]})"
@@ -675,18 +684,20 @@ def contains_root_of(field: NumberField, p: Poly) -> SearchOutcome:
     """
     if p.is_zero or not p.is_monic:
         raise ValueError("expected a monic polynomial")
-    d = p.degree
+    num, den = p.num, p.den
+    d, n = p.degree, field.degree
     if d == 1:
-        return SearchOutcome(field.one() * -p.coeffs[0])
-    n = field.degree
-    s = math.lcm(*(a.denominator for a in p.coeffs))
-    q = Poly([a * s ** (d - i) for i, a in enumerate(p.coeffs)])  # roots s*y
-    if d > 1 and _residue_obstruction(field, q) is not None:
+        return SearchOutcome(_element(field, [-num[0]] + [0] * (n - 1), den))
+    # q(x) = s^d p(x / s), monic and integral for s the lcm of the
+    # denominators of p's coefficients; its roots are the s * y
+    s = math.lcm(*(den // math.gcd(a, den) for a in num))
+    q = Poly([a * s ** (d - i) // den for i, a in enumerate(num)])
+    if _residue_obstruction(field, q) is not None:
         return SearchOutcome(None)
     roots = _narrow_roots(q)
     rational = _integer_roots(roots)
     if rational:
-        return SearchOutcome(field.one() * Fraction(rational[0], s))
+        return SearchOutcome(_element(field, [rational[0]] + [0] * (n - 1), s))
 
     finest, allowed = None, None
 
@@ -697,16 +708,17 @@ def contains_root_of(field: NumberField, p: Poly) -> SearchOutcome:
             finest, allowed = w, [[r.scaled for r in roots]] * n
         return allowed
 
-    coeffs = [field.one() * a for a in reversed(q.coeffs)]
-
     def is_root(y: FieldElement) -> bool:
-        acc = field.zero()
-        for a in coeffs:
-            acc = acc * y + a
-        return acc.is_zero
+        # Horner on q's integers: adding c to x = (a, e) adds c * e to a_0,
+        # the coordinate of omega_0 = 1, and keeps gcd 1
+        acc = y
+        for c in q.num[-2:0:-1]:
+            a = acc.num
+            acc = FieldElement(field, (a[0] + c * acc.den,) + a[1:], acc.den) * y
+        return acc.num[0] + q.num[0] * acc.den == 0 and not any(acc.num[1:])
 
     y = _lattice_root(field, enclose, _balanced_assignments(len(roots), n), is_root)
-    return SearchOutcome(None if y is None else y * Fraction(1, s))
+    return SearchOutcome(None if y is None else _element(field, y.num, y.den * s))
 
 
 def _balanced_assignments(d: int, n: int) -> Iterator[tuple[int, ...]]:

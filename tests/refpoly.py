@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from hilmod.exactnum import NotSquarefree, Poly, RootInterval, ScaledInterval
@@ -21,6 +22,17 @@ from hilmod.exactnum import NotSquarefree, Poly, RootInterval, ScaledInterval
 class RefPoly(Poly):
     """A ``Poly`` with ring operations, evaluation and Euclidean
     division over Q.  Results are RefPoly too."""
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The Fraction view, computed once: every operation here reads it."""
+        return Poly.coeffs.fget(self)
+
+    @property
+    def leading(self) -> Fraction:
+        if self.is_zero:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
 
     @staticmethod
     def zero() -> "RefPoly":
@@ -85,7 +97,7 @@ class RefPoly(Poly):
         q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
         rem = list(self.coeffs)
         d = other.degree
-        lc = other.leading
+        lc = other.coeffs[-1]
         while len(rem) - 1 >= d and any(c != 0 for c in rem):
             while rem and rem[-1] == 0:
                 rem.pop()
@@ -184,7 +196,7 @@ def ref_sign(p: Poly, x: Fraction) -> int:
 
 def ref_cauchy_bound(p: Poly) -> Fraction:
     """1 + max |a_i / a_n|; every real root lies strictly inside (-B, B)."""
-    lc = p.leading
+    lc = p.coeffs[-1]
     return 1 + max((abs(c / lc) for c in p.coeffs[:-1]), default=Fraction(0))
 
 

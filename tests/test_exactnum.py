@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,35 @@ def test_poly_normal_form():
     assert Poly([]).is_zero
     assert Poly([0]).is_zero
     assert Poly([0, 1]).degree == 1
+
+
+def test_poly_canonical_form():
+    """Integer numerators over one positive denominator, gcd 1, no
+    trailing zero numerator, whatever the coefficients were given as."""
+    rng = random.Random(17)
+    for _ in range(300):
+        cs = [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 9, 25)))
+              for _ in range(rng.randint(0, 7))]
+        cs += [0] * rng.randint(0, 2)
+        p = Poly(cs)
+        assert p.den > 0 and math.gcd(p.den, *p.num) == 1
+        assert not p.num or p.num[-1] != 0
+        assert all(type(a) is int for a in p.num) and type(p.den) is int
+        trimmed = list(cs)
+        while trimmed and trimmed[-1] == 0:
+            trimmed.pop()
+        assert p.coeffs == tuple(Fraction(c) for c in trimmed)
+        for q in (Poly([str(c) for c in cs]), Poly(p.coeffs), Poly(c * 1 for c in cs)):
+            assert q == p and hash(q) == hash(p) and (q.num, q.den) == (p.num, p.den)
+    assert (Poly([]).num, Poly([]).den) == ((), 1) == (Poly(["0/5"]).num, Poly(["0/5"]).den)
+    ints, fracs, strs = (Poly([-2, 0, 1]), Poly([Fraction(-4, 2), Fraction(0, 3), Fraction(1)]),
+                         Poly(["-2", "0/7", "3/3", "0"]))
+    assert ints == fracs == strs and hash(ints) == hash(fracs) == hash(strs)
+    assert (ints.num, ints.den) == ((-2, 0, 1), 1)
+    assert Poly([Fraction(1, 2), 3]) == Poly(["2/4", "6/2"]) and Poly(["1/2", 3]).den == 2
+    assert Poly([Fraction(1, 2), 3]) != Poly([1, 6])  # same numerators, other denominator
+    assert strs.to_json() == ["-2/1", "0/1", "1/1"]
+    assert Poly([Fraction(-6, 4), 0, Fraction(1, 3)]).to_json() == ["-3/2", "0/1", "1/3"]
 
 
 def test_ring_ops():
@@ -115,11 +145,11 @@ def test_integer_sturm_sequence_matches_fraction_chain():
     odd_negative = repeated = 0
     for p in _sturm_inputs():
         ref = RefPoly(p.coeffs).sturm_chain()
-        got = _sturm_sequence(p.integer_coeffs[1])
+        got = _sturm_sequence(p.num)
         assert len(got) == len(ref), p
         for cs, f in zip(got, ref):
-            want = f.coeffs[::-1]  # leading first
-            c = cs[0] / want[0]
+            want = f.coeffs  # ascending, as the library stores them
+            c = cs[-1] / want[-1]
             assert c > 0 and [Fraction(x) for x in cs] == [c * x for x in want], p
         odd_negative += any((a.degree - b.degree) % 2 == 0 and b.leading < 0
                             for a, b in zip(ref, ref[1:-1]))
@@ -206,8 +236,7 @@ def test_eval_interval_encloses():
         p = RefPoly([rng.randint(-4, 4) for _ in range(5)])
         a = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
         b = a + Fraction(rng.randint(0, 8), rng.randint(1, 4))
-        lcm, cs = p.integer_coeffs
-        lo, hi = horner_scaled(cs, lcm, scaled_of(a, b)).fractions()
+        lo, hi = horner_scaled(p.num, p.den, scaled_of(a, b)).fractions()
         for t in (a, b, (a + b) / 2):
             assert lo <= p(t) <= hi
 

@@ -12,6 +12,7 @@ certificate, which decides an absence before any embedding is refined.
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -22,7 +23,7 @@ from hilmod.exactnum import (Poly, RootInterval, ScaledInterval, _nonroot_point,
 from hilmod.modgrp import (_cos_trace_from_cyclotomic, _cyclotomic_table, cos_trace_min_poly,
                            cyclotomic, torsion_orders)
 from hilmod.numfield import (RESIDUE_PRIME_BOUND, NumberField, _balanced_assignments,
-                             contains_root_of, has_square_root)
+                             _residue_obstruction, contains_root_of, has_square_root)
 from refpoly import (REF_SPLITS, RefPoly, mat_inverse, ref_isolate_real_roots,
                      ref_nonroot_point, root_interval, scaled_of)
 
@@ -204,13 +205,20 @@ class RefField:
 def ref_residue_obstruction(f, q):
     """The first prime p < RESIDUE_PRIME_BOUND with p not dividing disc(f),
     f having a root mod p and q none, by trial division and evaluation at
-    every residue; None if there is no such p."""
-    f, q = RefPoly(f.coeffs), RefPoly(q.coeffs)
-    disc = f.discriminant()
+    every residue; None if there is no such p.  f and q are monic integer
+    polynomials, evaluated on their integer coefficients."""
+    disc = RefPoly(f.coeffs).discriminant()
+    assert f.den == q.den == 1
+    fs, qs = f.num, q.num
+
+    def value(cs, x):
+        return sum(c * x ** i for i, c in enumerate(cs))
+
     for p in range(2, RESIDUE_PRIME_BOUND):
         if any(p % k == 0 for k in range(2, p)) or disc % p == 0:
             continue
-        if any(f(x) % p == 0 for x in range(p)) and all(q(x) % p for x in range(p)):
+        if any(value(fs, x) % p == 0 for x in range(p)) and all(value(qs, x) % p
+                                                              for x in range(p)):
             return p
     return None
 
@@ -386,8 +394,7 @@ def test_eval_interval_matches_fraction_horner():
             a, b = -abs(a) - Fraction(1, 5), abs(b) + Fraction(1, 7)  # straddling 0
         elif kind == 2:
             b = a  # degenerate
-        lcm, cs = p.integer_coeffs
-        assert horner_scaled(cs, lcm, scaled_of(a, b)).fractions() \
+        assert horner_scaled(p.num, p.den, scaled_of(a, b)).fractions() \
             == ref_eval_interval(p, a, b)
 
 
@@ -470,6 +477,43 @@ def test_contains_root_of_matches_reference():
 
 
 # -- cyclotomic polynomials -----------------------------------------------
+
+
+def test_residue_obstruction_matches_reference(sqrt2, sqrt5, cubic7):
+    """``_residue_obstruction`` against ``ref_residue_obstruction`` on
+    psi_m = the minimal polynomial of 2cos(2pi/m) for m <= 60, on seeded
+    monic polynomials with integer roots (a root mod every p, so never
+    obstructed) and with repeated roots, and on q with 4000-digit
+    coefficients, which the product kept modulo the primes decides in
+    bounded time."""
+    rng = random.Random(61)
+    qs = [cos_trace_min_poly(m) for m in range(1, 61)]
+    for _ in range(24):
+        roots = [rng.randint(-60, 60) for _ in range(rng.randint(2, 6))]
+        split = RefPoly([1])
+        for r in roots:
+            split = split * RefPoly([-r, 1])
+        c = rng.randint(2, 40)
+        qs += [split, split * RefPoly([-roots[0], 1]),  # integer roots, one repeated
+               RefPoly([-c, 0, 1]) ** 2 * RefPoly([-roots[1], 1]),  # repeated sqrt(c)
+               RefPoly([-c, 0, 1]) * RefPoly([rng.randint(-9, 9), rng.randint(-9, 9), 0, 1])]
+    big = 10 ** 3999
+    n1, n2 = big + rng.randrange(big), big + rng.randrange(big)
+    huge = [RefPoly([rng.randrange(big, 10 * big), rng.randrange(big, 10 * big), 1]),
+            RefPoly([n1, 0, 1]), RefPoly([-n1, 1]) * RefPoly([-n2, 1])]  # the last splits
+    ct15 = NumberField(cos_trace_min_poly(15))
+    outcomes = set()
+    for field in (sqrt2, sqrt5, cubic7, ct15):
+        for q in qs + huge:
+            got = _residue_obstruction(field, q)
+            assert got == ref_residue_obstruction(field.min_poly, q), (field, q)
+            outcomes.add(got is None)
+        for q in huge:
+            t = time.perf_counter()
+            _residue_obstruction(field, q)
+            assert time.perf_counter() - t < 1.0
+        assert _residue_obstruction(field, huge[2]) is None
+    assert outcomes == {True, False}
 
 
 def test_cyclotomic_polynomials_match_reference():

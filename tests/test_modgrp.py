@@ -13,9 +13,11 @@ from hilmod.modgrp import (
     IdentityElement,
     Mat2,
     NotUnimodular,
+    _totients,
     check_sl,
     cos_trace_min_poly,
     cyclotomic,
+    default_order_bound,
     element_order,
     fixed_points,
     psl_normalize,
@@ -265,3 +267,44 @@ def test_matrix_json_roundtrip(sqrt2):
     one = sqrt2.one()
     m = Mat2(one + th, one + th, one * 2, one + th)
     assert Mat2.from_json(sqrt2, m.to_json()) == m
+
+
+def _phi_by_trial_division(m: int) -> int:
+    out, r, k = m, m, 2
+    while k * k <= r:
+        if r % k == 0:
+            while r % k == 0:
+                r //= k
+            out -= out // k
+        k += 1
+    return out - out // r if r > 1 else out
+
+
+def test_order_bound_matches_trial_division():
+    """The totient sieve, and default_order_bound(n) for n = 1..60, against
+    the definition: the largest m <= 2(2n)^2 + 2 with phi(m) <= 2n, phi by
+    trial division."""
+    top = 2 * (2 * 60) ** 2 + 2
+    phi = [0] + [_phi_by_trial_division(m) for m in range(1, top + 1)]
+    assert _totients(top) == phi
+    for n in range(1, 61):
+        limit = 2 * (2 * n) ** 2 + 2
+        assert default_order_bound(n) == max(m for m in range(1, limit + 1) if phi[m] <= 2 * n), n
+    assert [default_order_bound(n) for n in (1, 2, 3, 6)] == [6, 12, 18, 42]
+
+
+def test_torsion_search_computes_the_order_bound_once(monkeypatch, capsys):
+    """Without --max-order the CLI computes default_order_bound once, and
+    torsion_orders reuses the m_max it is given."""
+    from hilmod import cli
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return default_order_bound(n)
+
+    for module in ("hilmod.cli", "hilmod.classify", "hilmod.modgrp"):
+        monkeypatch.setattr(sys.modules[module], "default_order_bound", counted)
+    assert cli.main(["torsion-search", "--field", SQRT2]) == 0
+    assert json.loads(capsys.readouterr().out)["m_max"] == 12
+    assert calls == [2]

@@ -304,14 +304,22 @@ def test_contains_root_of_input_checks(sqrt2):
 
 def test_residue_primes_match_brute_force(sqrt2, sqrt5, cubic7):
     """A prime below the bound is kept exactly when it does not divide
-    disc(min_poly) and min_poly has a root mod p."""
-    for field in (sqrt2, sqrt5, cubic7, NumberField(cos_trace_min_poly(15))):
-        f = RefPoly(field.min_poly.coeffs)
-        disc = f.discriminant()
+    disc(min_poly) and min_poly has a root mod p: on the test fields and
+    on Q(2cos(2pi/m)) for m <= 60, by trial division and evaluation of
+    the integer coefficients at every residue."""
+    fields = [sqrt2, sqrt5, cubic7] + [NumberField(cos_trace_min_poly(m)) for m in range(1, 61)]
+    kept = 0
+    for field in fields:
+        disc = RefPoly(field.min_poly.coeffs).discriminant()
+        cs = field.min_poly.num
         want = tuple(p for p in range(2, RESIDUE_PRIME_BOUND)
                      if all(p % k for k in range(2, p)) and disc % p
-                     and any(f(x) % p == 0 for x in range(p)))
-        assert field._residue_primes == want and want
+                     and any(sum(c * x ** i for i, c in enumerate(cs)) % p == 0
+                             for x in range(p)))
+        assert field._residue_primes == want, field
+        kept += bool(want)
+    assert sqrt2._residue_primes and sqrt5._residue_primes and cubic7._residue_primes
+    assert kept > 40
 
 
 def test_residue_certificate_is_sound(sqrt2, sqrt5, cubic7):
@@ -511,7 +519,7 @@ def ref_from_power(field, power):
     """Fraction reduction mod min_poly; off the power basis, then the
     Fraction inverse of the basis matrix."""
     v = [Fraction(c) for c in power] + [Fraction(0)] * field.degree
-    v = divide_monic(v, [int(c) for c in field.min_poly.coeffs])[1]
+    v = divide_monic(v, field.min_poly.num)[1]
     if not _is_power_basis(field):
         inv = mat_inverse(field.integral_basis)
         v = [sum(x * row[k] for x, row in zip(v, inv)) for k in range(field.degree)]
@@ -523,7 +531,7 @@ def ref_table(field):
     omega_i * omega_j by Fraction polynomial arithmetic (``_ref_mul``);
     stored sparsely, as the field stores its table."""
     n = field.degree
-    f = [int(c) for c in field.min_poly.coeffs]
+    f = field.min_poly.num
     if _is_power_basis(field):
         products = [[divide_monic([int(k == i + j) for k in range(2 * n - 1)], f)[1]
                      for j in range(n)] for i in range(n)]
@@ -535,8 +543,9 @@ def ref_table(field):
 
 
 def ref_eval_scaled(p: Poly, x: ScaledInterval) -> ScaledInterval:
-    """Interval Horner over the integer coefficients of L * p."""
-    lcm, cs = p.integer_coeffs
+    """Interval Horner over the stored integer coefficients of den * p,
+    leading first."""
+    lcm, cs = p.den, p.num[::-1]
     if not cs:
         return ScaledInterval(0, 0, 1)
     a, b, d = x

@@ -34,6 +34,7 @@ def _mat():
 
 # one factory per record type; two calls give equal, distinct instances
 RECORDS = {
+    "Poly": lambda: Poly([-2, 0, 1]),
     "RootInterval": lambda: RootInterval(Poly([-2, 0, 1]), ScaledInterval(1, 2, 1), 1),
     "FieldElement": _x,
     "SearchOutcome": lambda: SearchOutcome(_x()),
@@ -100,6 +101,19 @@ def test_record_validation_still_raises():
         Census(MAX_CENSUS_DEGREE + 1)
     with pytest.raises(ValueError, match="negative multiplicity"):
         Cardinal.finite(-1)
+
+
+def test_foreign_operands_raise_type_error():
+    """An operand of a foreign type gives NotImplemented, so Python raises
+    TypeError, not AttributeError from reading the operand's fields."""
+    x, m = _x(), _mat()
+    for op in (lambda: x + 1, lambda: 1 + x, lambda: x - 1, lambda: 1 - x,
+               lambda: x * "2", lambda: x / 2, lambda: 2 / x, lambda: x + m,
+               lambda: m * 2, lambda: m * x, lambda: x * m,
+               lambda: psl_normalize(m) * 2, lambda: psl_normalize(m) * m):
+        with pytest.raises(TypeError):
+            op()
+    assert x * 2 == 2 * x == x * Fraction(2) == x + x  # scalars still multiply
 
 
 def test_records_are_not_tuples_under_arithmetic():
