@@ -22,8 +22,6 @@ from .exactnum import require_json
 from .modgrp import Mat2, NotUnimodular, psl_normalize, torsion_orders
 from .normalizer import normalizer_json
 from .numfield import FieldElement, NumberField
-from .ktheory import Census, RingProps, wh_decomposition_psl, wh_decomposition_sl
-from .topk import BettiProfile, FiniteCensus, ktop_json
 
 SCHEMA_VERSION = 1
 
@@ -271,6 +269,8 @@ def _cmd_torsion_search(args) -> int:
 
 
 def _cmd_wh_decomp(args) -> int:
+    from .ktheory import Census, RingProps, wh_decomposition_psl, wh_decomposition_sl
+
     try:
         census = Census.from_json(_load_json(args.census))
     except (ValueError, KeyError, TypeError) as exc:
@@ -289,6 +289,8 @@ def _cmd_wh_decomp(args) -> int:
 
 
 def _cmd_ktop(args) -> int:
+    from .topk import BettiProfile, FiniteCensus, ktop_json
+
     field = _load_field(args.field)
     data = _load_json(args.cusp_dims) if args.cusp_dims else []
     shape = 'a list of objects {"p": p, "r": r, "dim": d}'

@@ -1,6 +1,8 @@
 """The library's value records: immutable, equal by value, validated, and
-built without the ``dataclasses`` machinery."""
+built without the ``dataclasses`` machinery; and what importing the
+package and the CLI loads."""
 
+import json
 import os
 import re
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import hilmod
 from hilmod.classify import ClassKind, ElementClass, EmbeddingType
 from hilmod.exactnum import Poly, RootInterval, ScaledInterval
 from hilmod.ktheory import MAX_CENSUS_DEGREE, Cardinal, Census, KTerm, RingProps
@@ -18,7 +21,9 @@ from hilmod.normalizer import CensusSlot, NormalizerType, SlNormalizerType
 from hilmod.numfield import NumberField, SearchOutcome
 from hilmod.topk import BettiProfile, FiniteCensus
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+DATA = TESTS / "data"
 
 K = NumberField.quadratic(2)
 
@@ -56,15 +61,112 @@ RECORDS = {
 }
 
 
-def test_cli_import_loads_no_dataclass_machinery():
+def _child(code: str, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, hilmod.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-S", "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60, check=True).stdout
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    out = _child("import sys, hilmod.cli; "
+                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert out.strip() == "[]"
     for path in sorted((SRC / "hilmod").glob("*.py")):
         assert not re.search(r"^\s*(import|from)\s+dataclasses\b", path.read_text(), re.M), path
+
+
+# runs each argv through hilmod.cli.main in one interpreter; prints the
+# census modules loaded after the import and after each query
+_SUBCOMMAND_LOADS = """
+import contextlib, io, json, sys
+import hilmod.cli
+
+def loaded():
+    return sorted({"hilmod.ktheory", "hilmod.topk"} & set(sys.modules))
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = hilmod.cli.main(argv)
+    return [code, out.getvalue(), loaded()]
+
+print(json.dumps([loaded()] + [run(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_element_subcommands_do_not_load_the_census_layer():
+    sqrt2 = str(DATA / "sqrt2.json")
+    queries = [
+        ["field-info", "--field", sqrt2],
+        ["classify", "--field", sqrt2, "--matrix=1+1g;1+1g;2;1+1g"],
+        ["normalizer", "--field", sqrt2, "--matrix=1+1g;0;0;-1+1g", "--height", "2"],
+        ["torsion-search", "--field", sqrt2, "--max-order", "12"],
+        ["wh-decomp", "--census", str(DATA / "census_p.json"), "--q", "1"],
+        ["ktop", "--field", sqrt2, "--class-number", "1",
+         "--finite-census", str(DATA / "fc.json"), "--degree", "0"],
+    ]
+    at_import, *runs = json.loads(_child(_SUBCOMMAND_LOADS, json.dumps(queries)))
+    assert at_import == []
+    for argv, (code, _, loaded) in zip(queries[:4], runs):
+        assert (code, loaded) == (0, []), argv[0]
+    (wh_code, wh_out, wh_loaded), (ktop_code, ktop_out, ktop_loaded) = runs[4:]
+    assert (wh_code, wh_loaded) == (0, ["hilmod.ktheory"])
+    assert wh_out == (TESTS / "golden" / "whdecomp_p.json").read_text()
+    assert (ktop_code, ktop_loaded) == (0, ["hilmod.ktheory", "hilmod.topk"])
+    assert ktop_out == (TESTS / "golden" / "ktop_even.json").read_text()
+
+
+# every name ``hilmod`` exports, by the submodule that defines it; a
+# submodule's own name stands for the submodule, except ``classify``, which
+# the submodule defines as a function.  ``topk`` comes before its
+# names and ``Cardinal`` before ``ktheory``, so that in a fresh interpreter
+# both a census submodule and a census name are first resolved cold.
+EXPORTS = {
+    "exactnum": ("exactnum", "NotSquarefree", "Poly", "RootInterval",
+                 "isolate_real_roots", "refine_root"),
+    "numfield": ("numfield", "DivisionByZero", "FieldElement", "NotMonic",
+                 "NotTotallyReal", "NumberField", "ReducibleDetected", "SearchOutcome",
+                 "contains_root_of", "has_square_root"),
+    "modgrp": ("modgrp", "FixedPointData", "Mat2", "NotUnimodular", "PslElem", "check_sl",
+               "cos_trace_min_poly", "fixed_points", "psl_normalize", "torsion_orders"),
+    "classify": ("ClassKind", "ElementClass", "EmbeddingType", "classify",
+                 "classification_json"),
+    "normalizer": ("normalizer", "CensusSlot", "NormalizerType", "SlNormalizerType",
+                   "census_slot", "involution_search", "lift_to_sl", "normalizer_json",
+                   "normalizer_rank", "normalizer_type_psl"),
+    "topk": ("topk", "BettiProfile", "FiniteCensus", "betti_rank", "k_homology_rank",
+             "ktop_rank"),
+    "ktheory": ("Cardinal", "Census", "KExpression", "KTerm", "RingProps", "bhs_iterate",
+                "dos_nil", "nil_single", "simplify", "wh_decomposition_psl",
+                "wh_decomposition_sl", "ktheory"),
+}
+
+# in a fresh interpreter: the census modules loaded by ``import hilmod``,
+# then every export that is not the object of its submodule
+_EXPORT_CHECK = """
+import json, sys
+import hilmod
+
+def defined(mod, name):
+    module = sys.modules["hilmod." + mod]
+    return getattr(module, name, module)
+
+loaded = sorted({"hilmod.ktheory", "hilmod.topk"} & set(sys.modules))
+wrong = [f"{mod}.{name}" for mod, names in json.loads(sys.argv[1]).items()
+         for name in names if getattr(hilmod, name) is not defined(mod, name)]
+print(json.dumps([loaded, wrong]))
+"""
+
+
+def test_package_exports_are_unchanged():
+    loaded, wrong = json.loads(_child(_EXPORT_CHECK, json.dumps(EXPORTS)))
+    assert loaded == []
+    assert wrong == []
+    names = {name for names in EXPORTS.values() for name in names}
+    assert names <= set(dir(hilmod))
+    assert set(hilmod.__all__) == names
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        hilmod.no_such_name
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
