@@ -5,11 +5,16 @@ ktop.  All machine output is deterministic JSON on stdout (sorted keys, no
 timestamps); diagnostics go to stderr.  Exit codes: 0 success, 2 invalid
 input, 3 matrix not in SL_2(O_k), 4 bounded search inconclusive, 141
 (128 + SIGPIPE) stdout closed by its reader before the output was written.
+
+``main`` keeps the fields it has loaded, keyed by the spec's content and at
+most ``FIELD_TABLE_SIZE`` of them, so repeated calls in one process load
+each field once; no output depends on earlier calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -18,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .classify import classification_json, default_order_bound
-from .exactnum import require_json
+from .exactnum import refine_root, require_json
 from .modgrp import Mat2, NotUnimodular, psl_normalize, torsion_orders
 from .normalizer import normalizer_json
 from .numfield import FieldElement, NumberField
@@ -30,6 +35,8 @@ EXIT_INVALID = 2
 EXIT_NOT_SL2 = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_BROKEN_PIPE = 141
+
+FIELD_TABLE_SIZE = 16  # loaded fields ``main`` keeps, least recently used dropped
 
 
 class ParseError(ValueError):
@@ -68,10 +75,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+def _int_str_limit() -> int:
+    """The interpreter's int-string limit: 0 when it is off or the
+    interpreter has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _digit_limit() -> int:
     """The interpreter's int-string limit, or its default of 4300 digits
     when the limit is off (0) or the interpreter has none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    return _int_str_limit() or 4300
 
 
 def _too_large(x: FieldElement, digits: int) -> bool:
@@ -179,19 +192,41 @@ def parse_matrix(text: str, field: NumberField) -> Mat2:
 # -- input loading -------------------------------------------------------
 
 
-def _load_json(path: str):
+def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return sys.stdin.read()
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return fh.read()
+    except OSError as exc:
         raise CliError(EXIT_INVALID, f"cannot read {path}: {exc}")
 
 
-def _load_field(path: str) -> NumberField:
+def _load_json(path: str):
+    text = _read_text(path)
     try:
-        return NumberField.from_json(_load_json(path))
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(EXIT_INVALID, f"cannot read {path}: {exc}")
+
+
+@functools.lru_cache(maxsize=FIELD_TABLE_SIZE)
+def _field_from_text(text: str, int_str_limit: int) -> NumberField:
+    """The field of a spec text, loaded and validated once per distinct
+    text.  The interpreter's int-string limit is part of the key, since
+    whether a long literal parses depends on it.  A spec that fails raises
+    and is not kept."""
+    return NumberField.from_json(json.loads(text))
+
+
+def _load_field(path: str) -> NumberField:
+    """The field of the spec at ``path`` (``-``: stdin).  The file is read
+    on every call and the loaded field looked up by its text, so a
+    rewritten file gives a new field."""
+    try:
+        return _field_from_text(_read_text(path), _int_str_limit())
+    except json.JSONDecodeError as exc:
+        raise CliError(EXIT_INVALID, f"cannot read {path}: {exc}")
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(EXIT_INVALID, f"bad field spec: {exc}")
 
@@ -226,8 +261,8 @@ def _emit(payload: dict, fmt: str) -> None:
 def _cmd_field_info(args) -> int:
     field = _load_field(args.field)
     enclosures = []
-    for i in range(field.degree):
-        r = field.embedding(i, Fraction(1, 10 ** 6))
+    for r in field.root_intervals:  # not the stored ones, which earlier calls may have refined
+        r = refine_root(r, Fraction(1, 10 ** 6))
         enclosures.append([str(r.low), str(r.high)])
     _emit({
         "degree": field.degree,

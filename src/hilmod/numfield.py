@@ -165,7 +165,8 @@ class NumberField:
     ``integral_basis`` rows are the basis elements of O_k written in the
     power basis {1, theta, ..., theta^(n-1)}; row 0 must be the constant 1.
     Embeddings are stored as isolating intervals in ascending root order,
-    so embedding 0 corresponds to the smallest real root.
+    so embedding 0 corresponds to the smallest real root.  ``root_intervals``
+    keeps them as isolated at load, each of width < 1, and is never refined.
     """
 
     def __init__(self, min_poly: Poly,
@@ -202,6 +203,7 @@ class NumberField:
         self._basis = _sparse(rows), den
         self._basis_inv = _sparse([[den * a for a in row] for row in adj]), det
         self._table = self._multiplication_table()
+        self.root_intervals: tuple[RootInterval, ...] = tuple(roots)
         self._embeddings: list[RootInterval] = list(roots)
 
     def _multiplication_table(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
@@ -278,6 +280,17 @@ class NumberField:
     # -- embeddings -----------------------------------------------------
 
     def embedding(self, i: int, width: Optional[Fraction] = None) -> RootInterval:
+        """An isolating interval of embedding i, of width <= ``width``.
+
+        The stored interval is refined first when it is wider than
+        ``width``; a stored interval only gets narrower, and without
+        ``width`` it is returned as it is.  A field shared between queries
+        keeps what earlier queries refined, and every decision made from it
+        is exact and so the same.  Two reports read the load-time interval
+        in ``root_intervals`` instead, so that they do not depend on earlier
+        queries: the first enclosure of ``embed_sign``, on which its
+        zero-divisor check rests, and the enclosures ``field-info``
+        prints."""
         r = self._embeddings[i]
         if width is not None and not r.scaled.width_at_most(width):
             r = self._embeddings[i] = refine_root(r, width)
@@ -528,10 +541,13 @@ class FieldElement(Record):
         if self.is_zero:
             return 0
         cs = self._power_ints()[0]
-        r = self.field.embedding(i)
+        r = self.field.root_intervals[i]  # the same first enclosure in every history
         lo, hi, _ = horner_scaled(cs, 1, r.scaled)
         if lo <= 0 <= hi and self.norm() == 0:  # x != 0 is then a zero divisor
             raise ReducibleDetected("zero divisor: the minimal polynomial is reducible")
+        if lo <= 0 <= hi and self.field.embedding(i) is not r:  # refined by an earlier call
+            r = self.field.embedding(i)
+            lo, hi, _ = horner_scaled(cs, 1, r.scaled)
         while lo <= 0 <= hi:  # sigma_i(x) != 0, so refining decides it
             r = self.field.embedding(i, r.width / 4)
             lo, hi, _ = horner_scaled(cs, 1, r.scaled)

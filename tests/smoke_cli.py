@@ -14,10 +14,19 @@ at ``--height 1000000``: a mixed element provably has no inverting
 involution, so the search must end at once, with exit 4 and the same
 record as at ``--height 2``.  ``whdecomp_full100_sl.json`` is the largest
 census, every slot filled, under ``wh-decomp --sl``.  Prints one line per
-case; exits 1 when any case differs, 0 otherwise.  Useful on Python
-versions without pytest.
+case.
+
+Then it runs the same cases through ``hilmod.cli.main`` in this
+interpreter, forward, then ``REFINE``, then reversed, and checks every
+reply the same way: ``main`` keeps the fields it has loaded between
+calls, with the embeddings earlier calls refined, and no reply may depend
+on the calls before it.  Prints one line for that run, with each reply
+that differs.  Exits 1 when any case or reply differs, 0
+otherwise.  Useful on Python versions without pytest.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -57,6 +66,30 @@ CASES = [  # (golden, argv, expected exit code)
      ["torsion-search", "--field", DATA / "sqrt2_power_basis.json", "--max-order", "18"], 0),
 ]
 
+# a classify that refines the stored embeddings of Q(sqrt 2) to about 10^4 bits
+REFINE = ["classify", "--field", DATA / "sqrt2.json", "--matrix=1+g^20000;g^20000;1;1"]
+
+
+def run_in_process(argv) -> tuple[int, bytes, str]:
+    """(exit code, stdout, stderr) of one call of ``hilmod.cli.main``."""
+    from hilmod.cli import main as cli_main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main([str(a) for a in argv])
+    return code, out.getvalue().encode(), err.getvalue()
+
+
+def in_process_failures(cases) -> list[str]:
+    """The golden of each case whose reply through ``run_in_process``,
+    called in order, differs from it in stdout or exit code."""
+    failed = []
+    for golden, argv, code in cases:
+        got, out, _ = run_in_process(argv)
+        if got != code or out != (GOLDEN / golden).read_bytes():
+            failed.append(f"{golden} (exit {got})")
+    return failed
+
 
 def main() -> int:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -73,8 +106,18 @@ def main() -> int:
         failed += not ok
         print(f"{'ok  ' if ok else 'FAIL'} {golden}"
               + ("" if ok else f" (exit {proc.returncode}) {proc.stderr.decode()[-300:]}"))
+    sys.path.insert(0, str(SRC))
+    sequence = CASES + CASES[::-1]
+    differ = in_process_failures(CASES)
+    code, _, err = run_in_process(REFINE)
+    if code != 0:
+        differ.append(f"REFINE (exit {code}) {err[-300:]}")
+    differ += in_process_failures(CASES[::-1])
+    print(f"{'ok  ' if not differ else 'FAIL'} in one interpreter, forward, REFINE, reversed: "
+          f"{len(sequence) - len(differ)}/{len(sequence)} replies match"
+          + "".join(f"\n     {d}" for d in differ))
     print(f"python {sys.version.split()[0]}: {len(CASES) - failed}/{len(CASES)} cases match")
-    return 1 if failed else 0
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":

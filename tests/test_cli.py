@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -9,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from hilmod import cli
 from hilmod.cli import ParseError, _digit_limit, main, parse_element, parse_matrix
-from hilmod.numfield import FieldElement
+from hilmod.numfield import FieldElement, NumberField
+from smoke_cli import CASES, REFINE, in_process_failures, run_in_process
+from test_cli_table import _FIELD_SPECS
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -450,7 +454,132 @@ def test_smoke_script():
     proc = subprocess.run([sys.executable, str(Path(__file__).parent / "smoke_cli.py")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout
+    assert "ok   in one interpreter, forward, REFINE, reversed: 32/32 replies match\n" \
+        in proc.stdout
     assert proc.stdout.endswith("16/16 cases match\n")
+
+
+# -- the field table: main keeps loaded fields between calls -------------
+
+def test_replies_do_not_depend_on_earlier_calls(tmp_path):
+    """In one interpreter: every golden case of smoke_cli.py, then a
+    classify that refines the stored embeddings of Q(sqrt2) to about 10^4
+    bits, then every case again in reverse order; each reply equals its
+    golden, with its exit code.  The shared field keeps that refinement,
+    and field-info must still print what a fresh process prints.  The
+    zero-divisor spec of test_zero_divisor_sign_exits_2 is loaded and
+    kept, and exits 2 with the same message on each call.  On that spec,
+    x = (g^2 - 2)(g + 2) is a zero divisor with sigma_0(x) near 0.27,
+    whose first enclosure over the load-time interval of -sqrt3 holds 0;
+    it must exit 2 also after a classify has refined that embedding far
+    enough to decide the sign of sigma_0(x)."""
+    assert in_process_failures(CASES) == []
+    code, _, err = run_in_process(REFINE)
+    assert code == 0, err
+    assert in_process_failures(CASES[::-1]) == []
+    spec = tmp_path / "quartic.json"
+    spec.write_text('{"min_poly": ["6", "0", "-5", "0", "1"]}')  # (x^2 - 2)(x^2 - 3)
+    argv = ["classify", "--field", spec, "--matrix=g^2-3;1;-1;0"]
+    for _ in range(2):
+        assert run_in_process(argv) == \
+            (2, b"", "error: zero divisor: the minimal polynomial is reducible\n")
+    zero_divisor = ["classify", "--field", spec, "--matrix=g^3+2*g^2-2*g-4;1;-1;0"]
+    assert run_in_process(zero_divisor) == \
+        (2, b"", "error: zero divisor: the minimal polynomial is reducible\n")
+    code, _, err = run_in_process(["classify", "--field", spec, "--matrix=1+g^500;g^500;1;1"])
+    assert code == 0, err
+    assert cli._load_field(str(spec)).embedding(0).width < Fraction(1, 2 ** 64)
+    assert run_in_process(zero_divisor) == \
+        (2, b"", "error: zero divisor: the minimal polynomial is reducible\n")
+
+
+@pytest.fixture
+def field_loads(monkeypatch):
+    """An empty field table, and the fields ``NumberField.__init__`` is
+    called on while the test runs."""
+    calls = []
+    init = NumberField.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        init(self, *args, **kwargs)
+
+    cli._field_from_text.cache_clear()
+    monkeypatch.setattr(NumberField, "__init__", counted)
+    yield calls
+    cli._field_from_text.cache_clear()
+
+
+def test_field_table_is_keyed_by_content(capsys, monkeypatch, tmp_path, field_loads):
+    """One spec text through two paths and through stdin is loaded once,
+    into one object; rewriting a file gives a new load."""
+    text = Path(SQRT2).read_text()
+    copy = tmp_path / "copy.json"
+    copy.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    replies = [run(capsys, "field-info", "--field", path) for path in (SQRT2, str(copy), "-")]
+    assert replies == [(0, (GOLDEN / "field_info_sqrt2.json").read_text(), "")] * 3
+    assert len(field_loads) == 1
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli._load_field(SQRT2) is cli._load_field(str(copy)) is cli._load_field("-")
+    assert len(field_loads) == 1
+
+    copy.write_text(Path(SQRT5).read_text())
+    assert run(capsys, "field-info", "--field", str(copy)) == \
+        (0, (GOLDEN / "field_info_sqrt5.json").read_text(), "")
+    assert len(field_loads) == 2
+    assert cli._load_field(str(copy)) is not cli._load_field(SQRT2)
+
+
+_LOADING_SPECS = ("rationals", "sqrt2", "sqrt5", "cubic", "reducible_quartic")
+
+
+def test_failed_loads_are_not_kept(capsys, tmp_path, field_loads):
+    """Every field spec of test_cli_table.py that fails to load exits 2
+    with the same message on each of two calls, and is not kept."""
+    for name, text in _FIELD_SPECS.items():
+        if name in _LOADING_SPECS:
+            continue
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        first, second = (run(capsys, "field-info", "--field", str(path)) for _ in range(2))
+        assert first == second and first[0] == 2 and first[2].startswith("error:"), name
+        assert cli._field_from_text.cache_info().currsize == 0, name
+
+
+def test_field_table_drops_the_least_recently_used(capsys, tmp_path, field_loads):
+    """Q(sqrt d) for FIELD_TABLE_SIZE + 1 values of d: the first field is
+    dropped and loaded again, the last is kept, and no reply changes."""
+    size = cli.FIELD_TABLE_SIZE
+    squarefree = [d for d in range(2, 200) if all(d % (k * k) for k in range(2, 15))]
+    paths = []
+    for d in squarefree[:size + 1]:
+        paths.append(tmp_path / f"q{d}.json")
+        paths[-1].write_text(json.dumps({"min_poly": [str(-d), "0", "1"]}))
+    replies = [run(capsys, "field-info", "--field", str(path)) for path in paths]
+    assert replies[0] == (0, (GOLDEN / "field_info_sqrt2.json").read_text(), "")
+    assert len(field_loads) == size + 1
+    assert run(capsys, "field-info", "--field", str(paths[-1])) == replies[-1]
+    assert len(field_loads) == size + 1
+    assert run(capsys, "field-info", "--field", str(paths[0])) == replies[0]
+    assert len(field_loads) == size + 2
+    assert cli._field_from_text.cache_info().currsize == size
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int-string limit")
+def test_field_table_follows_the_int_string_limit(capsys, tmp_path, field_loads):
+    """A spec with a 5001-digit literal exits 2 under the default limit of
+    4300 digits and loads with the limit off, whatever was loaded before."""
+    spec = tmp_path / "long.json"
+    spec.write_text(json.dumps({"min_poly": ["-" + "0" * 5000 + "2", "0", "1"]}))
+    before = sys.get_int_max_str_digits()
+    try:
+        for limit, code in ((4300, 2), (0, 0), (4300, 2)):
+            sys.set_int_max_str_digits(limit)
+            assert run(capsys, "field-info", "--field", str(spec))[0] == code, limit
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_torsion_search(capsys):
