@@ -8,7 +8,8 @@ input, 3 matrix not in SL_2(O_k), 4 bounded search inconclusive, 141
 
 ``main`` keeps the fields it has loaded, keyed by the spec's content and at
 most ``FIELD_TABLE_SIZE`` of them, so repeated calls in one process load
-each field once; no output depends on earlier calls.
+each field once.  A query never changes a loaded field (each loop refines
+a local interval), so no output depends on earlier calls.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ def _emit(payload: dict, fmt: str) -> None:
 def _cmd_field_info(args) -> int:
     field = _load_field(args.field)
     enclosures = []
-    for r in field.root_intervals:  # not the stored ones, which earlier calls may have refined
+    for r in field.root_intervals:  # refined locally: no query changes a loaded field
         r = refine_root(r, Fraction(1, 10 ** 6))
         enclosures.append([str(r.low), str(r.high)])
     _emit({

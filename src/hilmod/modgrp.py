@@ -9,7 +9,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .exactnum import Poly, Record, divide_monic
 from .numfield import (FieldElement, NumberField, _sqrt_interval, contains_root_of,
-                       has_square_root)
+                       element_from_json, has_square_root)
 
 
 class NotUnimodular(ValueError):
@@ -84,8 +84,9 @@ class Mat2(Record):
         while e:
             if e & 1:
                 acc = acc * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return acc
 
     def is_identity(self) -> bool:
@@ -100,7 +101,6 @@ class Mat2(Record):
 
     @staticmethod
     def from_json(field: NumberField, data) -> "Mat2":
-        from .numfield import element_from_json
         (a, b), (c, d) = data
         return Mat2(element_from_json(field, a), element_from_json(field, b),
                     element_from_json(field, c), element_from_json(field, d))

@@ -17,14 +17,17 @@ rational root of the minimal polynomial is always rejected, which settles
 irreducibility up to degree 3; above that it is a caller contract, and
 ``inverse`` and ``embed_sign`` raise ReducibleDetected on a zero divisor.
 
-Sign decisions at an embedding evaluate the integer power coordinates by
-interval Horner (``exactnum.horner_scaled``) over the refined root, so
-they are certified.  Square roots and roots of rational polynomials
-inside the field are decided exactly: after scaling, a root y is an
-algebraic integer, so its power-basis coordinates c = T^-1 (Tr(theta^l
-y))_l lie in (1/D)Z^n, with T the trace form of the order Z[theta] and
-D = det T = disc(min_poly) > 0, which is also the discriminant the field
-reports.  Integer interval enclosures of the embeddings of y, combined
+A field never changes after ``__init__``: its embeddings are the isolating
+intervals found at load, and each loop that needs a finer one refines a
+local copy, so no answer depends on earlier queries and one field can
+serve many.  Sign decisions at an embedding evaluate the integer power
+coordinates by interval Horner (``exactnum.horner_scaled``) over such a
+refined root, so they are certified.  Square roots and roots of rational
+polynomials inside the field are decided exactly: after scaling, a root y
+is an algebraic integer, so its power-basis coordinates c = T^-1
+(Tr(theta^l y))_l lie in (1/D)Z^n, with T the trace form of the order
+Z[theta] and D = det T = disc(min_poly) > 0, which is also the
+discriminant the field reports.  Integer interval enclosures of the embeddings of y, combined
 with the integer adjugate of T, pin D c to one lattice point, verified
 exactly, or exclude every lattice point; either way the answer is
 certified.  A root of a polynomial is searched for over the balanced
@@ -164,9 +167,11 @@ class NumberField:
 
     ``integral_basis`` rows are the basis elements of O_k written in the
     power basis {1, theta, ..., theta^(n-1)}; row 0 must be the constant 1.
-    Embeddings are stored as isolating intervals in ascending root order,
-    so embedding 0 corresponds to the smallest real root.  ``root_intervals``
-    keeps them as isolated at load, each of width < 1, and is never refined.
+    Embedding i is the isolating interval ``root_intervals[i]``, of width
+    < 1, in ascending root order, so embedding 0 corresponds to the
+    smallest real root.  No attribute changes after ``__init__`` (the
+    ``cached_property`` memos are functions of the spec): a caller that
+    needs a narrower interval refines its own with ``refine_root``.
     """
 
     def __init__(self, min_poly: Poly,
@@ -204,7 +209,6 @@ class NumberField:
         self._basis_inv = _sparse([[den * a for a in row] for row in adj]), det
         self._table = self._multiplication_table()
         self.root_intervals: tuple[RootInterval, ...] = tuple(roots)
-        self._embeddings: list[RootInterval] = list(roots)
 
     def _multiplication_table(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
         """T with omega_i * omega_j = sum_k T_ijk omega_k in the integral
@@ -277,25 +281,6 @@ class NumberField:
     def generator(self) -> "FieldElement":
         return self.from_power([0, 1])
 
-    # -- embeddings -----------------------------------------------------
-
-    def embedding(self, i: int, width: Optional[Fraction] = None) -> RootInterval:
-        """An isolating interval of embedding i, of width <= ``width``.
-
-        The stored interval is refined first when it is wider than
-        ``width``; a stored interval only gets narrower, and without
-        ``width`` it is returned as it is.  A field shared between queries
-        keeps what earlier queries refined, and every decision made from it
-        is exact and so the same.  Two reports read the load-time interval
-        in ``root_intervals`` instead, so that they do not depend on earlier
-        queries: the first enclosure of ``embed_sign``, on which its
-        zero-divisor check rests, and the enclosures ``field-info``
-        prints."""
-        r = self._embeddings[i]
-        if width is not None and not r.scaled.width_at_most(width):
-            r = self._embeddings[i] = refine_root(r, width)
-        return r
-
     def discriminant(self) -> int:
         """disc(min_poly) = det T > 0 for the trace form T (``_trace_form``)."""
         return self._trace_form[1]
@@ -356,6 +341,12 @@ class NumberField:
 def _narrow_roots(p: Poly) -> list[RootInterval]:
     """The real roots of p, ascending, isolated to width < 1."""
     return [refine_root(r, Fraction(1, 2)) for r in isolate_real_roots(p)]
+
+
+def _quarter(r: RootInterval) -> RootInterval:
+    """r refined to a quarter of its width, the width built on integers."""
+    lo, hi, d = r.scaled
+    return refine_root(r, Fraction(hi - lo, 4 * d))
 
 
 RESIDUE_PRIME_BOUND = 100
@@ -537,32 +528,33 @@ class FieldElement(Record):
     # -- embeddings -----------------------------------------------------
 
     def embed_sign(self, i: int) -> Sign:
-        """Exact sign of the i-th real embedding; a zero divisor raises."""
+        """Exact sign of the i-th real embedding; a zero divisor raises.
+
+        The first enclosure is over the load-time interval, then over a
+        local copy refined by quarters until it decides."""
         if self.is_zero:
             return 0
         cs = self._power_ints()[0]
-        r = self.field.root_intervals[i]  # the same first enclosure in every history
+        r = self.field.root_intervals[i]
         lo, hi, _ = horner_scaled(cs, 1, r.scaled)
         if lo <= 0 <= hi and self.norm() == 0:  # x != 0 is then a zero divisor
             raise ReducibleDetected("zero divisor: the minimal polynomial is reducible")
-        if lo <= 0 <= hi and self.field.embedding(i) is not r:  # refined by an earlier call
-            r = self.field.embedding(i)
-            lo, hi, _ = horner_scaled(cs, 1, r.scaled)
         while lo <= 0 <= hi:  # sigma_i(x) != 0, so refining decides it
-            r = self.field.embedding(i, r.width / 4)
+            r = _quarter(r)
             lo, hi, _ = horner_scaled(cs, 1, r.scaled)
         return 1 if lo > 0 else -1
 
     def embed_scaled(self, i: int, width: Fraction) -> ScaledInterval:
         """Enclosure of sigma_i(x) of width <= ``width``, over one
-        denominator."""
+        denominator: over the load-time interval refined to ``width``, then
+        by quarters."""
         cs, d = self._power_ints()
-        r = self.field.embedding(i)
+        r = refine_root(self.field.root_intervals[i], width)
         while True:
             v = horner_scaled(cs, d, r.scaled)
             if v.width_at_most(width):
                 return v
-            r = self.field.embedding(i, r.width / 4)
+            r = _quarter(r)
 
     # -- trace and norm -------------------------------------------------
 
@@ -617,19 +609,22 @@ def _lattice_root(field: NumberField, enclose, assignments, verify) -> Optional[
     ``NumberField._trace_form``).  Enclosures of Tr(theta^l y) shrink the
     intervals around D c until one holds no integer (no such y) or each
     pins exactly one, the only possible candidate, verified exactly.
-    Everything runs on integers; the enclosure width w is 1 / wden.
+    Everything runs on integers; the enclosure width w is 1 / wden.  The
+    embeddings theta_i are one local list, refined as w shrinks.
     """
     adj, den = field._trace_form
     n = field.degree
     zero = ScaledInterval(0, 0, 1)
+    thetas = list(field.root_intervals)
     for assign in assignments:
         wden = 4 * den
         while True:
             w = Fraction(1, wden)
             allowed = enclose(w)
+            thetas = [refine_root(r, w) for r in thetas]
             u = [zero] * n  # u_l encloses Tr(theta^l y)
             for i, j in enumerate(assign):
-                theta = field.embedding(i, w).scaled
+                theta = thetas[i].scaled
                 power = allowed[i][j]  # theta_i^l * sigma_i(y), l = 0, 1, ...
                 for l in range(n):
                     u[l] = u[l].plus(power)

@@ -19,14 +19,17 @@ case.
 Then it runs the same cases through ``hilmod.cli.main`` in this
 interpreter, forward, then ``REFINE``, then reversed, and checks every
 reply the same way: ``main`` keeps the fields it has loaded between
-calls, with the embeddings earlier calls refined, and no reply may depend
-on the calls before it.  Prints one line for that run, with each reply
-that differs.  Exits 1 when any case or reply differs, 0
-otherwise.  Useful on Python versions without pytest.
+calls, and no reply may depend on the calls before it.  Prints one line
+for that run, with each reply that differs, and one line for the Q(sqrt 2)
+field ``main`` kept through ``REFINE``, which must equal a fresh load of
+it: no query changes a loaded field.  Exits 1 when any case, reply or
+field differs, 0 otherwise.  Useful on Python versions without pytest.
 """
 
 import contextlib
+import functools
 import io
+import json
 import os
 import subprocess
 import sys
@@ -66,7 +69,7 @@ CASES = [  # (golden, argv, expected exit code)
      ["torsion-search", "--field", DATA / "sqrt2_power_basis.json", "--max-order", "18"], 0),
 ]
 
-# a classify that refines the stored embeddings of Q(sqrt 2) to about 10^4 bits
+# a classify whose sign decisions refine an embedding of Q(sqrt 2) to about 10^4 bits
 REFINE = ["classify", "--field", DATA / "sqrt2.json", "--matrix=1+g^20000;g^20000;1;1"]
 
 
@@ -91,6 +94,22 @@ def in_process_failures(cases) -> list[str]:
     return failed
 
 
+def kept_field_unchanged(spec) -> bool:
+    """Whether the field ``main`` keeps for ``spec`` equals a fresh load of
+    it in every attribute, its ``root_intervals`` among them, but the
+    ``functools.cached_property`` memos, which are functions of the spec."""
+    from hilmod.cli import _load_field
+    from hilmod.numfield import NumberField
+
+    def state(field):
+        return {k: v for k, v in vars(field).items()
+                if not isinstance(getattr(NumberField, k, None), functools.cached_property)}
+
+    kept = _load_field(str(spec))
+    fresh = NumberField.from_json(json.loads(Path(spec).read_text()))
+    return kept is not fresh and state(kept) == state(fresh)
+
+
 def main() -> int:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     failed = 0
@@ -112,12 +131,15 @@ def main() -> int:
     code, _, err = run_in_process(REFINE)
     if code != 0:
         differ.append(f"REFINE (exit {code}) {err[-300:]}")
+    unchanged = kept_field_unchanged(REFINE[2])
     differ += in_process_failures(CASES[::-1])
     print(f"{'ok  ' if not differ else 'FAIL'} in one interpreter, forward, REFINE, reversed: "
           f"{len(sequence) - len(differ)}/{len(sequence)} replies match"
           + "".join(f"\n     {d}" for d in differ))
+    print(f"{'ok  ' if unchanged else 'FAIL'} the Q(sqrt 2) field kept through REFINE "
+          "equals a fresh load")
     print(f"python {sys.version.split()[0]}: {len(CASES) - failed}/{len(CASES)} cases match")
-    return 1 if failed or differ else 0
+    return 1 if failed or differ or not unchanged else 0
 
 
 if __name__ == "__main__":

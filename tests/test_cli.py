@@ -456,6 +456,7 @@ def test_smoke_script():
     assert proc.returncode == 0, proc.stdout
     assert "ok   in one interpreter, forward, REFINE, reversed: 32/32 replies match\n" \
         in proc.stdout
+    assert "ok   the Q(sqrt 2) field kept through REFINE equals a fresh load\n" in proc.stdout
     assert proc.stdout.endswith("16/16 cases match\n")
 
 
@@ -463,16 +464,15 @@ def test_smoke_script():
 
 def test_replies_do_not_depend_on_earlier_calls(tmp_path):
     """In one interpreter: every golden case of smoke_cli.py, then a
-    classify that refines the stored embeddings of Q(sqrt2) to about 10^4
-    bits, then every case again in reverse order; each reply equals its
-    golden, with its exit code.  The shared field keeps that refinement,
-    and field-info must still print what a fresh process prints.  The
-    zero-divisor spec of test_zero_divisor_sign_exits_2 is loaded and
-    kept, and exits 2 with the same message on each call.  On that spec,
-    x = (g^2 - 2)(g + 2) is a zero divisor with sigma_0(x) near 0.27,
-    whose first enclosure over the load-time interval of -sqrt3 holds 0;
-    it must exit 2 also after a classify has refined that embedding far
-    enough to decide the sign of sigma_0(x)."""
+    classify whose sign decisions refine an embedding of Q(sqrt2) to about
+    10^4 bits, then every case again in reverse order; each reply equals
+    its golden, with its exit code.  The zero-divisor spec of
+    test_zero_divisor_sign_exits_2 is loaded and kept, and exits 2 with
+    the same message on each call.  On that spec, x = (g^2 - 2)(g + 2) is
+    a zero divisor with sigma_0(x) near 0.27, whose first enclosure over
+    the load-time interval of -sqrt3 holds 0; it must exit 2 also after a
+    classify that refines that embedding far enough to decide the sign of
+    sigma_0(x), which leaves the kept field as a fresh load has it."""
     assert in_process_failures(CASES) == []
     code, _, err = run_in_process(REFINE)
     assert code == 0, err
@@ -488,7 +488,9 @@ def test_replies_do_not_depend_on_earlier_calls(tmp_path):
         (2, b"", "error: zero divisor: the minimal polynomial is reducible\n")
     code, _, err = run_in_process(["classify", "--field", spec, "--matrix=1+g^500;g^500;1;1"])
     assert code == 0, err
-    assert cli._load_field(str(spec)).embedding(0).width < Fraction(1, 2 ** 64)
+    field = cli._load_field(str(spec))
+    assert cli._load_field(str(spec)) is field
+    assert field.root_intervals == NumberField.from_json(json.loads(spec.read_text())).root_intervals
     assert run_in_process(zero_divisor) == \
         (2, b"", "error: zero divisor: the minimal polynomial is reducible\n")
 

@@ -4,9 +4,9 @@
 interval helpers ``_imul``/``_isum``), ``cyclotomic`` and
 ``cos_trace_min_poly`` run on integers; the references below are their
 Fraction forms.  Every endpoint, pin and return value must be the same
-rational, and so must the refinement history a field keeps; so the
-reference ``contains_root_of`` has its own form of the residue-field
-certificate, which decides an absence before any embedding is refined.
+rational; the reference ``contains_root_of`` has its own form of the
+residue-field certificate, which decides an absence before any embedding
+is refined.
 """
 
 import itertools
@@ -77,30 +77,25 @@ def _isum(ivs):
 
 
 class RefField:
-    """A field's embeddings refined by the Fraction references only; built
-    from a fresh copy of the field, so its history is its own."""
+    """A field's embeddings isolated and refined by the Fraction references
+    only.  As in the library, each loop refines its own copy of the
+    load-time intervals ``roots``."""
 
     def __init__(self, spec):
         self.field = NumberField(*spec)
-        self.field._embeddings = [ref_refine_root(r, Fraction(1, 2))
-                                  for r in isolate_real_roots(self.field.min_poly)]
+        self.roots = [ref_refine_root(r, Fraction(1, 2))
+                      for r in isolate_real_roots(self.field.min_poly)]
         n = self.field.degree
         t = [[self.field.from_power([0] * (j + l) + [1]).trace() for l in range(n)]
              for j in range(n)]
         self.tinv = mat_inverse(t)
         self.den = abs(RefPoly(self.field.min_poly.coeffs).discriminant())
 
-    def embedding(self, i, width=None):
-        r = self.field._embeddings[i]
-        if width is not None and r.width > width:
-            r = self.field._embeddings[i] = ref_refine_root(r, width)
-        return r
-
     def embed_sign(self, x, i):
         if x.is_zero:
             return 0
         q = RefPoly(x.power_coords())
-        r = self.embedding(i)
+        r = self.roots[i]
         while True:
             lo, hi = ref_eval_interval(q, r.low, r.high)
             if lo > 0:
@@ -109,27 +104,29 @@ class RefField:
                 return -1
             if r.low == r.high:
                 return 1 if q(r.low) > 0 else -1
-            r = self.embedding(i, r.width / 4)
+            r = ref_refine_root(r, r.width / 4)
 
     def embed_interval(self, x, i, width):
         q = Poly(x.power_coords())
-        r = self.embedding(i)
+        r = ref_refine_root(self.roots[i], width)
         while True:
             lo, hi = ref_eval_interval(q, r.low, r.high)
             if hi - lo <= width:
                 return lo, hi
-            r = self.embedding(i, r.width / 4)
+            r = ref_refine_root(r, r.width / 4)
 
     def lattice_root(self, enclose, assignments, verify):
         field, tinv, den = self.field, self.tinv, self.den
         n = field.degree
+        thetas = list(self.roots)
         for assign in assignments:
             w = Fraction(1, 4 * den)
             while True:
                 allowed = enclose(w)
+                thetas = [ref_refine_root(r, w) for r in thetas]
                 u = [(Fraction(0), Fraction(0))] * n
                 for i, j in enumerate(assign):
-                    r = self.embedding(i, w)
+                    r = thetas[i]
                     power = allowed[i][j]
                     for l in range(n):
                         u[l] = _isum((u[l], power))
@@ -418,11 +415,6 @@ def _char_poly(y) -> RefPoly:
     return RefPoly([(-1) ** (n - k) * e[n - k] for k in range(n + 1)])
 
 
-def _assert_same_history(new: NumberField, ref: RefField) -> None:
-    assert [(r.low, r.high) for r in new._embeddings] == \
-        [(r.low, r.high) for r in ref.field._embeddings]
-
-
 def _coords(y):
     return None if y is None else y.coords
 
@@ -442,7 +434,6 @@ def test_has_square_root_matches_reference():
             got = has_square_root(c).value
             want = ref.has_square_root(ref.field.element(c.coords))
             assert _coords(got) == _coords(want), (name, c)
-            _assert_same_history(new, ref)
 
 
 def test_balanced_assignments_match_reference():
@@ -473,7 +464,6 @@ def test_contains_root_of_matches_reference():
             got = contains_root_of(new, p).value
             want = ref.contains_root_of(p)
             assert _coords(got) == _coords(want), (name, p)
-            _assert_same_history(new, ref)
 
 
 # -- cyclotomic polynomials -----------------------------------------------
@@ -527,8 +517,9 @@ def test_cyclotomic_polynomials_match_reference():
 
 
 def test_field_info_enclosures_after_torsion_search():
-    """The enclosures field-info prints after a torsion search on the same
-    field object, as Fraction bisection gives them."""
+    """The enclosures field-info prints, refined from the load-time
+    intervals, after a torsion search on the same field object, as Fraction
+    bisection gives them."""
     want = {
         "sqrt2": [("-2965821/2097152", "-5931639/4194304"),
                   ("5931639/4194304", "2965821/2097152")],
@@ -541,7 +532,7 @@ def test_field_info_enclosures_after_torsion_search():
     for name, spec in _SPECS.items():
         field = NumberField(*spec)
         torsion_orders(field, 18)
-        got = [field.embedding(i, Fraction(1, 10 ** 6)) for i in range(field.degree)]
+        got = [refine_root(r, Fraction(1, 10 ** 6)) for r in field.root_intervals]
         assert [(str(r.low), str(r.high)) for r in got] == want[name]
 
 

@@ -35,12 +35,26 @@ def _mat(field, a, b, c, d):
     return Mat2(e(pad(a)), e(pad(b)), e(pad(c)), e(pad(d)))
 
 
-def test_mat_arith(rationals):
+def test_mat_arith(monkeypatch, rationals):
     s = _mat(rationals, 0, -1, 1, 0)
     assert s.inv() == _mat(rationals, 0, 1, -1, 0)
     t = _mat(rationals, 1, 1, 0, 1)
+    products = []
+    mul = Mat2.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Mat2, "__mul__", counted)
+    # square-and-multiply squares only while bits remain: t^3 is two
+    # products into the accumulator and one squaring, t^-2 one of each
     assert t ** 3 == _mat(rationals, 1, 3, 0, 1)
+    assert len(products) == 3
+    products.clear()
     assert t ** -2 == _mat(rationals, 1, -2, 0, 1)
+    assert len(products) == 2
+    monkeypatch.undo()
     with pytest.raises(NotUnimodular):
         _mat(rationals, 1, 0, 0, 2).inv()
 

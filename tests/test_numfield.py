@@ -36,7 +36,7 @@ def test_field_construction(sqrt2):
     assert sqrt2.degree == 2
     assert sqrt2.integral_basis == ((Fraction(1), Fraction(0)),
                                     (Fraction(0), Fraction(1)))
-    r0, r1 = sqrt2.embedding(0), sqrt2.embedding(1)
+    r0, r1 = sqrt2.root_intervals
     assert r0.high < 0 < r1.low  # ascending order, sigma_1 smallest
 
 
@@ -364,26 +364,26 @@ def test_residue_scan_skipped_for_linear_polynomials():
     assert "_residue_primes" in vars(field)
 
 
-def test_embedding_refines_only_when_wider(monkeypatch, sqrt2):
-    """``embedding(i, width)`` calls refine_root only for an interval wider
-    than ``width``."""
-    from hilmod import numfield
-    calls = []
+def test_queries_leave_a_kept_field_unchanged():
+    """After ``smoke_cli.REFINE`` through ``cli.main``, a classify whose
+    sign decisions refine an embedding of Q(sqrt2) to about 10^4 bits, the
+    field ``main`` kept has the load-time intervals of a fresh load, and
+    its enclosures of 3 - 2 sqrt2 are a fresh field's, endpoint for
+    endpoint, not Horner over what that classify refined."""
+    from hilmod import cli
+    from smoke_cli import REFINE, run_in_process
 
-    def counted(r, width):
-        calls.append(width)
-        return refine_root(r, width)
-
-    field = NumberField(sqrt2.min_poly)
-    monkeypatch.setattr(numfield, "refine_root", counted)
-    r = field.embedding(1, Fraction(1, 10 ** 6))
-    assert len(calls) == 1 and r.width <= Fraction(1, 10 ** 6)
-    assert field.embedding(1, Fraction(1, 10 ** 6)) is r
-    assert field.embedding(1, r.width) is r
-    assert field.embedding(1, Fraction(1)) is r
-    assert len(calls) == 1
-    field.embedding(1, r.width / 2)
-    assert len(calls) == 2
+    code, _, err = run_in_process(REFINE)
+    assert code == 0, err
+    spec = str(REFINE[2])
+    hits = cli._field_from_text.cache_info().hits
+    kept = cli._load_field(spec)
+    assert cli._field_from_text.cache_info().hits == hits + 1  # the field REFINE used
+    fresh = NumberField.from_json(json.loads(Path(spec).read_text()))
+    assert kept.root_intervals == fresh.root_intervals
+    x, y = kept.element([3, -2]), fresh.element([3, -2])
+    for i in range(2):
+        assert x.embed_scaled(i, Fraction(1, 100)) == y.embed_scaled(i, Fraction(1, 100))
 
 
 def test_json_roundtrips(sqrt5):
@@ -563,7 +563,7 @@ def ref_embed_sign(x, i: int) -> int:
     if x.is_zero:
         return 0
     q = Poly(ref_power_coords(x))
-    r = x.field.embedding(i)
+    r = x.field.root_intervals[i]
     while True:
         lo, hi, _ = ref_eval_scaled(q, r.scaled)
         if lo > 0:
@@ -572,50 +572,47 @@ def ref_embed_sign(x, i: int) -> int:
             return -1
         if r.low == r.high:
             return 1 if q.sign_num(r.scaled.lo, r.scaled.den) > 0 else -1
-        r = x.field.embedding(i, r.width / 4)
+        r = refine_root(r, r.width / 4)
 
 
 def ref_embed_scaled(x, i: int, width: Fraction) -> ScaledInterval:
     q = Poly(ref_power_coords(x))
-    r = x.field.embedding(i)
+    r = refine_root(x.field.root_intervals[i], width)
     while True:
         v = ref_eval_scaled(q, r.scaled)
         if v.width_at_most(width):
             return v
-        r = x.field.embedding(i, r.width / 4)
+        r = refine_root(r, r.width / 4)
 
 
 @pytest.mark.parametrize("seed, build", [(k, b) for k, (_, b) in enumerate(_BASIS_FIELDS)],
                          ids=[name for name, _ in _BASIS_FIELDS])
 def test_change_of_basis_matches_fraction_path(seed, build):
-    # two copies of the field, so the library and the reference refine
-    # their roots alike and their enclosures can be compared endpoint for
-    # endpoint
-    field, ref = build(), build()
+    # a field never changes, so the library and the references refine the
+    # same load-time roots and their enclosures compare endpoint for endpoint
+    field = build()
     n = field.degree
-    assert field._table == ref_table(ref)
+    assert field._table == ref_table(field)
     rng = random.Random(seed)
     for _ in range(60):
         coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
-        x, y = field.element(coords), ref.element(coords)
+        x = field.element(coords)
         p = x.power_coords()
-        assert p == ref_power_coords(y)
+        assert p == ref_power_coords(x)
         assert field.from_power(p) == x
         power = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                  for _ in range(rng.randint(0, 2 * n))]
-        assert field.from_power(power).coords == ref_from_power(ref, power).coords
+        assert field.from_power(power).coords == ref_from_power(field, power).coords
         for i in range(n):
-            assert x.embed_sign(i) == ref_embed_sign(y, i)
+            assert x.embed_sign(i) == ref_embed_sign(x, i)
             w = Fraction(1, rng.choice((3, 100, 10 ** 6)))
-            assert x.embed_scaled(i, w).fractions() == ref_embed_scaled(y, i, w).fractions()
+            assert x.embed_scaled(i, w).fractions() == ref_embed_scaled(x, i, w).fractions()
 
 
 def test_change_of_basis_does_no_fraction_arithmetic(monkeypatch):
     elements = []
     for _, build in _BASIS_FIELDS:
         field = build()
-        for i in range(field.degree):  # narrow enough that no enclosure below refines
-            field.embedding(i, Fraction(1, 10 ** 40))
         elements.append(field.element([Fraction(3 - 2 * k, k + 1) for k in range(field.degree)]))
 
     def forbidden(*args):
