@@ -23,9 +23,9 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .classify import classification_json, default_order_bound
+from .classify import classification_json
 from .exactnum import refine_root, require_json
-from .modgrp import Mat2, NotUnimodular, psl_normalize, torsion_orders
+from .modgrp import Mat2, NotUnimodular, default_order_bound, psl_normalize, torsion_orders
 from .normalizer import normalizer_json
 from .numfield import FieldElement, NumberField
 
@@ -54,26 +54,8 @@ class CliError(RuntimeError):
 
 # -- element and matrix literals ----------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<rat>\d+(?:/\d+)?)|(?P<star>\*)"
-                    r"|(?P<gen>g)(?:\^(?P<exp>\d+))?)")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            bad = text[pos:].lstrip()
-            raise ParseError(f"unexpected character {bad[:1]!r}",
-                             len(text) - len(bad))
-        for kind in ("sign", "rat", "star", "gen"):
-            if m.group(kind):
-                value = m.group("exp") or "1" if kind == "gen" else m.group(kind)
-                out.append((kind, value, m.start(kind)))
-                break
-        pos = m.end()
-    return out
+_TERM = re.compile(r"(?P<signs>(?:\s*[+-])*)\s*(?:(?P<num>\d+)(?:/(?P<den>\d+))?)?"
+                   r"\s*(?P<star>\*)?\s*(?P<gen>g(?:\^(?P<exp>\d+))?)?\s*")
 
 
 def _int_str_limit() -> int:
@@ -119,10 +101,14 @@ def _generator_power(field: NumberField, e: int, digits: int, pos: int) -> Field
 def parse_element(text: str, field: NumberField) -> FieldElement:
     """Parse "c0 + c1*g + c2*g^2 + ..." into an exact field element.
 
-    Terms are rational ('1', '1/2'), generator powers ('g', 'g^3'), or
-    products of the two; '*' is optional.  Powers beyond the field degree
-    are reduced by square-and-multiply in the field, so a large exponent
-    costs about log2(e) products.
+    Each term is one match of ``_TERM``: signs, an optional rational ('1',
+    '1/2'), an optional '*' and an optional generator power ('g', 'g^3'),
+    with whitespace around every part, trailing whitespace included, but
+    not inside one ('1 / 2', 'g ^2'); '*' stands only between a rational
+    and a power, and each term after the first starts with a sign.  A
+    ParseError gives the position of the first error from the left.
+    Powers beyond the field degree are reduced by square-and-multiply in
+    the field, so a large exponent costs about log2(e) products.
 
     With L the interpreter's int-string limit (``_digit_limit``), a number
     of more than L digits, a generator power whose computation reaches a
@@ -130,49 +116,35 @@ def parse_element(text: str, field: NumberField) -> FieldElement:
     of more than L digits (numerators over the common denominator, and
     that denominator) are each rejected with ParseError.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty element literal", 0)
     limit = _digit_limit()
-    for _, value, pos in tokens:  # only a number's text can be longer than limit
-        if len(value) > limit and max(map(len, value.split("/"))) > limit:
-            raise ParseError(f"number of more than {limit} digits", pos)
     power: dict[int, Fraction] = {}
     where: dict[int, int] = {}  # exponent: position of its first term
-    i = 0
-    while i < len(tokens):
-        sign = 1
-        while i < len(tokens) and tokens[i][0] == "sign":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise ParseError("trailing operator", tokens[-1][2])
-        kind, value, pos = tokens[i]
-        coeff = Fraction(1)
-        exp = 0
-        if kind == "rat":
-            try:
-                coeff = Fraction(value)
-            except ZeroDivisionError:
-                raise ParseError("zero denominator", pos) from None
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "star":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "gen":
-                    raise ParseError("'*' must be followed by the generator", pos)
-            if i < len(tokens) and tokens[i][0] == "gen":
-                exp = int(tokens[i][1])
-                i += 1
-        elif kind == "gen":
-            exp = int(value)
-            i += 1
-        else:
-            raise ParseError(f"unexpected {value!r}", pos)
-        power[exp] = power.get(exp, Fraction(0)) + sign * coeff
-        where.setdefault(exp, pos)
-        if i < len(tokens) and tokens[i][0] not in ("sign",):
-            raise ParseError("terms must be separated by '+' or '-'", tokens[i][2])
+    pos = 0
+    while pos < len(text) or not power:  # an empty text still reads one term
+        m = _TERM.match(text, pos)
+        if pos and not m["signs"] and m.end() > pos:
+            raise ParseError("terms must be separated by '+' or '-'", pos)
+        if m["star"] and not m["num"]:
+            raise ParseError("unexpected '*'", m.start("star"))
+        if not (m["num"] or m["gen"]):
+            if m.end() < len(text):
+                raise ParseError(f"unexpected character {text[m.end()]!r}", m.end())
+            if m["signs"]:
+                raise ParseError("trailing operator", m.end("signs") - 1)
+            raise ParseError("empty element literal", 0)
+        start = m.start("num" if m["num"] else "gen")
+        if m["star"] and not m["gen"]:
+            raise ParseError("'*' must be followed by the generator", start)
+        for digits, at in ((m["num"], "num"), (m["den"], "num"), (m["exp"], "gen")):
+            if digits and len(digits) > limit:  # checked before int() reads them
+                raise ParseError(f"number of more than {limit} digits", m.start(at))
+        if m["den"] and not int(m["den"]):
+            raise ParseError("zero denominator", start)
+        coeff = Fraction(int(m["num"] or 1), int(m["den"] or 1))
+        exp = int(m["exp"] or 1) if m["gen"] else 0
+        power[exp] = power.get(exp, Fraction(0)) + (-coeff if m["signs"].count("-") % 2 else coeff)
+        where.setdefault(exp, start)
+        pos = m.end()
     n = field.degree
     x = field.from_power([power.get(e, Fraction(0)) for e in range(n)])
     for e, c in power.items():

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactnum import Poly, Record, divide_monic
 from .numfield import (FieldElement, NumberField, _sqrt_interval, contains_root_of,

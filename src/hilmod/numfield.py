@@ -610,18 +610,21 @@ def _lattice_root(field: NumberField, enclose, assignments, verify) -> Optional[
     intervals around D c until one holds no integer (no such y) or each
     pins exactly one, the only possible candidate, verified exactly.
     Everything runs on integers; the enclosure width w is 1 / wden.  The
-    embeddings theta_i are one local list, refined as w shrinks.
+    theta_i and enclose(w) are computed only for a w finer than any
+    before, and serve every assignment.
     """
     adj, den = field._trace_form
     n = field.degree
     zero = ScaledInterval(0, 0, 1)
     thetas = list(field.root_intervals)
+    finest = 0  # thetas and allowed are enclosures of width at most 1 / finest
     for assign in assignments:
         wden = 4 * den
         while True:
-            w = Fraction(1, wden)
-            allowed = enclose(w)
-            thetas = [refine_root(r, w) for r in thetas]
+            if wden > finest:  # else the enclosures are narrower than 1 / wden already
+                w = Fraction(1, wden)
+                thetas = [refine_root(r, w) for r in thetas]
+                finest, allowed = wden, enclose(w)
             u = [zero] * n  # u_l encloses Tr(theta^l y)
             for i, j in enumerate(assign):
                 theta = thetas[i].scaled
@@ -710,14 +713,9 @@ def contains_root_of(field: NumberField, p: Poly) -> SearchOutcome:
     if rational:
         return SearchOutcome(_element(field, [rational[0]] + [0] * (n - 1), s))
 
-    finest, allowed = None, None
-
     def enclose(w):
-        nonlocal finest, allowed
-        if finest is None or w < finest:  # else every root is narrower than w already
-            roots[:] = [refine_root(r, w) for r in roots]
-            finest, allowed = w, [[r.scaled for r in roots]] * n
-        return allowed
+        roots[:] = [refine_root(r, w) for r in roots]
+        return [[r.scaled for r in roots]] * n
 
     def is_root(y: FieldElement) -> bool:
         # Horner on q's integers: adding c to x = (a, e) adds c * e to a_0,

@@ -3,11 +3,12 @@
     python tests/smoke_cli.py
 
 Runs ``python -m hilmod.cli`` with this interpreter on the golden cases
-(six goldens, ``field-info`` and ``torsion-search`` at its default
-order bound on the sextic ``ct13.json``, and
-``field-info`` and ``torsion-search --max-order 18`` on three fields and
-on ``sqrt2_power_basis.json``, Q(sqrt 2) with its power basis given
-explicitly, against the Q(sqrt 2) goldens) and
+(six goldens, ``classify_mixed.json`` once more from a matrix literal
+with whitespace around every part of its terms, ``field-info`` and
+``torsion-search`` at its default order bound on the sextic
+``ct13.json``, and ``field-info`` and ``torsion-search --max-order 18``
+on three fields and on ``sqrt2_power_basis.json``, Q(sqrt 2) with its
+power basis given explicitly, against the Q(sqrt 2) goldens) and
 compares stdout byte for byte with ``tests/golden`` and the exit code
 with the one the case expects.  The mixed-element ``normalizer`` case runs
 at ``--height 1000000``: a mixed element provably has no inverting
@@ -42,6 +43,8 @@ SRC = TESTS.parent / "src"
 CASES = [  # (golden, argv, expected exit code)
     ("classify_mixed.json",
      ["classify", "--field", DATA / "sqrt2.json", "--matrix=1+1g;1+1g;2;1+1g"], 0),
+    ("classify_mixed.json",  # whitespace around every part of a term, trailing included
+     ["classify", "--field", DATA / "sqrt2.json", "--matrix= 1 + 1g ; 1+1*g ; 2 ; 1 + 1g "], 0),
     ("ktop_even.json",
      ["ktop", "--field", DATA / "sqrt2.json", "--class-number", "1",
       "--finite-census", DATA / "fc.json", "--degree", "0"], 0),

@@ -39,6 +39,12 @@ def test_parse_element_basic(sqrt2):
     assert parse_element("-g+2", sqrt2) == sqrt2.element([2, -1])
     assert parse_element("0", sqrt2) == sqrt2.zero()
     assert parse_element("3/2", sqrt2) == sqrt2.element([Fraction(3, 2), 0])
+    for spaced, plain in (("1 ", "1"), ("g ", "g"), (" 1 + 1*g ", "1+1*g"),
+                          ("-g+2\t", "-g+2"), ("1/2 g^2 ", "1/2g^2")):
+        assert parse_element(spaced, sqrt2) == parse_element(plain, sqrt2), spaced
+    for literal, value in (("--1", one), ("+-g", -th), ("1 g", th), ("2 * g", th * 2),
+                           ("3g^0", one * 3)):
+        assert parse_element(literal, sqrt2) == value, literal
 
 
 def test_parse_element_power_reduction(sqrt2):
@@ -53,13 +59,13 @@ def test_parse_element_basis_change(sqrt5):
 
 
 def test_parse_element_errors(sqrt2):
-    for bad in ("", "1+", "1**g", "*g", "1 2", "g^", "q", "1//2"):
+    for bad in ("", "1+", "1**g", "*g", "1 2", "g^", "q", "1//2", "g*", "1*", "*", "+",
+                "  ", "g1", "g^2g", "g ^2", "1 / 2"):
         with pytest.raises(ParseError):
             parse_element(bad, sqrt2)
-    try:
+    with pytest.raises(ParseError) as exc:
         parse_element("1+?", sqrt2)
-    except ParseError as exc:
-        assert exc.position == 2
+    assert exc.value.position == 2
 
 
 def render_element(x: FieldElement) -> str:
@@ -454,10 +460,10 @@ def test_smoke_script():
     proc = subprocess.run([sys.executable, str(Path(__file__).parent / "smoke_cli.py")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout
-    assert "ok   in one interpreter, forward, REFINE, reversed: 32/32 replies match\n" \
+    assert "ok   in one interpreter, forward, REFINE, reversed: 34/34 replies match\n" \
         in proc.stdout
     assert "ok   the Q(sqrt 2) field kept through REFINE equals a fresh load\n" in proc.stdout
-    assert proc.stdout.endswith("16/16 cases match\n")
+    assert proc.stdout.endswith("17/17 cases match\n")
 
 
 # -- the field table: main keeps loaded fields between calls -------------

@@ -227,14 +227,9 @@ def _full_contains_root_of(field, p):
     if rational:
         return field.one() * Fraction(rational[0], s)
 
-    finest, allowed = None, None
-
     def enclose(w):
-        nonlocal finest, allowed
-        if finest is None or w < finest:
-            roots[:] = [refine_root(r, w) for r in roots]
-            finest, allowed = w, [[r.scaled for r in roots]] * field.degree
-        return allowed
+        roots[:] = [refine_root(r, w) for r in roots]
+        return [[r.scaled for r in roots]] * field.degree
 
     coeffs = [field.one() * a for a in reversed(q.coeffs)]
 
