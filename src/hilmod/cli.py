@@ -55,7 +55,7 @@ class CliError(RuntimeError):
 # -- element and matrix literals ----------------------------------------
 
 _TERM = re.compile(r"(?P<signs>(?:\s*[+-])*)\s*(?:(?P<num>\d+)(?:/(?P<den>\d+))?)?"
-                   r"\s*(?P<star>\*)?\s*(?P<gen>g(?:\^(?P<exp>\d+))?)?\s*")
+                   r"\s*(?P<star>\*)?\s*(?P<gen>g(?:\^(?P<exp>\d+))?)?\s*", re.ASCII)
 
 
 def _int_str_limit() -> int:
@@ -104,9 +104,9 @@ def parse_element(text: str, field: NumberField) -> FieldElement:
     Each term is one match of ``_TERM``: signs, an optional rational ('1',
     '1/2'), an optional '*' and an optional generator power ('g', 'g^3'),
     with whitespace around every part, trailing whitespace included, but
-    not inside one ('1 / 2', 'g ^2'); '*' stands only between a rational
-    and a power, and each term after the first starts with a sign.  A
-    ParseError gives the position of the first error from the left.
+    not inside one ('1 / 2', 'g ^2'), both ASCII only; '*' stands only
+    between a rational and a power, and each term after the first starts
+    with a sign.  A ParseError gives the position of the first error.
     Powers beyond the field degree are reduced by square-and-multiply in
     the field, so a large exponent costs about log2(e) products.
 

@@ -31,6 +31,7 @@ tuple.  No record is a dataclass, so importing the library loads neither
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -40,14 +41,16 @@ class NotSquarefree(ValueError):
 
 
 def rational_from_string(s: str) -> Fraction:
-    """Parse "p" or "p/q"; anything else, a zero denominator included,
-    raises ValueError."""
-    if not isinstance(s, str):
-        raise ValueError(f"expected a rational string, got {s!r}")
-    try:
-        return Fraction(s.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+    """Parse "p" or "p/q": ASCII digits, a sign only on p, nothing around
+    them.  Anything else, a zero denominator included, raises ValueError;
+    ``int`` reads the digits, so the int-string limit bounds them."""
+    m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", s) if isinstance(s, str) else None
+    if m is None:
+        raise ValueError(f'expected a rational string "p" or "p/q", got {s!r:.40}')
+    num, den = int(m[1]), int(m[2] or 1)
+    if not den:
+        raise ValueError(f"zero denominator in {s!r:.40}")
+    return Fraction(num, den)
 
 
 def ratio_to_string(a: int, d: int) -> str:

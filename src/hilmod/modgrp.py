@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exactnum import Poly, Record, divide_monic
+from .exactnum import Poly, Record, divide_monic, refine_root
 from .numfield import (FieldElement, NumberField, _sqrt_interval, contains_root_of,
                        element_from_json, has_square_root)
 
@@ -243,13 +243,14 @@ def fixed_points(p: PslElem, enclosure_width: Fraction = Fraction(1, 1024)) -> F
 def _enclose_quadratic_roots(qa: FieldElement, qb: FieldElement, qc: FieldElement,
                              i: int, width: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Certified enclosures of the two real roots of the embedded quadratic,
-    each of width <= ``width``.  Every enclosure, the square root's too,
-    shrinks with w, so the loop ends for any positive width."""
+    each of width <= ``width``, over one local root refined once a round.
+    Every enclosure, the square root's too, shrinks with w, so the loop
+    ends for any positive width."""
     w = width / 16
+    theta = qa.field.root_intervals[i]
     while True:
-        a = qa.embed_scaled(i, w)
-        b = qb.embed_scaled(i, w)
-        c = qc.embed_scaled(i, w)
+        theta = refine_root(theta, w)
+        a, b, c = (q.enclosure(theta) for q in (qa, qb, qc))
         disc = b.times(b).plus(a.times(c).scale(-4))
         den = a.scale(2)
         if disc.lo > 0 and (den.lo > 0 or den.hi < 0):

@@ -20,20 +20,21 @@ irreducibility up to degree 3; above that it is a caller contract, and
 A field never changes after ``__init__``: its embeddings are the isolating
 intervals found at load, and each loop that needs a finer one refines a
 local copy, so no answer depends on earlier queries and one field can
-serve many.  Sign decisions at an embedding evaluate the integer power
-coordinates by interval Horner (``exactnum.horner_scaled``) over such a
-refined root, so they are certified.  Square roots and roots of rational
-polynomials inside the field are decided exactly: after scaling, a root y
-is an algebraic integer, so its power-basis coordinates c = T^-1
-(Tr(theta^l y))_l lie in (1/D)Z^n, with T the trace form of the order
-Z[theta] and D = det T = disc(min_poly) > 0, which is also the
-discriminant the field reports.  Integer interval enclosures of the embeddings of y, combined
-with the integer adjugate of T, pin D c to one lattice point, verified
-exactly, or exclude every lattice point; either way the answer is
-certified.  A root of a polynomial is searched for over the balanced
-assignments of its real roots to the embeddings only: the embeddings of
-an irrational root y of degree e take each of its e conjugates exactly
-n / e times, so no other assignment can be realised.
+serve many.  Sign decisions and enclosures (``FieldElement.enclosure``) at
+an embedding are interval Horner (``exactnum.horner_scaled``) on the
+integer power coordinates over such a root, so they are certified.  Square
+roots and roots of rational polynomials inside the field are decided
+exactly: after scaling, a root y is an algebraic integer, so its
+power-basis coordinates c = T^-1 (Tr(theta^l y))_l lie in (1/D)Z^n, with T
+the trace form of the order Z[theta] and D = det T = disc(min_poly) > 0,
+which is also the discriminant the field reports.  Integer interval
+enclosures of the embeddings of y, combined with the integer adjugate of
+T, pin D c to one lattice point, verified exactly, or exclude every
+lattice point; either way the answer is certified.  A root of a polynomial
+is searched for over the balanced assignments of its real roots to the
+embeddings only: the embeddings of an irrational root y of degree e take
+each of its e conjugates exactly n / e times, so no other assignment can
+be realised.
 
 ``contains_root_of`` scales p to a monic integer q and decides in three
 steps.  First a residue-field certificate (Dedekind; Cohen, GTM 138,
@@ -343,12 +344,6 @@ def _narrow_roots(p: Poly) -> list[RootInterval]:
     return [refine_root(r, Fraction(1, 2)) for r in isolate_real_roots(p)]
 
 
-def _quarter(r: RootInterval) -> RootInterval:
-    """r refined to a quarter of its width, the width built on integers."""
-    lo, hi, d = r.scaled
-    return refine_root(r, Fraction(hi - lo, 4 * d))
-
-
 RESIDUE_PRIME_BOUND = 100
 _SMALL_PRIMES = tuple(p for p in range(2, RESIDUE_PRIME_BOUND)
                       if all(p % k for k in range(2, isqrt(p) + 1)))
@@ -540,21 +535,16 @@ class FieldElement(Record):
         if lo <= 0 <= hi and self.norm() == 0:  # x != 0 is then a zero divisor
             raise ReducibleDetected("zero divisor: the minimal polynomial is reducible")
         while lo <= 0 <= hi:  # sigma_i(x) != 0, so refining decides it
-            r = _quarter(r)
+            r = refine_root(r, Fraction(r.scaled.hi - r.scaled.lo, 4 * r.scaled.den))
             lo, hi, _ = horner_scaled(cs, 1, r.scaled)
         return 1 if lo > 0 else -1
 
-    def embed_scaled(self, i: int, width: Fraction) -> ScaledInterval:
-        """Enclosure of sigma_i(x) of width <= ``width``, over one
-        denominator: over the load-time interval refined to ``width``, then
-        by quarters."""
+    def enclosure(self, theta: RootInterval) -> ScaledInterval:
+        """Enclosure of sigma_i(x), over one denominator, for the embedding
+        i whose root ``theta`` isolates: interval Horner on the power
+        coordinates over ``theta``, which shrinks with it."""
         cs, d = self._power_ints()
-        r = refine_root(self.field.root_intervals[i], width)
-        while True:
-            v = horner_scaled(cs, d, r.scaled)
-            if v.width_at_most(width):
-                return v
-            r = _quarter(r)
+        return horner_scaled(cs, d, theta.scaled)
 
     # -- trace and norm -------------------------------------------------
 
@@ -602,29 +592,29 @@ def _lattice_root(field: NumberField, enclose, assignments, verify) -> Optional[
     """The first verified algebraic integer y in k whose embeddings follow
     one of the ``assignments``; None certifies that there is none.
 
-    ``enclose(w)[i]`` lists enclosures (``ScaledInterval``), of width about
-    w and shrinking with it, of the values allowed at embedding i; an
-    assignment picks one per embedding.  The power-basis coordinates c of
-    y lie in (1/D)Z^n, and D c = A (Tr(theta^l y))_l (see
-    ``NumberField._trace_form``).  Enclosures of Tr(theta^l y) shrink the
-    intervals around D c until one holds no integer (no such y) or each
-    pins exactly one, the only possible candidate, verified exactly.
-    Everything runs on integers; the enclosure width w is 1 / wden.  The
-    theta_i and enclose(w) are computed only for a w finer than any
-    before, and serve every assignment.
+    ``enclose(w, thetas)[i]`` lists enclosures (``ScaledInterval``) of the
+    values allowed at embedding i, shrinking with w, for ``thetas[i]`` its
+    root refined to width <= w; an assignment picks one per embedding.
+    The power-basis coordinates c of y lie in (1/D)Z^n, and D c = A
+    (Tr(theta^l y))_l (see ``NumberField._trace_form``).  Enclosures of
+    Tr(theta^l y) shrink the intervals around D c until one holds no
+    integer (no such y) or each pins exactly one, the only possible
+    candidate, verified exactly.  Everything runs on integers; the width w
+    is 1 / wden.  The theta_i are refined, and enclose(w, thetas) called,
+    only for a w finer than any before, and both serve every assignment.
     """
     adj, den = field._trace_form
     n = field.degree
     zero = ScaledInterval(0, 0, 1)
     thetas = list(field.root_intervals)
-    finest = 0  # thetas and allowed are enclosures of width at most 1 / finest
+    finest = 0  # thetas have width at most 1 / finest, and allowed is over them
     for assign in assignments:
         wden = 4 * den
         while True:
-            if wden > finest:  # else the enclosures are narrower than 1 / wden already
+            if wden > finest:  # else thetas are narrower than 1 / wden already
                 w = Fraction(1, wden)
                 thetas = [refine_root(r, w) for r in thetas]
-                finest, allowed = wden, enclose(w)
+                finest, allowed = wden, enclose(w, thetas)
             u = [zero] * n  # u_l encloses Tr(theta^l y)
             for i, j in enumerate(assign):
                 theta = thetas[i].scaled
@@ -669,10 +659,10 @@ def has_square_root(c: FieldElement) -> SearchOutcome:
     s = d // math.gcd(d, *p)  # the lcm of the power-basis denominators
     cs = c * (s * s)  # in Z[theta], so its square roots are algebraic integers
 
-    def enclose(w):
+    def enclose(w, thetas):
         out = []
-        for i in range(n):
-            root = _sqrt_interval(cs.embed_scaled(i, w), w)
+        for t in thetas:
+            root = _sqrt_interval(cs.enclosure(t), w)
             out.append((root, root.scale(-1)))
         return out
 
@@ -713,7 +703,7 @@ def contains_root_of(field: NumberField, p: Poly) -> SearchOutcome:
     if rational:
         return SearchOutcome(_element(field, [rational[0]] + [0] * (n - 1), s))
 
-    def enclose(w):
+    def enclose(w, thetas):
         roots[:] = [refine_root(r, w) for r in roots]
         return [[r.scaled for r in roots]] * n
 

@@ -141,7 +141,7 @@ def ktop_json(q: int, prof: BettiProfile, fc: FiniteCensus = FiniteCensus()) -> 
     defaulted = prof.cusp_defaulted and prof.n % 2 == parity
     return {
         "q_mod_2": parity,
-        "rank": ktop_rank(q, prof, fc),
+        "rank": sum(breakdown.values()),  # ktop_rank(q, prof, fc)
         "breakdown": breakdown,
         "cusp_defaulted": defaulted,
     }

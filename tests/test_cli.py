@@ -60,7 +60,8 @@ def test_parse_element_basis_change(sqrt5):
 
 def test_parse_element_errors(sqrt2):
     for bad in ("", "1+", "1**g", "*g", "1 2", "g^", "q", "1//2", "g*", "1*", "*", "+",
-                "  ", "g1", "g^2g", "g ^2", "1 / 2"):
+                "  ", "g1", "g^2g", "g ^2", "1 / 2",
+                "\u0661+\u0661g", "g^\u0662", "1\u00a0+ g", "1 + g\u00a0"):  # non-ASCII
         with pytest.raises(ParseError):
             parse_element(bad, sqrt2)
     with pytest.raises(ParseError) as exc:
@@ -246,6 +247,13 @@ def test_exit_code_invalid_input(capsys):
     assert code2 == 2
 
 
+def test_non_ascii_digits_exit_2(capsys):
+    # Arabic-Indic digits for 1+1g;1+1g;2;1+1g, the golden mixed element
+    code, out, err = run(capsys, "classify", "--field", SQRT2,
+                         "--matrix", "\u0661+\u0661g;\u0661+\u0661g;\u0662;\u0661+\u0661g")
+    assert code == 2 and out == "" and "bad matrix literal" in err
+
+
 def test_exit_code_not_sl2(capsys):
     code, out, err = run(capsys, "classify", "--field", SQRT2, "--matrix", "1;0;0;2")
     assert code == 3 and out == ""
@@ -302,6 +310,18 @@ def test_zero_denominator_in_field_spec(capsys, tmp_path):
     code, out, err = run(capsys, "field-info", "--field", str(spec))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "zero denominator" in err
+
+
+def test_exponent_in_field_spec_exits_2_at_once(tmp_path):
+    """An exponent is no rational string: rejected before any digit is
+    built, not expanded to a million-digit integer."""
+    spec = tmp_path / "field.json"
+    spec.write_text('{"min_poly": ["-1e1000000", "0", "1"]}')
+    proc = subprocess.run([sys.executable, "-m", "hilmod.cli", "field-info", "--field", str(spec)],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: bad field spec") and '"p" or "p/q"' in proc.stderr
 
 
 def test_non_string_rational_in_field_spec(capsys, tmp_path):

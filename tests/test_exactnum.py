@@ -10,6 +10,7 @@ from hilmod.exactnum import (
     _sturm_sequence,
     horner_scaled,
     isolate_real_roots,
+    rational_from_string,
     refine_root,
 )
 from hilmod.modgrp import cos_trace_min_poly
@@ -264,3 +265,26 @@ def test_json_roundtrip():
     p = Poly([Fraction(-2), Fraction(0), Fraction(1, 3)])
     assert Poly.from_json(p.to_json()) == p
     assert Poly([-2, 0, 1]).to_json() == ["-2/1", "0/1", "1/1"]
+
+
+def test_rational_from_string_accepts_p_and_p_over_q():
+    for text, want in (("7", 7), ("-3/4", Fraction(-3, 4)), ("+6/4", Fraction(3, 2)),
+                       ("0/5", 0), ("-0", 0), ("007/010", Fraction(7, 10))):
+        assert rational_from_string(text) == want, text
+
+
+@pytest.mark.parametrize("text", [
+    "0.5", ".5", "1.", "1e3", "-1e1000000", "1E3", "1_0", "1_000/2", "\u0661", "\u0661/2",
+    " 1", "1 ", "1\n", "1 / 2", "1/-2", "1/+2", "--1", "+", "", "1/", "/2", "inf", "nan",
+])
+def test_rational_from_string_rejects_other_shapes(text):
+    with pytest.raises(ValueError, match='"p" or "p/q"'):
+        rational_from_string(text)
+
+
+def test_rational_from_string_rejects_non_strings_and_zero_denominators():
+    for value in (5, 0.5, None, ["1"]):
+        with pytest.raises(ValueError, match='"p" or "p/q"'):
+            rational_from_string(value)
+    with pytest.raises(ValueError, match="zero denominator"):
+        rational_from_string("-2/0")

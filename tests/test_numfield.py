@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from conftest import embed_mp
 
+from hilmod import exactnum
 from hilmod.exactnum import NotSquarefree, Poly, ScaledInterval, divide_monic, refine_root
 from hilmod.modgrp import cos_trace_min_poly
 from hilmod.numfield import (
@@ -168,7 +169,7 @@ def test_trace_brackets_embedding_sum(sqrt2, cubic7):
         for _ in range(20):
             x = field.element([rng.randint(-5, 5) for _ in range(field.degree)])
             w = Fraction(1, 10 ** 8)
-            encs = [x.embed_scaled(i, w).fractions() for i in range(field.degree)]
+            encs = [x.enclosure(refine_root(r, w)).fractions() for r in field.root_intervals]
             lo = sum(e[0] for e in encs)
             hi = sum(e[1] for e in encs)
             assert lo <= x.trace() <= hi
@@ -188,6 +189,27 @@ def test_has_square_root_examples(sqrt2):
     z5 = NumberField(Poly([-5, 0, 1]))
     c = z5.element([Fraction(3, 2), Fraction(1, 2)])
     assert has_square_root(c).value == z5.element([Fraction(-1, 2), Fraction(-1, 2)])
+
+
+def test_has_square_root_bisects_each_root_once(monkeypatch, sqrt2):
+    """The lattice encloses over the roots it refined itself, so one search
+    bisects each embedding's root once.  On the discriminant of the fixed
+    points of 1+g^2000;g^2000;1;1 that is 2,012 sign evaluations; a second
+    bisection per embedding, from the load-time interval, made 4,032."""
+    g = sqrt2.generator() ** 2000
+    qb, qc = -g, -g  # c x^2 + (d - a) x - b with a = 1 + g, b = g, c = d = 1
+    disc = qb * qb - qc * 4
+    calls = 0
+    sign = exactnum._horner_sign
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return sign(*args)
+
+    monkeypatch.setattr(exactnum, "_horner_sign", counted)
+    assert has_square_root(disc).value is None
+    assert calls <= 2500
 
 
 def test_has_square_root_negative_embedding(sqrt2):
@@ -227,7 +249,7 @@ def _full_contains_root_of(field, p):
     if rational:
         return field.one() * Fraction(rational[0], s)
 
-    def enclose(w):
+    def enclose(w, thetas):
         roots[:] = [refine_root(r, w) for r in roots]
         return [[r.scaled for r in roots]] * field.degree
 
@@ -377,8 +399,9 @@ def test_queries_leave_a_kept_field_unchanged():
     fresh = NumberField.from_json(json.loads(Path(spec).read_text()))
     assert kept.root_intervals == fresh.root_intervals
     x, y = kept.element([3, -2]), fresh.element([3, -2])
-    for i in range(2):
-        assert x.embed_scaled(i, Fraction(1, 100)) == y.embed_scaled(i, Fraction(1, 100))
+    for r, s in zip(kept.root_intervals, fresh.root_intervals):
+        w = Fraction(1, 100)
+        assert x.enclosure(refine_root(r, w)) == y.enclosure(refine_root(s, w))
 
 
 def test_json_roundtrips(sqrt5):
@@ -570,21 +593,11 @@ def ref_embed_sign(x, i: int) -> int:
         r = refine_root(r, r.width / 4)
 
 
-def ref_embed_scaled(x, i: int, width: Fraction) -> ScaledInterval:
-    q = Poly(ref_power_coords(x))
-    r = refine_root(x.field.root_intervals[i], width)
-    while True:
-        v = ref_eval_scaled(q, r.scaled)
-        if v.width_at_most(width):
-            return v
-        r = refine_root(r, r.width / 4)
-
-
 @pytest.mark.parametrize("seed, build", [(k, b) for k, (_, b) in enumerate(_BASIS_FIELDS)],
                          ids=[name for name, _ in _BASIS_FIELDS])
 def test_change_of_basis_matches_fraction_path(seed, build):
-    # a field never changes, so the library and the references refine the
-    # same load-time roots and their enclosures compare endpoint for endpoint
+    # a field never changes, so the library and the references evaluate over
+    # the same refined root and their enclosures compare endpoint for endpoint
     field = build()
     n = field.degree
     assert field._table == ref_table(field)
@@ -600,8 +613,9 @@ def test_change_of_basis_matches_fraction_path(seed, build):
         assert field.from_power(power).coords == ref_from_power(field, power).coords
         for i in range(n):
             assert x.embed_sign(i) == ref_embed_sign(x, i)
-            w = Fraction(1, rng.choice((3, 100, 10 ** 6)))
-            assert x.embed_scaled(i, w).fractions() == ref_embed_scaled(x, i, w).fractions()
+            r = refine_root(field.root_intervals[i], Fraction(1, rng.choice((3, 100, 10 ** 6))))
+            want = ref_eval_scaled(Poly(ref_power_coords(x)), r.scaled)
+            assert x.enclosure(r).fractions() == want.fractions()
 
 
 def test_change_of_basis_does_no_fraction_arithmetic(monkeypatch):
@@ -619,9 +633,9 @@ def test_change_of_basis_does_no_fraction_arithmetic(monkeypatch):
     for x in elements:
         field = x.field
         assert field.from_power(x.power_coords()).coords == x.coords
-        for i in range(field.degree):
+        for i, r in enumerate(field.root_intervals):
             assert x.embed_sign(i) in (-1, 1)
-            assert x.embed_scaled(i, Fraction(1, 100)).den > 0
+            assert x.enclosure(refine_root(r, Fraction(1, 100))).den > 0
 
 
 # -- the canonical element representation -------------------------------

@@ -128,3 +128,14 @@ def test_ktop_json_breakdown():
     odd = ktop_json(1, prof, fc)
     assert odd["rank"] == 0 and odd["breakdown"]["finite"] == 0
     assert odd["cusp_defaulted"] is False
+
+
+@pytest.mark.parametrize("prof, fc", [
+    (BettiProfile(1, 1), FiniteCensus()),
+    (BettiProfile(2, 1), FiniteCensus(((2, 2), (3, 1)))),
+    (BettiProfile(2, 3, ((1, 1, 2), (2, 0, 1))), FiniteCensus(((2, 1),))),
+    (BettiProfile(3, 2, ((1, 2, 1),)), FiniteCensus(((4, 1), (6, 3)))),
+])
+def test_ktop_json_rank_is_ktop_rank(prof, fc):
+    for q in range(-2, 2 * prof.n + 2):
+        assert ktop_json(q, prof, fc)["rank"] == ktop_rank(q, prof, fc), q
