@@ -21,7 +21,7 @@ BASE_C2 = "base_c2"  # the group ring R[Z/2]
 
 _RING_NAMES = {BASE: "R", BASE_C2: "R[Z/2]"}
 
-MAX_CENSUS_DEGREE = 100  # a census of degree n has about n^2 Nil-block terms
+MAX_CENSUS_DEGREE = 100  # a census of degree n gives n Nil terms from about n^2 products
 
 
 class Cardinal(Record):
@@ -364,16 +364,25 @@ def bhs_iterate(d: int, q: int) -> KExpression:
 
 
 def _nil_blocks(census: Census, q: int, ring: str) -> list[tuple[KTerm, Cardinal]]:
-    """The shared block pattern, as pairs for one merge: a slot whose
-    normalizer has rank r gets a Nil block with s = r - 1; two-copy for the
-    type-1 slots, one-copy for the type-2 slots."""
+    """The shared block pattern, one (NK_{q-i}, multiplicity) pair per i:
+    a slot whose normalizer has rank r gets a Nil block with s = r - 1,
+    two-copy for the type-1 slots, one-copy for the type-2 slots, and each
+    NK_{q-i} sums its multiplicities over the blocks.  A block with a
+    finite slot adds copies * count * binom(s, i); an infinite or unknown
+    slot adds itself, since every binom(s, i) with i <= s is positive."""
     n = census.n
     table = [(n - 1, 2, census.p), (n - 1, 2, census.h1), (n - 1, 1, census.h2),
              (n - 2, 2, census.hp1), (n - 2, 1, census.hp2)]
     for j in range(1, n):
         table += [(j - 1, 2, census.m1[j - 1]), (j - 1, 1, census.m2[j - 1])]
-    return [(term, m * mult) for s, copies, mult in table
-            for term, m in _nil_pairs(s, q, ring, copies)]
+    pairs = []
+    for i in range(n):
+        blocks = [(s, copies, mult) for s, copies, mult in table if s >= i]
+        count = sum(copies * mult.count * math.comb(s, i)
+                    for s, copies, mult in blocks if mult.kind == "finite")
+        rest = [mult for _, _, mult in blocks if mult.kind != "finite"]
+        pairs.append((KTerm.nk(q - i, ring), sum(rest, Cardinal.finite(count))))
+    return pairs
 
 
 def wh_decomposition_psl(census: Census, q: int,

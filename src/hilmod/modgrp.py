@@ -39,8 +39,7 @@ class Mat2(Record):
             return NotImplemented
         return self.a == other.a and self.b == other.b and self.c == other.c and self.d == other.d
 
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
+    __hash__ = Record.__hash__
 
     @property
     def field(self) -> NumberField:
@@ -123,14 +122,6 @@ class PslElem(Record):
 
     def __init__(self, rep: Mat2):
         object.__setattr__(self, "rep", rep)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rep == other.rep
-
-    def __hash__(self) -> int:
-        return hash((self.rep,))
 
     @property
     def field(self) -> NumberField:
@@ -321,38 +312,27 @@ def element_order(m: Mat2, bound: int) -> Optional[int]:
     """Order of m in SL_2, from the powers m, m^2, ..., m^bound: the first
     power that is +-I is m^e with e the order in PSL_2, and the SL_2 order
     is e if m^e = I, 2e if m^e = -I (which may exceed ``bound``).  None if
-    no power up to m^bound is +-I.
+    no power up to m^bound is +-I.  Raises NotUnimodular when det(m) != 1.
 
-    No matrix is multiplied.  By Cayley-Hamilton, m^e = u_e m - det(m)
-    u_(e-1) I with u_0 = 0, u_1 = 1 and u_(e+1) = tr(m) u_e - det(m)
-    u_(e-1).  For m not scalar, I and m are independent, so m^e is scalar
-    exactly when u_e = 0, and then m^e = -det(m) u_(e-1) I; a scalar m =
-    lambda I powers lambda.  Each step is one field product, two when
-    det(m) != 1."""
+    No matrix is multiplied.  By Cayley-Hamilton, m^e = u_e m - u_(e-1) I
+    with u_0 = 0, u_1 = 1 and u_(e+1) = tr(m) u_e - u_(e-1).  For m not
+    scalar, I and m are independent, so m^e is scalar exactly when u_e =
+    0, and then m^e = -u_(e-1) I with u_(e-1)^2 = det(m^e) = 1.  A scalar
+    m of determinant 1 is I or -I.  Each step is one field product."""
     field = m.field
     one = field.one()
-    zero = field.zero()
-    minus_one = -one
-    if m.b.is_zero and m.c.is_zero and m.a == m.d:  # scalar: m^e = lambda^e I
-        power = m.a
-        for e in range(1, bound + 1):
-            if power == one:
-                return e
-            if power == minus_one:
-                return 2 * e
-            power = power * m.a
+    if m.det() != one:
+        raise NotUnimodular("element order requires determinant 1")
+    if bound < 1:
         return None
-    tr, det = m.trace(), m.det()
-    unimodular = det == one
-    prev, cur = zero, one  # u_(e-1), u_e
+    if m.b.is_zero and m.c.is_zero and m.a == m.d:  # +-I
+        return 1 if m.a == one else 2
+    tr, minus_one = m.trace(), -one
+    prev, cur = field.zero(), one  # u_(e-1), u_e
     for e in range(1, bound + 1):
         if cur.is_zero:
-            scalar = -prev if unimodular else -(det * prev)
-            if scalar == one:
-                return e
-            if scalar == minus_one:
-                return 2 * e
-        prev, cur = cur, tr * cur - (prev if unimodular else det * prev)
+            return e if prev == minus_one else 2 * e
+        prev, cur = cur, tr * cur - prev
     return None
 
 

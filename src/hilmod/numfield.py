@@ -409,8 +409,7 @@ class FieldElement(Record):
             return NotImplemented
         return self.num == other.num and self.den == other.den and self.field is other.field
 
-    def __hash__(self) -> int:
-        return hash((self.field, self.num, self.den))
+    __hash__ = Record.__hash__
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -526,13 +525,15 @@ class FieldElement(Record):
         """Exact sign of the i-th real embedding; a zero divisor raises.
 
         The first enclosure is over the load-time interval, then over a
-        local copy refined by quarters until it decides."""
+        local copy refined by quarters until it decides.  Only above
+        degree 3 can x != 0 be a zero divisor (see the module docstring),
+        so only there does an undecided first enclosure compute the norm."""
         if self.is_zero:
             return 0
         cs = self._power_ints()[0]
         r = self.field.root_intervals[i]
         lo, hi, _ = horner_scaled(cs, 1, r.scaled)
-        if lo <= 0 <= hi and self.norm() == 0:  # x != 0 is then a zero divisor
+        if lo <= 0 <= hi and self.field.degree > 3 and self.norm() == 0:
             raise ReducibleDetected("zero divisor: the minimal polynomial is reducible")
         while lo <= 0 <= hi:  # sigma_i(x) != 0, so refining decides it
             r = refine_root(r, Fraction(r.scaled.hi - r.scaled.lo, 4 * r.scaled.den))

@@ -21,7 +21,15 @@ from hilmod.exactnum import NotSquarefree, Poly, RootInterval, ScaledInterval
 
 class RefPoly(Poly):
     """A ``Poly`` with ring operations, evaluation and Euclidean
-    division over Q.  Results are RefPoly too."""
+    division over Q.  Results are RefPoly too, and equal any ``Poly``
+    with the same coefficients."""
+
+    def __eq__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    __hash__ = Poly.__hash__
 
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -13,6 +13,7 @@ from hilmod.ktheory import (
     MAX_CENSUS_DEGREE,
     OPAQUE_LABEL,
     RingProps,
+    _nil_blocks,
     bhs_iterate,
     dos_nil,
     nil_single,
@@ -274,3 +275,15 @@ def test_decompositions_match_one_block_at_a_time():
                 assert got.notes[:len(want.notes)] == want.notes  # sl appends its sequence
                 assert len(got.notes) == len(want.notes) + sl
     assert kinds == {"finite", "infinite", "unknown"}
+
+
+def test_nil_blocks_one_pair_per_degree():
+    """A census of degree n gives at most n (NK term, multiplicity) pairs,
+    one per degree q - i, not one per block and degree."""
+    for n in (1, 2, 3, 10, MAX_CENSUS_DEGREE):
+        census = Census(n=n, p=FIN(1), h1=INF, h2=UNK, hp1=FIN(2), hp2=FIN(3),
+                        m1=[FIN(j) for j in range(n - 1)], m2=[UNK] * (n - 1))
+        for ring in (BASE, BASE_C2):
+            pairs = _nil_blocks(census, 1, ring)
+            assert len(pairs) <= n
+            assert len({term for term, _ in pairs}) == len(pairs)

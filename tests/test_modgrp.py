@@ -236,25 +236,28 @@ def test_element_order_matches_matrix_powers(sqrt2, sqrt5, cubic7, word_sampler)
         words = word_sampler(field, rng, 40)
         # conjugates of the witnesses are elliptic words with dense entries
         words += [g * wit * g.inv() for g, wit in zip(words, witnesses * 8)]
-        words += [one, -one, Mat2(-one.a, one.b, one.c, one.d)]  # diag(-1, 1), det -1
+        words += [one, -one]
         for m in words + witnesses:
             want = _matrix_power_order(m, 30)
-            kinds.add(classify(psl_normalize(m)).kind if check_sl(m) else "det -1")
-            bounds = {1, 2, 7, 30}
+            kinds.add(classify(psl_normalize(m)).kind)
+            bounds = {-1, 0, 1, 2, 7, 30}
             if want is not None:
                 e = want if want % 2 else want // 2  # the first power at +-I
                 bounds |= {e - 1, e, e + 1}
-            for bound in sorted(bounds - {0}):
+            for bound in sorted(bounds):
                 assert element_order(m, bound) == _matrix_power_order(m, bound), (m, bound)
-    assert kinds >= set(ClassKind) | {"det -1"}
+    assert kinds >= set(ClassKind)
 
 
 def test_element_order_non_unimodular(rationals, sqrt2):
+    """Only SL_2 elements have an order here: a determinant other than 1,
+    scalar or not, raises at every bound."""
     for field in (rationals, sqrt2):
-        for entries in ((2, 0, 0, 1), (1, 1, 0, 2), (0, 0, 0, 0)):
+        for entries in ((2, 0, 0, 1), (1, 1, 0, 2), (0, 0, 0, 0), (-1, 0, 0, 1), (2, 0, 0, 2)):
             m = _mat(field, *entries)
-            assert element_order(m, 24) is None
-            assert _matrix_power_order(m, 24) is None
+            for bound in (0, 1, 24):
+                with pytest.raises(NotUnimodular):
+                    element_order(m, bound)
 
 
 def test_torsion_orders_rationals(rationals):

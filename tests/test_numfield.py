@@ -16,6 +16,7 @@ from hilmod.exactnum import NotSquarefree, Poly, ScaledInterval, divide_monic, r
 from hilmod.modgrp import cos_trace_min_poly
 from hilmod.numfield import (
     RESIDUE_PRIME_BOUND,
+    FieldElement,
     NotMonic,
     NotTotallyReal,
     NumberField,
@@ -145,6 +146,22 @@ def test_embed_sign_against_mp(sqrt2, cubic7):
                     assert s == 0
                 else:
                     assert (s > 0) == (v > 0)
+
+
+def test_embed_sign_skips_the_norm_up_to_degree_3(cubic7, monkeypatch):
+    """Up to degree 3 a rational-root-free minimal polynomial is
+    irreducible, so an undecided first enclosure refines at once: theta - c
+    for c inside the load-time interval of theta decides with no norm."""
+    calls = []
+    norm = FieldElement.norm
+    monkeypatch.setattr(FieldElement, "norm", lambda x: calls.append(x) or norm(x))
+    for i, r in enumerate(cubic7.root_intervals):
+        for c in (r.low, (r.low + r.high) / 2, r.high):
+            x = cubic7.from_power([-c, 1])
+            lo, hi, _ = x.enclosure(r)
+            assert lo <= 0 <= hi  # the first enclosure holds 0
+            assert x.embed_sign(i) == (1 if embed_mp(x, i, 50) > 0 else -1)
+    assert calls == []
 
 
 def test_is_integral(sqrt2, sqrt5):

@@ -14,7 +14,7 @@ import pytest
 
 import hilmod
 from hilmod.classify import ClassKind, ElementClass, EmbeddingType
-from hilmod.exactnum import Poly, RootInterval, ScaledInterval
+from hilmod.exactnum import Poly, Record, RootInterval, ScaledInterval
 from hilmod.ktheory import MAX_CENSUS_DEGREE, Cardinal, Census, KTerm, RingProps
 from hilmod.modgrp import BoundaryPoint, FixedPointData, Mat2, psl_normalize
 from hilmod.normalizer import CensusSlot, NormalizerType, SlNormalizerType
@@ -169,6 +169,36 @@ def test_package_exports_are_unchanged():
         hilmod.no_such_name
 
 
+# fields that equality and hashing leave out, by record type
+UNCOMPARED = {"NormalizerType": {"witness"}}
+
+
+def _fields(record) -> tuple[str, ...]:
+    cls = type(record)
+    return cls._fields if hasattr(cls, "_fields") else cls.__slots__
+
+
+def _with_field(record, field: str, value):
+    """A copy of ``record`` with one field replaced, without validation."""
+    if hasattr(type(record), "_fields"):
+        return record._replace(**{field: value})
+    copy = object.__new__(type(record))
+    for f in _fields(record):
+        object.__setattr__(copy, f, value if f == field else getattr(record, f))
+    return copy
+
+
+def _record_classes() -> set[type]:
+    """Every ``Record`` class of the library (tests may subclass some)."""
+    todo, seen = [Record], set()
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("hilmod."):
+                seen.add(cls)
+    return seen
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_record_is_immutable_and_equal_by_value(name):
     make = RECORDS[name]
@@ -176,7 +206,17 @@ def test_record_is_immutable_and_equal_by_value(name):
     assert a is not b
     assert a == b and not a != b
     assert hash(a) == hash(b)
-    field = type(a)._fields[0] if hasattr(type(a), "_fields") else type(a).__slots__[0]
+    for f in _fields(a):
+        changed = _with_field(a, f, object())
+        if f in UNCOMPARED.get(name, ()):
+            assert a == changed and hash(a) == hash(changed)
+        else:
+            assert a != changed and not a == changed and changed != a, f
+    if isinstance(a, Record):
+        assert hash(a) == hash(a._key())
+    if name == "PslElem":
+        assert a != a.rep and a.rep != a
+    field = _fields(a)[0]
     with pytest.raises(AttributeError):
         setattr(a, field, None)
     with pytest.raises(AttributeError):
@@ -184,6 +224,15 @@ def test_record_is_immutable_and_equal_by_value(name):
     with pytest.raises(AttributeError):
         delattr(a, field)
     assert a == b
+
+
+def test_records_compare_by_key_unless_hot():
+    """Every ``Record`` class hashes by its key; only the two with
+    measured equality traffic spell out ``__eq__`` (see ``exactnum``)."""
+    classes = _record_classes()
+    assert {cls.__name__ for cls in classes} <= set(RECORDS)
+    assert {cls.__name__ for cls in classes if "__eq__" in vars(cls)} == {"FieldElement", "Mat2"}
+    assert all(cls.__hash__ is Record.__hash__ for cls in classes)
 
 
 def test_normalizer_type_equality_ignores_witness():
