@@ -23,13 +23,13 @@ and sets each one with ``object.__setattr__``, assignment and deletion
 raise AttributeError, and a record equals, and hashes like, a record of
 its class with equal fields.  Only a record that the benchmark's
 workloads compare often spells ``__eq__`` out on its fields, several
-times faster than ``Record.__eq__``: ``FieldElement`` and ``Mat2``, with
-2,723 and 900 calls in one cli-session pass at seed 7, 39 and 8 in
-involution-search, 24 and 0 in torsion-census.  No workload calls any
-other record's ``__eq__`` or any ``__hash__``, and every record hashes
-through ``Record.__hash__``.  ``typing.NamedTuple`` serves only plain
-records that no caller adds, multiplies, iterates or compares with a
-tuple.  No record is a dataclass, so importing the library loads neither
+times faster than ``Record.__eq__``: ``FieldElement``, with 1,361 calls
+in one cli-session pass at seed 7, 22 in involution-search and 24 in
+torsion-census.  The next is ``Mat2``, compared through ``Record`` 0, 2
+and 0 times; no workload calls any other record's ``__eq__`` or any
+``__hash__``, and every record hashes through ``Record.__hash__``.
+``typing.NamedTuple`` serves only plain records that no caller adds,
+multiplies, iterates or compares with a tuple.  No record is a dataclass, so importing the library loads neither
 ``dataclasses`` nor ``inspect``.
 """
 

@@ -34,13 +34,6 @@ class Mat2(Record):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.c == other.c and self.d == other.d
-
-    __hash__ = Record.__hash__
-
     @property
     def field(self) -> NumberField:
         return self.a.field
@@ -76,20 +69,8 @@ class Mat2(Record):
             raise NotUnimodular("inverse requires determinant 1")
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def __pow__(self, e: int) -> "Mat2":
-        if e < 0:
-            return self.inv() ** (-e)
-        acc, base = Mat2.identity(self.field), self
-        while e:
-            if e & 1:
-                acc = acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        return acc
-
     def is_identity(self) -> bool:
-        return self == Mat2.identity(self.field)
+        return self.b.is_zero and self.c.is_zero and self.a == self.field.one() == self.d
 
     def height(self) -> int:
         return max(x.height() for x in self.entries)
@@ -134,9 +115,6 @@ class PslElem(Record):
 
     def inv(self) -> "PslElem":
         return psl_normalize(self.rep.inv())
-
-    def __pow__(self, e: int) -> "PslElem":
-        return psl_normalize(self.rep ** e)
 
     def is_identity(self) -> bool:
         return self.rep.is_identity()

@@ -9,9 +9,11 @@ Only x is enumerated, (2h+1)^n values in a canonical order: the
 conjugation condition is linear in (y, z) and det beta = 1 fixes their
 product, so each x leaves at most two candidates (one in-field square-root
 test), except for a diagonal element, where x = 0 and y is enumerated.
-The witness is the first in the canonical (x, y) order, the one an
-enumeration of all pairs would find.  A search that reaches the bound
-without a witness is reported as inconclusive rather than guessed.
+Each candidate is checked once, by beta A = A^-1 beta in SL_2; the witness
+is the first in the canonical (x, y) order, the one an enumeration of all
+pairs would find.  A search that reaches the bound without a witness is
+reported as inconclusive rather than guessed; one that would try more
+than ``MAX_SEARCH_VALUES`` values raises SearchLimitExceeded (CLI exit 2).
 
 A mixed element has no such involution over k at any height: at an
 elliptic embedding the discriminant that x must make a square is negative
@@ -30,7 +32,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .classify import ClassKind, ElementClass, classify
 from .exactnum import Record
-from .modgrp import Mat2, PslElem, check_sl, psl_normalize
+from .modgrp import Mat2, PslElem, psl_normalize
 from .numfield import FieldElement, has_square_root
 
 
@@ -44,6 +46,13 @@ class ParabolicInput(ValueError):
 
 class RankMismatch(ValueError):
     pass
+
+
+class SearchLimitExceeded(ValueError):
+    pass
+
+
+MAX_SEARCH_VALUES = 2 ** 15  # x values (y for a diagonal element) one involution search tries
 
 
 FREE_ABELIAN = "free_abelian"
@@ -125,6 +134,16 @@ def _coord_tuples(n: int, height: int) -> Iterator[tuple[int, ...]]:
         yield from _shell(n, k, (0,) + tuple(v for m in range(1, k + 1) for v in (m, -m)))
 
 
+def _search_space(n: int, height: int) -> Iterator[tuple[int, ...]]:
+    """``_coord_tuples``; the tuple after the first ``MAX_SEARCH_VALUES`` raises."""
+    for count, t in enumerate(_coord_tuples(n, height)):
+        if count == MAX_SEARCH_VALUES:
+            raise SearchLimitExceeded(
+                f"involution search stopped after {MAX_SEARCH_VALUES} candidate values "
+                f"without a witness (height bound {height}); lower the bound")
+        yield t
+
+
 def involution_search(a: PslElem, height_bound: int,
                       cls: Optional[ElementClass] = None) -> Optional[PslElem]:
     """The first order-two beta = [[x, y], [z, -x]] in O_k of coordinate
@@ -138,7 +157,11 @@ def involution_search(a: PslElem, height_bound: int,
       whose discriminant is D x^2 + 4qr with D = (p - s)^2 + 4qr = tr^2 - 4;
     - exactly one of q, r is 0: the system is linear;
     - q = r = 0: x = 0 and y is free, so y is enumerated too.
-    Every candidate is then checked exactly.
+    Every candidate is checked exactly by beta A = A^-1 beta, A = a.rep (the
+    PSL condition, since -A^-1 would again force tr a = 0); a failure raises.
+    det beta = 1 by construction, and ``psl_normalize`` certifies it on the
+    witness.  More than ``MAX_SEARCH_VALUES`` values of x (of y when a is
+    diagonal) raise SearchLimitExceeded.
 
     A mixed a returns None at once, certified at every height: at an
     elliptic embedding sigma, sigma(D) < 0 forces sigma(4qr) <
@@ -155,8 +178,8 @@ def involution_search(a: PslElem, height_bound: int,
         return None
     field = a.field
     n = field.degree
-    p, q, r, s = a.rep.entries
-    a_inv = a.inv()
+    rep, rep_inv = a.rep, a.rep.inv()
+    p, q, r, s = rep.entries
     diagonal = q.is_zero and r.is_zero
     r_inv = None if r.is_zero else r.inverse()
     q_inv = None if q.is_zero else q.inverse()
@@ -180,7 +203,7 @@ def involution_search(a: PslElem, height_bound: int,
         t = x * p_s
         need = -field.one() - x * x  # = y*z
         if diagonal:  # x = 0 (p != s, else a = +-1) leaves y free
-            for yc in _coord_tuples(n, height_bound):
+            for yc in _search_space(n, height_bound):
                 y = field.element(yc)
                 if not y.is_zero:
                     yield y, need / y
@@ -193,7 +216,7 @@ def involution_search(a: PslElem, height_bound: int,
             if not y.is_zero:
                 yield y, need / y
 
-    for xc in [(0,) * n] if diagonal else _coord_tuples(n, height_bound):
+    for xc in [(0,) * n] if diagonal else _search_space(n, height_bound):
         x = field.element(xc)
         for y, z in candidates(x):
             if not (y.is_integral() and z.is_integral()):
@@ -201,11 +224,9 @@ def involution_search(a: PslElem, height_bound: int,
             if max(y.height(), z.height()) > height_bound:
                 continue
             beta = Mat2(x, y, z, -x)
-            if not check_sl(beta):
-                continue
-            b = psl_normalize(beta)
-            if (b * a * b.inv()).rep == a_inv.rep:
-                return b
+            if beta * rep != rep_inv * beta:
+                raise AssertionError(f"candidate {beta.to_json()} fails beta a = a^-1 beta")
+            return psl_normalize(beta)
     return None
 
 

@@ -35,28 +35,31 @@ def _mat(field, a, b, c, d):
     return Mat2(e(pad(a)), e(pad(b)), e(pad(c)), e(pad(d)))
 
 
-def test_mat_arith(monkeypatch, rationals):
+def test_mat_arith(rationals):
     s = _mat(rationals, 0, -1, 1, 0)
     assert s.inv() == _mat(rationals, 0, 1, -1, 0)
-    t = _mat(rationals, 1, 1, 0, 1)
-    products = []
-    mul = Mat2.__mul__
-
-    def counted(a, b):
-        products.append((a, b))
-        return mul(a, b)
-
-    monkeypatch.setattr(Mat2, "__mul__", counted)
-    # square-and-multiply squares only while bits remain: t^3 is two
-    # products into the accumulator and one squaring, t^-2 one of each
-    assert t ** 3 == _mat(rationals, 1, 3, 0, 1)
-    assert len(products) == 3
-    products.clear()
-    assert t ** -2 == _mat(rationals, 1, -2, 0, 1)
-    assert len(products) == 2
-    monkeypatch.undo()
     with pytest.raises(NotUnimodular):
         _mat(rationals, 1, 0, 0, 2).inv()
+
+
+def test_is_identity_reads_entries(monkeypatch, sqrt2):
+    """True for I only, and decided on the entries: neither the test nor
+    the classification of a non-identity element builds a matrix."""
+    assert Mat2.identity(sqrt2).is_identity()
+    parabolic = _mat(sqrt2, 1, 1, 0, 1)
+    others = [-Mat2.identity(sqrt2), _mat(sqrt2, 1, 0, 0, -1), parabolic]
+    u = sqrt2.one() + sqrt2.generator()
+    elements = [psl_normalize(m) for m in (parabolic, _mat(sqrt2, 0, -1, 1, 0),  # order 2
+                                           Mat2(u, u, sqrt2.one() * 2, u))]  # hyperbolic
+
+    def no_matrix(*args):
+        raise AssertionError("a Mat2 was built")
+
+    monkeypatch.setattr(Mat2, "__init__", no_matrix)
+    assert not any(m.is_identity() for m in others)
+    for a in elements:
+        assert not a.is_identity()
+        assert classify(a).kind is not ClassKind.IDENTITY
 
 
 def test_det_trace(sqrt2):

@@ -22,6 +22,7 @@ from hilmod.normalizer import (
     NormalizerType,
     ParabolicInput,
     RankMismatch,
+    SearchLimitExceeded,
     SEMIDIRECT_Z2,
     SEMIDIRECT_Z4,
     census_slot,
@@ -334,3 +335,31 @@ def test_normalizer_mixed_large_height_returns():
                          timeout=10, env={**os.environ, "PYTHONPATH": SRC})
     assert out.returncode == 4, out.stderr
     assert json.loads(out.stdout)["psl_type"] == "inconclusive"
+
+
+def test_normalizer_search_limit_exits_2():
+    """4;1;3;1 over Q(sqrt2) has no witness; at height 91, (2h+1)^2 = 33489
+    values pass MAX_SEARCH_VALUES, so the search stops with exit 2."""
+    assert 181 ** 2 <= normalizer.MAX_SEARCH_VALUES < 183 ** 2
+    argv = ["normalizer", "--field", SQRT2, "--matrix", "4;1;3;1", "--height", "91"]
+    code = f"import sys; from hilmod.cli import main; sys.exit(main({argv!r}))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=10, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert f"{normalizer.MAX_SEARCH_VALUES} candidate values" in out.stderr
+
+
+def test_search_limit_counts_values_tried(monkeypatch, sqrt2, hp_example):
+    """A search whose (2h+1)^n values fit in the limit runs in full, one
+    that would try more raises, and a witness found early returns at any
+    height; a diagonal element (``hp_example``) counts its y values."""
+    monkeypatch.setattr(normalizer, "MAX_SEARCH_VALUES", 25)
+    no_witness = _psl(sqrt2, [[4, 0], [1, 0], [3, 0], [1, 0]])
+    assert involution_search(no_witness, 2) is None  # 5^2 = 25 values
+    with pytest.raises(SearchLimitExceeded, match="25 candidate values"):
+        involution_search(no_witness, 3)
+    assert involution_search(hp_example, 10 ** 6) is not None  # the second y is 1
+    monkeypatch.setattr(normalizer, "MAX_SEARCH_VALUES", 1)
+    with pytest.raises(SearchLimitExceeded):
+        involution_search(hp_example, 1)

@@ -227,11 +227,11 @@ def test_record_is_immutable_and_equal_by_value(name):
 
 
 def test_records_compare_by_key_unless_hot():
-    """Every ``Record`` class hashes by its key; only the two with
-    measured equality traffic spell out ``__eq__`` (see ``exactnum``)."""
+    """Every ``Record`` class hashes by its key; only the one with
+    measured equality traffic spells out ``__eq__`` (see ``exactnum``)."""
     classes = _record_classes()
     assert {cls.__name__ for cls in classes} <= set(RECORDS)
-    assert {cls.__name__ for cls in classes if "__eq__" in vars(cls)} == {"FieldElement", "Mat2"}
+    assert {cls.__name__ for cls in classes if "__eq__" in vars(cls)} == {"FieldElement"}
     assert all(cls.__hash__ is Record.__hash__ for cls in classes)
 
 
