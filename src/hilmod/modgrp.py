@@ -72,9 +72,6 @@ class Mat2(Record):
     def is_identity(self) -> bool:
         return self.b.is_zero and self.c.is_zero and self.a == self.field.one() == self.d
 
-    def height(self) -> int:
-        return max(x.height() for x in self.entries)
-
     def to_json(self) -> list[list[list[str]]]:
         return [[self.a.to_json(), self.b.to_json()],
                 [self.c.to_json(), self.d.to_json()]]
@@ -97,6 +94,7 @@ class PslElem(Record):
 
     The sign is chosen so the first nonzero entry in scan order (a,b,c,d)
     is positive under the smallest embedding; use psl_normalize to build.
+    Products and inverses are taken on ``rep`` and normalized again.
     """
 
     __slots__ = ("rep",)
@@ -107,14 +105,6 @@ class PslElem(Record):
     @property
     def field(self) -> NumberField:
         return self.rep.field
-
-    def __mul__(self, other: "PslElem") -> "PslElem":
-        if not isinstance(other, PslElem):
-            return NotImplemented
-        return psl_normalize(self.rep * other.rep)
-
-    def inv(self) -> "PslElem":
-        return psl_normalize(self.rep.inv())
 
     def is_identity(self) -> bool:
         return self.rep.is_identity()
@@ -165,9 +155,6 @@ class FixedPointData(NamedTuple):
 
     quadratic: tuple[FieldElement, FieldElement, FieldElement]
     per_embedding: tuple[tuple[BoundaryPoint, ...], ...]
-
-    def boundary_count(self, i: int) -> int:
-        return len(self.per_embedding[i])
 
 
 def fixed_points(p: PslElem, enclosure_width: Fraction = Fraction(1, 1024)) -> FixedPointData:

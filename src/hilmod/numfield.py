@@ -495,18 +495,6 @@ class FieldElement(Record):
             return NotImplemented
         return self * other.inverse()
 
-    def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc, base = self.field.one(), self
-        while e:
-            if e & 1:
-                acc = acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        return acc
-
     @property
     def is_zero(self) -> bool:
         return not any(self.num)

@@ -11,6 +11,7 @@ is refined.
 
 import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -408,7 +409,7 @@ _SPECS = {
 def _char_poly(y) -> RefPoly:
     """prod_i (x - sigma_i(y)), from the power sums Tr(y^k) (Newton)."""
     n = y.field.degree
-    p = [None] + [(y ** k).trace() for k in range(1, n + 1)]
+    p = [None] + [w.trace() for w in itertools.accumulate([y] * n, operator.mul)]
     e = [Fraction(1)]
     for k in range(1, n + 1):
         e.append(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)) / k)

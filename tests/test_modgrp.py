@@ -143,7 +143,7 @@ def test_fixed_point_count_matches_embedding_type(sqrt2, word_sampler):
             continue
         fp = fixed_points(a)
         for i, t in enumerate(per_embedding_types(a)):
-            assert fp.boundary_count(i) == want[t]
+            assert len(fp.per_embedding[i]) == want[t]
 
 
 def test_enclosed_fixed_points_bracket_roots(rationals):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from conftest import embed_mp
 
-from hilmod import exactnum
+from hilmod import cli, exactnum
 from hilmod.exactnum import NotSquarefree, Poly, ScaledInterval, divide_monic, refine_root
 from hilmod.modgrp import cos_trace_min_poly
 from hilmod.numfield import (
@@ -91,14 +92,12 @@ def test_arith_examples(sqrt2):
     one = sqrt2.one()
     assert (one + th) * (th - one) == one
     assert (one + th).inverse() == th - one
-    assert (one + th) ** 2 == sqrt2.element([3, 2])
+    assert (one + th) * (one + th) == sqrt2.element([3, 2])
 
 
 def test_division_and_powers(sqrt2):
-    th = sqrt2.generator()
     x = sqrt2.element([2, -3])
     assert (x / x) == sqrt2.one()
-    assert x ** -2 == (x * x).inverse()
     with pytest.raises(ZeroDivisionError):
         sqrt2.zero().inverse()
 
@@ -213,7 +212,7 @@ def test_has_square_root_bisects_each_root_once(monkeypatch, sqrt2):
     bisects each embedding's root once.  On the discriminant of the fixed
     points of 1+g^2000;g^2000;1;1 that is 2,012 sign evaluations; a second
     bisection per embedding, from the load-time interval, made 4,032."""
-    g = sqrt2.generator() ** 2000
+    g = cli.parse_element("g^2000", sqrt2)
     qb, qc = -g, -g  # c x^2 + (d - a) x - b with a = 1 + g, b = g, c = d = 1
     disc = qb * qb - qc * 4
     calls = 0
@@ -287,7 +286,7 @@ def _min_poly_over_q(y) -> RefPoly:
     """The minimal polynomial of y over Q: the squarefree part of its
     characteristic polynomial, from the power sums Tr(y^k) (Newton)."""
     n = y.field.degree
-    p = [None] + [(y ** k).trace() for k in range(1, n + 1)]
+    p = [None] + [w.trace() for w in itertools.accumulate([y] * n, operator.mul)]
     e = [Fraction(1)]
     for k in range(1, n + 1):
         e.append(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)) / k)

@@ -16,9 +16,9 @@ import hilmod
 from hilmod.classify import ClassKind, ElementClass, EmbeddingType
 from hilmod.exactnum import Poly, Record, RootInterval, ScaledInterval
 from hilmod.ktheory import MAX_CENSUS_DEGREE, Cardinal, Census, KTerm, RingProps
-from hilmod.modgrp import BoundaryPoint, FixedPointData, Mat2, psl_normalize
+from hilmod.modgrp import BoundaryPoint, FixedPointData, Mat2, PslElem, psl_normalize
 from hilmod.normalizer import CensusSlot, NormalizerType, SlNormalizerType
-from hilmod.numfield import NumberField, SearchOutcome
+from hilmod.numfield import FieldElement, NumberField, SearchOutcome
 from hilmod.topk import BettiProfile, FiniteCensus
 
 TESTS = Path(__file__).resolve().parent
@@ -233,6 +233,17 @@ def test_records_compare_by_key_unless_hot():
     assert {cls.__name__ for cls in classes} <= set(RECORDS)
     assert {cls.__name__ for cls in classes if "__eq__" in vars(cls)} == {"FieldElement"}
     assert all(cls.__hash__ is Record.__hash__ for cls in classes)
+
+
+def test_records_define_only_called_operations():
+    """A PSL class product or inverse is ``psl_normalize`` of the ``Mat2``
+    product or inverse of the representatives, a power of an element is
+    the literal parser's bounded g^e, and a fixed-point count is
+    ``len(per_embedding[i])``; none of them is a method."""
+    unused = {PslElem: {"__mul__", "inv"}, FieldElement: {"__pow__"},
+              Mat2: {"height"}, FixedPointData: {"boundary_count"}}
+    for cls, names in unused.items():
+        assert not names & set(dir(cls)), cls.__name__
 
 
 def test_normalizer_type_equality_ignores_witness():
