@@ -179,7 +179,7 @@ def _load_json(path: str):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CliError(EXIT_INVALID, f"cannot read {path}: {exc}")
 
 
@@ -198,7 +198,7 @@ def _load_field(path: str) -> NumberField:
     rewritten file gives a new field."""
     try:
         return _field_from_text(_read_text(path), _int_str_limit())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CliError(EXIT_INVALID, f"cannot read {path}: {exc}")
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(EXIT_INVALID, f"bad field spec: {exc}")
@@ -326,8 +326,16 @@ def _cmd_ktop(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="hilmod")
-    sub = top.add_subparsers(dest="command", required=True)
+    import shutil  # not at module level: importing this module loads no shutil
+
+    # argparse builds a formatter for every argument and one given no width
+    # asks the terminal; this is the width it computes, asked once per build
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    top = argparse.ArgumentParser(prog="hilmod", formatter_class=formatter)
+    sub = top.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
 
     def common(p, field=True):
         p.add_argument("--format", choices=("json", "human"), default="json")

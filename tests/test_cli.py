@@ -1,8 +1,10 @@
+import argparse
 import io
 import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -629,6 +631,52 @@ def test_stdin_field(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(Path(SQRT2).read_text()))
     code, out, _ = run(capsys, "field-info", "--field", "-")
     assert code == 0 and '"degree": 2' in out
+
+
+@pytest.mark.parametrize("option", ["--field", "--census", "--finite-census", "--cusp-dims"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, option):
+    """JSON nested past the decoder's recursion limit is a malformed file,
+    not a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    argv = {"--field": ["field-info"], "--census": ["wh-decomp"]}.get(
+        option, ["ktop", "--field", SQRT2, "--class-number", "1"])
+    code, out, err = run(capsys, *argv, option, str(deep))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {deep}: ") and "recursion" in err
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_text_matches_the_default_formatter(monkeypatch, columns):
+    """Help and usage text are those of argparse's own formatter, which asks
+    the terminal each time, at every width the build sees."""
+    monkeypatch.setenv("COLUMNS", columns)
+    top = cli._build_parser()
+    sub, = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 6
+    for parser in (top, *sub.choices.values()):
+        shared = parser.format_help(), parser.format_usage()
+        parser.formatter_class = argparse.HelpFormatter
+        assert (parser.format_help(), parser.format_usage()) == shared, parser.prog
+
+
+def test_one_terminal_query_per_call(capsys, monkeypatch):
+    """Each main() call builds its parser once and asks the terminal once
+    (argparse alone asks once per formatter, 32 times per build)."""
+    calls = {"get_terminal_size": 0, "_build_parser": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        counted("get_terminal_size", shutil.get_terminal_size))
+    monkeypatch.setattr(cli, "_build_parser", counted("_build_parser", cli._build_parser))
+    for n in (1, 2):
+        assert run(capsys, "classify", "--field", SQRT2, "--matrix", "1;1;0;1")[0] == 0
+        assert calls == {"get_terminal_size": n, "_build_parser": n}
 
 
 def test_root_searches_import_no_mpmath_or_sympy():
