@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: field-info, classify, normalizer, torsion-search, wh-decomp,
-ktop.  All machine output is deterministic JSON on stdout (sorted keys, no
-timestamps); diagnostics go to stderr.  Exit codes: 0 success, 2 invalid
-input, 3 matrix not in SL_2(O_k), 4 bounded search inconclusive, 141
-(128 + SIGPIPE) stdout closed by its reader before the output was written.
+ktop, each declared once, in ``_COMMANDS``: its handler, which returns the
+payload ``main`` prints, its arguments and its exit code.  All machine
+output is deterministic JSON on stdout (sorted keys, no timestamps);
+diagnostics go to stderr.  Exit codes: 0 success, 2 invalid input, 3
+matrix not in SL_2(O_k), 4 bounded search inconclusive, 141 (128 +
+SIGPIPE) stdout closed by its reader before the output was written.
 
 ``main`` keeps the fields it has loaded, keyed by the spec's content and at
 most ``FIELD_TABLE_SIZE`` of them, so repeated calls in one process load
@@ -21,7 +23,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .classify import classification_json
 from .exactnum import refine_root, require_json
@@ -231,52 +233,45 @@ def _emit(payload: dict, fmt: str) -> None:
 # -- subcommands ---------------------------------------------------------
 
 
-def _cmd_field_info(args) -> int:
+def _cmd_field_info(args) -> dict:
     field = _load_field(args.field)
     enclosures = []
     for r in field.root_intervals:  # refined locally: no query changes a loaded field
         r = refine_root(r, Fraction(1, 10 ** 6))
         enclosures.append([str(r.low), str(r.high)])
-    _emit({
+    return {
         "degree": field.degree,
         "min_poly": field.min_poly.to_json(),
         "integral_basis": [[str(x) for x in row] for row in field.integral_basis],
         "discriminant": str(field.discriminant()),
         "embeddings": enclosures,
-    }, args.format)
-    return EXIT_OK
+    }
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     field = _load_field(args.field)
-    a = _load_psl(args, field)
-    _emit(classification_json(a), args.format)
-    return EXIT_OK
+    return classification_json(_load_psl(args, field))
 
 
-def _cmd_normalizer(args) -> int:
+def _cmd_normalizer(args) -> dict:
     if args.height < 0:
         raise CliError(EXIT_INVALID, "height must be >= 0")
     field = _load_field(args.field)
-    a = _load_psl(args, field)
-    payload = normalizer_json(a, height_bound=args.height)
-    _emit(payload, args.format)
-    return EXIT_INCONCLUSIVE if payload["psl_type"] == "inconclusive" else EXIT_OK
+    return normalizer_json(_load_psl(args, field), height_bound=args.height)
 
 
-def _cmd_torsion_search(args) -> int:
+def _cmd_torsion_search(args) -> dict:
     field = _load_field(args.field)
     m_max = default_order_bound(field.degree) if args.max_order is None else args.max_order
     found = torsion_orders(field, m_max)  # ValueError (exit 2) when m_max < 1
-    _emit({
+    return {
         "m_max": m_max,
         "orders": [m for m, _ in found],
         "witnesses": {str(m): wit.to_json() for m, wit in found},
-    }, args.format)
-    return EXIT_OK
+    }
 
 
-def _cmd_wh_decomp(args) -> int:
+def _cmd_wh_decomp(args) -> dict:
     from .ktheory import Census, RingProps, wh_decomposition_psl, wh_decomposition_sl
 
     try:
@@ -287,16 +282,15 @@ def _cmd_wh_decomp(args) -> int:
                       nk_finite_exponent=args.nk_finite_exponent)
     fn = wh_decomposition_sl if args.sl else wh_decomposition_psl
     expr = fn(census, args.q, props)
-    _emit({
+    return {
         "group": "sl" if args.sl else "psl",
         "q": args.q,
         "expression": expr.to_json(),
         "notes": expr.notes,
-    }, args.format)
-    return EXIT_OK
+    }
 
 
-def _cmd_ktop(args) -> int:
+def _cmd_ktop(args) -> dict:
     from .topk import BettiProfile, FiniteCensus, ktop_json
 
     field = _load_field(args.field)
@@ -318,11 +312,43 @@ def _cmd_ktop(args) -> int:
     if payload["cusp_defaulted"]:
         print("warning: cusp dimensions defaulted to 0; "
               "middle-degree rank is a lower bound only", file=sys.stderr)
-    _emit(payload, args.format)
-    return EXIT_OK
+    return payload
 
 
 # -- argument plumbing ---------------------------------------------------
+
+
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], dict]
+    arguments: tuple  # (flag, add_argument keywords) for each argument after --format
+    exit_code: Callable[[dict], int] = lambda payload: EXIT_OK
+
+
+_FIELD = ("--field", dict(required=True, help="field spec JSON path, or - for stdin"))
+
+_COMMANDS = {  # each subcommand, declared here only, in the order of the help text
+    "field-info": _Command(_cmd_field_info, (_FIELD,)),
+    "classify": _Command(_cmd_classify, (
+        _FIELD, ("--matrix", dict(required=True, help='entries "a;b;c;d"')))),
+    "normalizer": _Command(_cmd_normalizer, (
+        _FIELD, ("--matrix", dict(required=True)),
+        ("--height", dict(type=int, default=5,
+                          help="involution search height bound (default 5)"))),
+        lambda payload: EXIT_INCONCLUSIVE if payload["psl_type"] == "inconclusive" else EXIT_OK),
+    "torsion-search": _Command(_cmd_torsion_search, (
+        _FIELD,
+        ("--max-order", dict(type=int, help="largest order to test (default: the phi bound)")))),
+    "wh-decomp": _Command(_cmd_wh_decomp, (
+        ("--census", dict(required=True, help="census JSON path")),
+        ("--q", dict(type=int, default=1, help="K-theory degree")),
+        ("--sl", dict(action="store_true", help="decompose for SL_2(O_k) instead of PSL_2(O_k)")),
+        ("--regular", dict(action="store_true")),
+        ("--nk-finite-exponent", dict(action="store_true")))),
+    "ktop": _Command(_cmd_ktop, (
+        _FIELD, ("--class-number", dict(type=int, required=True)),
+        ("--finite-census", {}), ("--cusp-dims", {}),
+        ("--degree", dict(type=int, default=0, help="K-theory degree q")))),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -336,52 +362,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(
         dest="command", required=True,
         parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
-
-    def common(p, field=True):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name)
         p.add_argument("--format", choices=("json", "human"), default="json")
-        if field:
-            p.add_argument("--field", required=True,
-                           help="field spec JSON path, or - for stdin")
-
-    p = sub.add_parser("field-info")
-    common(p)
-    p.set_defaults(fn=_cmd_field_info)
-
-    p = sub.add_parser("classify")
-    common(p)
-    p.add_argument("--matrix", required=True, help='entries "a;b;c;d"')
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("normalizer")
-    common(p)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--height", type=int, default=5,
-                   help="involution search height bound (default 5)")
-    p.set_defaults(fn=_cmd_normalizer)
-
-    p = sub.add_parser("torsion-search")
-    common(p)
-    p.add_argument("--max-order", type=int, default=None,
-                   help="largest order to test (default: the phi bound)")
-    p.set_defaults(fn=_cmd_torsion_search)
-
-    p = sub.add_parser("wh-decomp")
-    common(p, field=False)
-    p.add_argument("--census", required=True, help="census JSON path")
-    p.add_argument("--q", type=int, default=1, help="K-theory degree")
-    p.add_argument("--sl", action="store_true",
-                   help="decompose for SL_2(O_k) instead of PSL_2(O_k)")
-    p.add_argument("--regular", action="store_true")
-    p.add_argument("--nk-finite-exponent", action="store_true")
-    p.set_defaults(fn=_cmd_wh_decomp)
-
-    p = sub.add_parser("ktop")
-    common(p)
-    p.add_argument("--class-number", type=int, required=True)
-    p.add_argument("--finite-census", default=None)
-    p.add_argument("--cusp-dims", default=None)
-    p.add_argument("--degree", type=int, default=0, help="K-theory degree q")
-    p.set_defaults(fn=_cmd_ktop)
+        for flag, options in command.arguments:
+            p.add_argument(flag, **options)
     return top
 
 
@@ -404,9 +389,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         except SystemExit:  # after --help on stdout, or a usage error on stderr
             sys.stdout.flush()
             raise
-        code = args.fn(args)
+        command = _COMMANDS[args.command]
+        payload = command.run(args)
+        _emit(payload, args.format)
         sys.stdout.flush()
-        return code
+        return command.exit_code(payload)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -204,10 +204,6 @@ class KExpression:
     def filter(self, kind: str) -> "KExpression":
         return KExpression([(t, m) for t, m in self.terms if t.kind == kind])
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         return isinstance(other, KExpression) and self.terms == other.terms
 

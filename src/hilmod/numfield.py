@@ -426,10 +426,6 @@ class FieldElement(Record):
         rows, den = self.field._basis
         return _vec_mat(self.num, rows, self.field.degree), self.den * den
 
-    def power_coords(self) -> list[Fraction]:
-        p, d = self._power_ints()
-        return [Fraction(c, d) for c in p]
-
     # -- ring / field structure ----------------------------------------
 
     def __add__(self, other: "FieldElement") -> "FieldElement":

@@ -7,6 +7,7 @@ import pytest
 from hilmod.exactnum import Poly
 from hilmod.modgrp import Mat2
 from hilmod.numfield import NumberField
+from refpoly import power_coords
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +52,7 @@ def embed_mp(x, i: int, dps: int):
     theta = _mp_roots(x.field.min_poly.coeffs, dps)[i]
     with mpmath.workdps(dps + 10):
         return mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator
-                               for c in reversed(x.power_coords())], theta)
+                               for c in reversed(power_coords(x))], theta)
 
 
 def sample_sl2_words(field, rng: random.Random, count: int,

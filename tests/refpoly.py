@@ -3,6 +3,9 @@ Euclidean division (``RefPoly``), the Fraction Sturm chain with the root
 isolation built on it (Cauchy bound, split points and signs in
 Fractions), Gauss-Jordan matrix inversion, and builders of the integer
 intervals from Fraction endpoints (``scaled_of``, ``root_interval``).
+Two views the library has no use for: a field element's power-basis
+coordinates in Fractions (``power_coords``) and whether a K-theory
+expression has no terms (``is_empty``).
 
 The library computes all of these on integers (pseudo-remainders, exact
 division by a monic divisor, the fraction-free solver); these are the
@@ -278,3 +281,15 @@ def mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
                 g = aug[r][col]
                 aug[r] = [x - g * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def power_coords(x) -> list[Fraction]:
+    """The power-basis coordinates of a field element, ascending, as
+    Fractions of the library's integer ones (``FieldElement._power_ints``)."""
+    p, d = x._power_ints()
+    return [Fraction(c, d) for c in p]
+
+
+def is_empty(expr) -> bool:
+    """Whether a ``KExpression`` has no terms."""
+    return not expr.terms

@@ -15,6 +15,7 @@ import pytest
 from hilmod import cli
 from hilmod.cli import ParseError, _digit_limit, main, parse_element, parse_matrix
 from hilmod.numfield import FieldElement, NumberField
+from refpoly import power_coords
 from smoke_cli import CASES, REFINE, in_process_failures, run_in_process
 from test_cli_table import _FIELD_SPECS
 
@@ -74,7 +75,7 @@ def test_parse_element_errors(sqrt2):
 def render_element(x: FieldElement) -> str:
     """Inverse of parse_element on the power basis, for the round trip."""
     parts = []
-    for i, c in enumerate(x.power_coords()):
+    for i, c in enumerate(power_coords(x)):
         if c == 0:
             continue
         mag = str(abs(c))
@@ -677,6 +678,38 @@ def test_one_terminal_query_per_call(capsys, monkeypatch):
     for n in (1, 2):
         assert run(capsys, "classify", "--field", SQRT2, "--matrix", "1;1;0;1")[0] == 0
         assert calls == {"get_terminal_size": n, "_build_parser": n}
+
+
+_COMMAND_NAMES = ["field-info", "classify", "normalizer", "torsion-search", "wh-decomp", "ktop"]
+
+# (golden, argv, exit code): --help writes the golden to stdout, a usage
+# error writes it to stderr
+_USAGE_CASES = [("help.txt", ["--help"], 0)] + [
+    (f"help_{name}.txt", [name, "--help"], 0) for name in _COMMAND_NAMES
+] + [
+    ("usage_unknown_command.txt", ["no-such-command"], 2),
+    ("usage_missing_field.txt", ["classify", "--matrix", "1;0;0;1"], 2),
+    ("usage_unrecognized_argument.txt", ["field-info", "--field", "x.json", "--bogus"], 2),
+]
+
+
+def usage_golden(name: str) -> Path:
+    """The golden of a help or usage text at COLUMNS=80.  From Python 3.13
+    argparse wraps a usage line only between whole options, and where that
+    changes the text its rendering is kept under ``py313/``."""
+    newer = GOLDEN / "py313" / name
+    return newer if sys.version_info >= (3, 13) and newer.exists() else GOLDEN / name
+
+
+@pytest.mark.parametrize("golden,argv,code", _USAGE_CASES, ids=[c[0] for c in _USAGE_CASES])
+def test_help_and_usage_goldens(capsys, monkeypatch, golden, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    written, silent = (out.out, out.err) if code == 0 else (out.err, out.out)
+    assert exc.value.code == code
+    assert written == usage_golden(golden).read_text() and silent == ""
 
 
 def test_root_searches_import_no_mpmath_or_sympy():

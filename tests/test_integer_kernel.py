@@ -25,7 +25,7 @@ from hilmod.modgrp import (_cos_trace_from_cyclotomic, _cyclotomic_table, cos_tr
                            cyclotomic, torsion_orders)
 from hilmod.numfield import (RESIDUE_PRIME_BOUND, NumberField, _balanced_assignments,
                              _residue_obstruction, contains_root_of, has_square_root)
-from refpoly import (REF_SPLITS, RefPoly, mat_inverse, ref_isolate_real_roots,
+from refpoly import (REF_SPLITS, RefPoly, mat_inverse, power_coords, ref_isolate_real_roots,
                      ref_nonroot_point, root_interval, scaled_of)
 
 
@@ -95,7 +95,7 @@ class RefField:
     def embed_sign(self, x, i):
         if x.is_zero:
             return 0
-        q = RefPoly(x.power_coords())
+        q = RefPoly(power_coords(x))
         r = self.roots[i]
         while True:
             lo, hi = ref_eval_interval(q, r.low, r.high)
@@ -108,7 +108,7 @@ class RefField:
             r = ref_refine_root(r, r.width / 4)
 
     def embed_interval(self, x, i, width):
-        q = Poly(x.power_coords())
+        q = Poly(power_coords(x))
         r = ref_refine_root(self.roots[i], width)
         while True:
             lo, hi = ref_eval_interval(q, r.low, r.high)
@@ -156,7 +156,7 @@ class RefField:
         if nm < 0 or isqrt(nm.numerator) ** 2 != nm.numerator \
                 or isqrt(nm.denominator) ** 2 != nm.denominator:
             return None
-        s = math.lcm(*(x.denominator for x in c.power_coords()))
+        s = math.lcm(*(x.denominator for x in power_coords(c)))
         cs = c * (s * s)
 
         def enclose(w):

@@ -21,6 +21,7 @@ from hilmod.ktheory import (
     wh_decomposition_psl,
     wh_decomposition_sl,
 )
+from refpoly import is_empty
 
 FIN = Cardinal.finite
 INF = Cardinal.infinite()
@@ -53,7 +54,7 @@ def test_expression_normal_form():
     t = KTerm.nk(1)
     e = KExpression([(t, FIN(1)), (t, FIN(2)), (KTerm.k(0), FIN(0))])
     assert e.terms == ((t, FIN(3)),)
-    assert KExpression([(t, FIN(0))]).is_empty
+    assert is_empty(KExpression([(t, FIN(0))]))
 
 
 def test_expression_merge_commutes():
@@ -73,14 +74,14 @@ def test_dos_nil_rows():
     assert dict(dos_nil(1, 5).terms) == {KTerm.nk(5): FIN(2), KTerm.nk(4): FIN(2)}
     assert dict(dos_nil(2, 5).terms) == {
         KTerm.nk(5): FIN(2), KTerm.nk(4): FIN(4), KTerm.nk(3): FIN(2)}
-    assert dos_nil(-1, 5).is_empty
+    assert is_empty(dos_nil(-1, 5))
 
 
 def test_nil_single_rows():
     assert nil_single(0, 5).terms == ((KTerm.nk(5), FIN(1)),)
     assert dict(nil_single(2, 5).terms) == {
         KTerm.nk(5): FIN(1), KTerm.nk(4): FIN(2), KTerm.nk(3): FIN(1)}
-    assert nil_single(-1, 5).is_empty
+    assert is_empty(nil_single(-1, 5))
 
 
 def test_pascal_recurrence():
@@ -164,7 +165,7 @@ def test_psl_decomposition_parabolic_block():
 
 
 def test_psl_decomposition_empty():
-    assert wh_decomposition_psl(Census(n=2), 1, RingProps()).is_empty
+    assert is_empty(wh_decomposition_psl(Census(n=2), 1, RingProps()))
 
 
 def test_psl_decomposition_fuchsian():

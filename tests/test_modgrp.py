@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from hilmod.exactnum import Poly
@@ -133,6 +134,27 @@ def test_fixed_points_elliptic(sqrt2):
         fixed_points(psl_normalize(Mat2.identity(sqrt2)))
 
 
+def _encloses(enclosure: tuple[Fraction, Fraction], x) -> bool:
+    lo, hi = (mpmath.mpf(v.numerator) / v.denominator for v in enclosure)
+    return lo <= x <= hi
+
+
+def test_fixed_points_mixed(sqrt2):
+    """[[u, u], [2, u]], u = 1 + sqrt2, has trace 2u: elliptic at sigma_1
+    (2 - 2 sqrt2), no boundary point there, and hyperbolic at sigma_2, where
+    it fixes the roots -+sqrt(u/2) of 2x^2 - u, enclosed since 2u is no
+    square in Q(sqrt2)."""
+    u = sqrt2.one() + sqrt2.generator()
+    a = psl_normalize(Mat2(u, u, sqrt2.element([2, 0]), u))
+    elliptic, hyperbolic = fixed_points(a).per_embedding
+    assert elliptic == ()
+    assert [p.kind for p in hyperbolic] == ["enclosed", "enclosed"]
+    with mpmath.workdps(60):
+        root = mpmath.sqrt((1 + mpmath.sqrt(2)) / 2)
+        assert _encloses(hyperbolic[0].enclosure, -root)
+        assert _encloses(hyperbolic[1].enclosure, root)
+
+
 def test_fixed_point_count_matches_embedding_type(sqrt2, word_sampler):
     rng = random.Random(11)
     want = {EmbeddingType.ELLIPTIC: 0, EmbeddingType.PARABOLIC: 1,
@@ -146,17 +168,22 @@ def test_fixed_point_count_matches_embedding_type(sqrt2, word_sampler):
             assert len(fp.per_embedding[i]) == want[t]
 
 
-def test_enclosed_fixed_points_bracket_roots(rationals):
-    # [[2,1],[1,1]]: quadratic x^2 - x - 1, golden ratio roots
-    a = psl_normalize(_mat(rationals, 2, 1, 1, 1))
-    fp = fixed_points(a)
-    (pts,) = fp.per_embedding
-    assert len(pts) == 2
-    # golden ratio roots: -0.6180339887..., 1.6180339887...
-    phi_neg = Fraction(-6180339888, 10 ** 10), Fraction(-6180339887, 10 ** 10)
-    phi_pos = Fraction(16180339887, 10 ** 10), Fraction(16180339888, 10 ** 10)
-    assert pts[0].enclosure[0] <= phi_neg[1] and pts[0].enclosure[1] >= phi_neg[0]
-    assert pts[1].enclosure[0] <= phi_pos[1] and pts[1].enclosure[1] >= phi_pos[0]
+def test_enclosed_fixed_points_bracket_roots(rationals, sqrt2):
+    """[[2, 1], [1, 1]] fixes the roots (1 -+ sqrt5)/2 of x^2 - x - 1 at every
+    embedding; 5 is no square in Q or Q(sqrt2), so both are enclosures, each
+    no wider than asked and each holding the root mpmath computes."""
+    with mpmath.workdps(60):
+        roots = [(1 - mpmath.sqrt(5)) / 2, (1 + mpmath.sqrt(5)) / 2]
+        for field in (rationals, sqrt2):
+            a = psl_normalize(_mat(field, 2, 1, 1, 1))
+            for width in (Fraction(1, 1024), Fraction(1, 10 ** 9)):
+                per_embedding = fixed_points(a, width).per_embedding
+                assert len(per_embedding) == field.degree
+                for comp in per_embedding:
+                    assert [p.kind for p in comp] == ["enclosed", "enclosed"]
+                    for p, root in zip(comp, roots):
+                        assert p.enclosure[1] - p.enclosure[0] <= width
+                        assert _encloses(p.enclosure, root)
 
 
 def test_enclosed_fixed_points_below_1e12():

@@ -15,7 +15,7 @@ import pytest
 import hilmod
 from hilmod.classify import ClassKind, ElementClass, EmbeddingType
 from hilmod.exactnum import Poly, Record, RootInterval, ScaledInterval
-from hilmod.ktheory import MAX_CENSUS_DEGREE, Cardinal, Census, KTerm, RingProps
+from hilmod.ktheory import MAX_CENSUS_DEGREE, Cardinal, Census, KExpression, KTerm, RingProps
 from hilmod.modgrp import BoundaryPoint, FixedPointData, Mat2, PslElem, psl_normalize
 from hilmod.normalizer import CensusSlot, NormalizerType, SlNormalizerType
 from hilmod.numfield import FieldElement, NumberField, SearchOutcome
@@ -239,9 +239,11 @@ def test_records_define_only_called_operations():
     """A PSL class product or inverse is ``psl_normalize`` of the ``Mat2``
     product or inverse of the representatives, a power of an element is
     the literal parser's bounded g^e, and a fixed-point count is
-    ``len(per_embedding[i])``; none of them is a method."""
-    unused = {PslElem: {"__mul__", "inv"}, FieldElement: {"__pow__"},
-              Mat2: {"height"}, FixedPointData: {"boundary_count"}}
+    ``len(per_embedding[i])``; none of them is a method.  Power-basis
+    Fractions and an expression's emptiness are test helpers in refpoly."""
+    unused = {PslElem: {"__mul__", "inv"}, FieldElement: {"__pow__", "power_coords"},
+              Mat2: {"height"}, FixedPointData: {"boundary_count"},
+              KExpression: {"is_empty"}}
     for cls, names in unused.items():
         assert not names & set(dir(cls)), cls.__name__
 
