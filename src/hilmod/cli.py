@@ -8,6 +8,13 @@ diagnostics go to stderr.  Exit codes: 0 success, 2 invalid input, 3
 matrix not in SL_2(O_k), 4 bounded search inconclusive, 141 (128 +
 SIGPIPE) stdout closed by its reader before the output was written.
 
+``main`` builds its argument parser on every call, with one terminal
+query.  When the first argument names a subcommand, only that
+subcommand's parser gets its arguments, and the other five hold only
+``-h``: argparse reads no other, so help, usage and errors are those of
+the full parser, which ``main`` builds otherwise (``--help``, an option
+before the subcommand, an unknown name).
+
 ``main`` keeps the fields it has loaded, keyed by the spec's content and at
 most ``FIELD_TABLE_SIZE`` of them, so repeated calls in one process load
 each field once.  A query never changes a loaded field (each loop refines
@@ -351,7 +358,9 @@ _COMMANDS = {  # each subcommand, declared here only, in the order of the help t
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The top parser with all six subcommand parsers; given a ``command``,
+    only that one gets its arguments and the others hold only ``-h``."""
     import shutil  # not at module level: importing this module loads no shutil
 
     # argparse builds a formatter for every argument and one given no width
@@ -362,11 +371,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(
         dest="command", required=True,
         parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
-    for name, command in _COMMANDS.items():
+    for name, entry in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--format", choices=("json", "human"), default="json")
-        for flag, options in command.arguments:
-            p.add_argument(flag, **options)
+        if command in (None, name):
+            p.add_argument("--format", choices=("json", "human"), default="json")
+            for flag, options in entry.arguments:
+                p.add_argument(flag, **options)
     return top
 
 
@@ -385,7 +395,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         try:
-            args = _build_parser().parse_args(_join_matrix_values(argv))
+            named = argv[0] if argv and argv[0] in _COMMANDS else None
+            args = _build_parser(named).parse_args(_join_matrix_values(argv))
         except SystemExit:  # after --help on stdout, or a usage error on stderr
             sys.stdout.flush()
             raise

@@ -663,7 +663,8 @@ def test_help_text_matches_the_default_formatter(monkeypatch, columns):
 
 def test_one_terminal_query_per_call(capsys, monkeypatch):
     """Each main() call builds its parser once and asks the terminal once
-    (argparse alone asks once per formatter, 32 times per build)."""
+    (argparse alone asks once per formatter it makes: 11 times for the
+    build of a classify call, 32 for the full parser)."""
     calls = {"get_terminal_size": 0, "_build_parser": 0}
 
     def counted(name, fn):
@@ -710,6 +711,86 @@ def test_help_and_usage_goldens(capsys, monkeypatch, golden, argv, code):
     written, silent = (out.out, out.err) if code == 0 else (out.err, out.out)
     assert exc.value.code == code
     assert written == usage_golden(golden).read_text() and silent == ""
+
+
+# -- the named build: a call that names a subcommand declares its arguments only
+
+# every argv above and of smoke_cli.py, and options before, after or
+# abbreviated around a subcommand name
+_NAMED_BUILD_ARGVS = [argv for _, argv, _ in _USAGE_CASES] + [
+    [str(a) for a in argv] for _, argv, _ in CASES
+] + [
+    ["--format", "json", "classify", "--field", SQRT2, "--matrix", "1;1;0;1"],
+    ["-h", "classify"],
+    ["--foo", "classify", "--field", SQRT2, "--matrix", "1;1;0;1"],
+    ["classify", "--field", SQRT2, "--matrix", "1;1;0;1", "--max-order", "3"],
+    ["classify", "--fie", SQRT2, "--mat", "1;1;0;1"],
+]
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_named_build_replies_as_the_full_parser(capsys, monkeypatch, columns):
+    """Where argv[0] names a subcommand, its build reads the same arguments
+    as the full parser.  Where the parse prints help or a usage error, main
+    builds the named parser when argv[0] names a subcommand and the full one
+    otherwise, and its reply equals that of a run forced onto the full
+    parser, byte for byte."""
+    monkeypatch.setenv("COLUMNS", columns)
+    build, built = cli._build_parser, []
+
+    def parse(parser, argv):  # the arguments read, or None where the parse exits
+        try:
+            return vars(parser.parse_args(cli._join_matrix_values(argv)))
+        except SystemExit:
+            capsys.readouterr()
+            return None
+
+    def reply(argv):  # (exit code, stdout, stderr) of a main() that exits in its parse
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    def recorded(command=None):
+        built.append(command)
+        return build(command)
+
+    exits = []
+    for argv in _NAMED_BUILD_ARGVS:
+        parsed = parse(build(argv[0] if argv[0] in _COMMAND_NAMES else None), argv)
+        assert parsed == parse(build(), argv), argv
+        if parsed is None:
+            exits.append(argv)
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    replies = [reply(argv) for argv in exits]
+    assert built == [argv[0] if argv[0] in _COMMAND_NAMES else None for argv in exits]
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+    assert [reply(argv) for argv in exits] == replies
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_named_build_declares_only_the_named_arguments(monkeypatch, columns):
+    """A named build registers all six subcommands; the other five hold only
+    -h, and the named one's help is that of the full build and of argparse's
+    own formatter."""
+    monkeypatch.setenv("COLUMNS", columns)
+
+    def subparsers(top):
+        sub, = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    full = subparsers(cli._build_parser())
+    for name in _COMMAND_NAMES:
+        parsers = subparsers(cli._build_parser(name))
+        assert list(parsers) == _COMMAND_NAMES
+        for other in _COMMAND_NAMES:
+            if other != name:
+                assert [a.option_strings for a in parsers[other]._actions] == [["-h", "--help"]]
+        parser = parsers[name]
+        shared = parser.format_help()
+        assert shared == full[name].format_help()
+        parser.formatter_class = argparse.HelpFormatter
+        assert parser.format_help() == shared, name
 
 
 def test_root_searches_import_no_mpmath_or_sympy():

@@ -9,7 +9,8 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from hilmod.exactnum import Poly
+from hilmod import modgrp
+from hilmod.exactnum import Poly, refine_root
 from hilmod.modgrp import (
     IdentityElement,
     Mat2,
@@ -184,6 +185,43 @@ def test_enclosed_fixed_points_bracket_roots(rationals, sqrt2):
                     for p, root in zip(comp, roots):
                         assert p.enclosure[1] - p.enclosure[0] <= width
                         assert _encloses(p.enclosure, root)
+
+
+def _sign_plus_sqrt2(p: Fraction, r: Fraction) -> int:
+    """The exact sign of p + r*sqrt2: sqrt2 is irrational, so p^2 = 2r^2
+    only when p = r = 0."""
+    if p * p > 2 * r * r:
+        return (p > 0) - (p < 0)
+    return (r > 0) - (r < 0)
+
+
+def test_enclosed_fixed_points_narrow_until_the_width(sqrt2, monkeypatch):
+    """[[1 + 1000g, 1000g], [1, 1]] fixes the roots of x^2 - 1000s(x + 1),
+    s = sigma_i(g) = -+sqrt2, about -1413.2 and -1.0007 at sigma_1 and
+    -0.9993 and 1415.2 at sigma_2.  The large coefficient widens the first
+    round's enclosures past the width asked for, so the loop narrows them
+    (more than one root refinement per embedding).  Each enclosure is
+    checked against the width and by an exact sign change of the embedded
+    quadratic at its ends."""
+    refinements = []
+    monkeypatch.setattr(modgrp, "refine_root",
+                        lambda *args: refinements.append(args) or refine_root(*args))
+    a = psl_normalize(Mat2(sqrt2.element([1, 1000]), sqrt2.element([0, 1000]),
+                           sqrt2.one(), sqrt2.one()))
+    for width in (Fraction(1, 1024), Fraction(1, 10 ** 9)):
+        refinements.clear()
+        per_embedding = fixed_points(a, width).per_embedding
+        assert len(refinements) > sqrt2.degree
+        for i, comp in enumerate(per_embedding):
+            s = 1 if sqrt2.root_intervals[i].low > 0 else -1  # sigma_i(g) = s * sqrt2
+            assert [p.kind for p in comp] == ["enclosed", "enclosed"]
+            (lo_1, hi_1), (lo_2, hi_2) = (p.enclosure for p in comp)
+            assert hi_1 < lo_2
+            for lo, hi in ((lo_1, hi_1), (lo_2, hi_2)):
+                assert hi - lo <= width
+                # q(x) = x^2 - 1000 s sqrt2 (x + 1) changes sign on [lo, hi]
+                signs = [_sign_plus_sqrt2(x * x, -1000 * s * (x + 1)) for x in (lo, hi)]
+                assert signs[0] * signs[1] <= 0, (i, width, signs)
 
 
 def test_enclosed_fixed_points_below_1e12():
