@@ -9,11 +9,11 @@ matrix not in SL_2(O_k), 4 bounded search inconclusive, 141 (128 +
 SIGPIPE) stdout closed by its reader before the output was written.
 
 ``main`` builds its argument parser on every call, with one terminal
-query.  When the first argument names a subcommand, only that
-subcommand's parser gets its arguments, and the other five hold only
-``-h``: argparse reads no other, so help, usage and errors are those of
-the full parser, which ``main`` builds otherwise (``--help``, an option
-before the subcommand, an unknown name).
+query.  When the first argument names a subcommand, it builds the top
+parser and that subcommand's parser only: argparse reads no other, and
+the top usage lists all six names, so help, usage and errors are those
+of the full parser, which ``main`` builds otherwise (``--help``, an
+option before the subcommand, an unknown name).
 
 ``main`` keeps the fields it has loaded, keyed by the spec's content and at
 most ``FIELD_TABLE_SIZE`` of them, so repeated calls in one process load
@@ -360,7 +360,7 @@ _COMMANDS = {  # each subcommand, declared here only, in the order of the help t
 
 def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The top parser with all six subcommand parsers; given a ``command``,
-    only that one gets its arguments and the others hold only ``-h``."""
+    the top parser with that subcommand's parser only."""
     import shutil  # not at module level: importing this module loads no shutil
 
     # argparse builds a formatter for every argument and one given no width
@@ -368,25 +368,45 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
     top = argparse.ArgumentParser(prog="hilmod", formatter_class=formatter)
+    # a named build shows the top usage with the full parser's choices; the
+    # full build keeps none, which would rename the argument in its errors
+    named = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
     sub = top.add_subparsers(
-        dest="command", required=True,
+        dest="command", required=True, **named,
         parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
     for name, entry in _COMMANDS.items():
-        p = sub.add_parser(name)
         if command in (None, name):
+            p = sub.add_parser(name)
             p.add_argument("--format", choices=("json", "human"), default="json")
             for flag, options in entry.arguments:
                 p.add_argument(flag, **options)
     return top
 
 
+def _matrix_flags(entry: _Command) -> frozenset:
+    """"--matrix" and, where the subcommand takes it, each abbreviation
+    argparse resolves to it there: a prefix from "--m" on that begins no
+    other option of that subcommand's parser."""
+    options = ["--help", "--format", *(flag for flag, _ in entry.arguments)]
+    prefixes = ("--matrix"[:n] for n in range(3, 9))
+    return frozenset(["--matrix", *(prefix for prefix in prefixes
+                                    if [o for o in options if o.startswith(prefix)] == ["--matrix"])])
+
+
+_MATRIX_FLAGS = {name: _matrix_flags(entry) for name, entry in _COMMANDS.items()}
+
+
 def _join_matrix_values(argv: list[str]) -> list[str]:
-    """Rewrite "--matrix VALUE" as "--matrix=VALUE", so that argparse does
-    not read a literal starting with '-' as an option."""
+    """Rewrite "--matrix VALUE" as "--matrix=VALUE", and the same for each
+    abbreviation of --matrix in the subcommand's parser (``_MATRIX_FLAGS``
+    of the first argument that names one), so that argparse does not read a
+    literal starting with '-' as an option."""
+    command = next((tok for tok in argv if tok in _COMMANDS), None)
+    flags = _MATRIX_FLAGS[command] if command else {"--matrix"}
     out: list[str] = []
     tokens = iter(argv)
     for tok in tokens:
-        value = next(tokens, None) if tok == "--matrix" else None
+        value = next(tokens, None) if tok in flags else None
         out.append(tok if value is None else f"{tok}={value}")
     return out
 

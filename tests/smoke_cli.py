@@ -17,7 +17,13 @@ record as at ``--height 2``.  ``whdecomp_full100_sl.json`` is the largest
 census, every slot filled, under ``wh-decomp --sl``.  Prints one line per
 case.
 
-Then it runs the same cases through ``hilmod.cli.main`` in this
+It runs each help and usage case (``USAGE_CASES``) the same way at
+``COLUMNS=80`` and compares the exit code, and stdout for help or stderr
+for a usage error, with its golden (``usage_golden``: ``py313/`` from
+Python 3.13 where one is kept there); the other stream must be empty.
+Prints one line per case and one for all of them.
+
+Then it runs the golden cases through ``hilmod.cli.main`` in this
 interpreter, forward, then ``REFINE``, then reversed, and checks every
 reply the same way: ``main`` keeps the fields it has loaded between
 calls, and no reply may depend on the calls before it.  Prints one line
@@ -72,8 +78,45 @@ CASES = [  # (golden, argv, expected exit code)
      ["torsion-search", "--field", DATA / "sqrt2_power_basis.json", "--max-order", "18"], 0),
 ]
 
+COMMAND_NAMES = ["field-info", "classify", "normalizer", "torsion-search", "wh-decomp", "ktop"]
+
+# (golden, argv, exit code): --help writes the golden to stdout, a usage
+# error writes it to stderr
+USAGE_CASES = [("help.txt", ["--help"], 0)] + [
+    (f"help_{name}.txt", [name, "--help"], 0) for name in COMMAND_NAMES
+] + [
+    ("usage_unknown_command.txt", ["no-such-command"], 2),
+    ("usage_missing_field.txt", ["classify", "--matrix", "1;0;0;1"], 2),
+    ("usage_unrecognized_argument.txt", ["field-info", "--field", "x.json", "--bogus"], 2),
+]
+
 # a classify whose sign decisions refine an embedding of Q(sqrt 2) to about 10^4 bits
 REFINE = ["classify", "--field", DATA / "sqrt2.json", "--matrix=1+g^20000;g^20000;1;1"]
+
+
+def usage_golden(name: str) -> Path:
+    """The golden of a help or usage text at COLUMNS=80.  From Python 3.13
+    argparse wraps a usage line only between whole options, and where that
+    changes the text its rendering is kept under ``py313/``."""
+    newer = GOLDEN / "py313" / name
+    return newer if sys.version_info >= (3, 13) and newer.exists() else GOLDEN / name
+
+
+def usage_failures(env) -> list[str]:
+    """The golden of each ``USAGE_CASES`` case whose reply, as a child
+    process at COLUMNS=80, differs from it; prints one line per case."""
+    failed = []
+    for golden, argv, code in USAGE_CASES:
+        proc = subprocess.run([sys.executable, "-m", "hilmod.cli", *argv], capture_output=True,
+                              env={**env, "COLUMNS": "80"}, timeout=60)
+        written, silent = (proc.stdout, proc.stderr) if code == 0 else (proc.stderr, proc.stdout)
+        path = usage_golden(golden)
+        ok = proc.returncode == code and silent == b"" and written == path.read_bytes()
+        if not ok:
+            failed.append(golden)
+        print(f"{'ok  ' if ok else 'FAIL'} {path.relative_to(GOLDEN)}"
+              + ("" if ok else f" (exit {proc.returncode}) {proc.stderr.decode()[-300:]}"))
+    return failed
 
 
 def run_in_process(argv) -> tuple[int, bytes, str]:
@@ -128,6 +171,9 @@ def main() -> int:
         failed += not ok
         print(f"{'ok  ' if ok else 'FAIL'} {golden}"
               + ("" if ok else f" (exit {proc.returncode}) {proc.stderr.decode()[-300:]}"))
+    usage_failed = usage_failures(env)
+    print(f"{'ok  ' if not usage_failed else 'FAIL'} help and usage at COLUMNS=80: "
+          f"{len(USAGE_CASES) - len(usage_failed)}/{len(USAGE_CASES)} match")
     sys.path.insert(0, str(SRC))
     sequence = CASES + CASES[::-1]
     differ = in_process_failures(CASES)
@@ -142,7 +188,7 @@ def main() -> int:
     print(f"{'ok  ' if unchanged else 'FAIL'} the Q(sqrt 2) field kept through REFINE "
           "equals a fresh load")
     print(f"python {sys.version.split()[0]}: {len(CASES) - failed}/{len(CASES)} cases match")
-    return 1 if failed or differ or not unchanged else 0
+    return 1 if failed or usage_failed or differ or not unchanged else 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from hilmod import cli
 from hilmod.cli import ParseError, _digit_limit, main, parse_element, parse_matrix
 from hilmod.numfield import FieldElement, NumberField
 from refpoly import power_coords
-from smoke_cli import CASES, REFINE, in_process_failures, run_in_process
+from smoke_cli import (CASES, COMMAND_NAMES, REFINE, USAGE_CASES, in_process_failures,
+                       run_in_process, usage_golden)
 from test_cli_table import _FIELD_SPECS
 
 DATA = Path(__file__).parent / "data"
@@ -301,6 +302,27 @@ def test_matrix_with_leading_minus(capsys):
     _check_golden("normalizer_hp.json", out)
 
 
+@pytest.mark.parametrize("flag", ["--m", "--ma", "--mat", "--matri"])
+def test_abbreviated_matrix_with_leading_minus(capsys, flag):
+    """An abbreviation argparse resolves to --matrix takes a literal that
+    starts with '-' as --matrix does."""
+    code, out, err = run(capsys, "classify", "--field", SQRT2, flag, "-1;0;0;-1")
+    assert code == 0 and '"class": "identity"' in out and err == ""
+    code, out, err = run(capsys, "normalizer", "--field", SQRT2,
+                         flag, "-1-1g;0;0;1-1g", "--height", "2")
+    assert code == 0 and err == ""
+    _check_golden("normalizer_hp.json", out)
+
+
+def test_abbreviated_max_order_is_not_a_matrix(capsys):
+    """Where --ma abbreviates --max-order, its value is read as before: a
+    number, and a negative one is a bad bound (exit 2), not a literal."""
+    code, out, err = run(capsys, "torsion-search", "--field", SQRT2, "--ma", "5")
+    assert code == 0 and json.loads(out)["m_max"] == 5 and err == ""
+    code, out, err = run(capsys, "torsion-search", "--field", SQRT2, "--ma", "-3")
+    assert (code, out, err) == (2, "", "error: m_max must be >= 1\n")
+
+
 def test_zero_denominator_in_matrix(capsys):
     code, out, err = run(capsys, "classify", "--field", SQRT2, "--matrix", "1/0;0;0;1")
     assert code == 2 and out == ""
@@ -483,6 +505,7 @@ def test_smoke_script():
     proc = subprocess.run([sys.executable, str(Path(__file__).parent / "smoke_cli.py")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout
+    assert "ok   help and usage at COLUMNS=80: 10/10 match\n" in proc.stdout
     assert "ok   in one interpreter, forward, REFINE, reversed: 34/34 replies match\n" \
         in proc.stdout
     assert "ok   the Q(sqrt 2) field kept through REFINE equals a fresh load\n" in proc.stdout
@@ -663,7 +686,7 @@ def test_help_text_matches_the_default_formatter(monkeypatch, columns):
 
 def test_one_terminal_query_per_call(capsys, monkeypatch):
     """Each main() call builds its parser once and asks the terminal once
-    (argparse alone asks once per formatter it makes: 11 times for the
+    (argparse alone asks once per formatter it makes: 6 times for the
     build of a classify call, 32 for the full parser)."""
     calls = {"get_terminal_size": 0, "_build_parser": 0}
 
@@ -681,28 +704,7 @@ def test_one_terminal_query_per_call(capsys, monkeypatch):
         assert calls == {"get_terminal_size": n, "_build_parser": n}
 
 
-_COMMAND_NAMES = ["field-info", "classify", "normalizer", "torsion-search", "wh-decomp", "ktop"]
-
-# (golden, argv, exit code): --help writes the golden to stdout, a usage
-# error writes it to stderr
-_USAGE_CASES = [("help.txt", ["--help"], 0)] + [
-    (f"help_{name}.txt", [name, "--help"], 0) for name in _COMMAND_NAMES
-] + [
-    ("usage_unknown_command.txt", ["no-such-command"], 2),
-    ("usage_missing_field.txt", ["classify", "--matrix", "1;0;0;1"], 2),
-    ("usage_unrecognized_argument.txt", ["field-info", "--field", "x.json", "--bogus"], 2),
-]
-
-
-def usage_golden(name: str) -> Path:
-    """The golden of a help or usage text at COLUMNS=80.  From Python 3.13
-    argparse wraps a usage line only between whole options, and where that
-    changes the text its rendering is kept under ``py313/``."""
-    newer = GOLDEN / "py313" / name
-    return newer if sys.version_info >= (3, 13) and newer.exists() else GOLDEN / name
-
-
-@pytest.mark.parametrize("golden,argv,code", _USAGE_CASES, ids=[c[0] for c in _USAGE_CASES])
+@pytest.mark.parametrize("golden,argv,code", USAGE_CASES, ids=[c[0] for c in USAGE_CASES])
 def test_help_and_usage_goldens(capsys, monkeypatch, golden, argv, code):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
@@ -713,11 +715,11 @@ def test_help_and_usage_goldens(capsys, monkeypatch, golden, argv, code):
     assert written == usage_golden(golden).read_text() and silent == ""
 
 
-# -- the named build: a call that names a subcommand declares its arguments only
+# -- the named build: a call that names a subcommand builds its parser only
 
 # every argv above and of smoke_cli.py, and options before, after or
 # abbreviated around a subcommand name
-_NAMED_BUILD_ARGVS = [argv for _, argv, _ in _USAGE_CASES] + [
+_NAMED_BUILD_ARGVS = [argv for _, argv, _ in USAGE_CASES] + [
     [str(a) for a in argv] for _, argv, _ in CASES
 ] + [
     ["--format", "json", "classify", "--field", SQRT2, "--matrix", "1;1;0;1"],
@@ -757,40 +759,57 @@ def test_named_build_replies_as_the_full_parser(capsys, monkeypatch, columns):
 
     exits = []
     for argv in _NAMED_BUILD_ARGVS:
-        parsed = parse(build(argv[0] if argv[0] in _COMMAND_NAMES else None), argv)
+        parsed = parse(build(argv[0] if argv[0] in COMMAND_NAMES else None), argv)
         assert parsed == parse(build(), argv), argv
         if parsed is None:
             exits.append(argv)
     monkeypatch.setattr(cli, "_build_parser", recorded)
     replies = [reply(argv) for argv in exits]
-    assert built == [argv[0] if argv[0] in _COMMAND_NAMES else None for argv in exits]
+    assert built == [argv[0] if argv[0] in COMMAND_NAMES else None for argv in exits]
     monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
     assert [reply(argv) for argv in exits] == replies
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
-def test_named_build_declares_only_the_named_arguments(monkeypatch, columns):
-    """A named build registers all six subcommands; the other five hold only
-    -h, and the named one's help is that of the full build and of argparse's
-    own formatter."""
+def test_named_build_holds_only_the_named_parser(capsys, monkeypatch, columns):
+    """A named build registers the named subcommand only, under a metavar
+    that is the full parser's rendering of all six choices (the full build
+    has none), and the named parser's help is that of the full build and of
+    argparse's own formatter.  A named main() call constructs 2
+    ArgumentParsers, the full build 7."""
     monkeypatch.setenv("COLUMNS", columns)
 
     def subparsers(top):
         sub, = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
-        return sub.choices
+        return sub
 
-    full = subparsers(cli._build_parser())
-    for name in _COMMAND_NAMES:
-        parsers = subparsers(cli._build_parser(name))
-        assert list(parsers) == _COMMAND_NAMES
-        for other in _COMMAND_NAMES:
-            if other != name:
-                assert [a.option_strings for a in parsers[other]._actions] == [["-h", "--help"]]
-        parser = parsers[name]
+    full_top = cli._build_parser()
+    full = subparsers(full_top)
+    assert list(full.choices) == COMMAND_NAMES and full.metavar is None
+    rendered, = full_top._get_formatter()._metavar_formatter(full, None)(1)
+    for name in COMMAND_NAMES:
+        sub = subparsers(cli._build_parser(name))
+        assert list(sub.choices) == [name] and sub.metavar == rendered
+        parser = sub.choices[name]
         shared = parser.format_help()
-        assert shared == full[name].format_help()
+        assert shared == full.choices[name].format_help()
         parser.formatter_class = argparse.HelpFormatter
         assert parser.format_help() == shared, name
+
+    constructed = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal constructed
+        constructed += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "classify", "--field", SQRT2, "--matrix", "1;1;0;1")[0] == 0
+    assert constructed == 2
+    constructed = 0
+    cli._build_parser()
+    assert constructed == 7
 
 
 def test_root_searches_import_no_mpmath_or_sympy():
