@@ -9,11 +9,9 @@ matrix not in SL_2(O_k), 4 bounded search inconclusive, 141 (128 +
 SIGPIPE) stdout closed by its reader before the output was written.
 
 ``main`` builds its argument parser on every call, with one terminal
-query.  When the first argument names a subcommand, it builds the top
-parser and that subcommand's parser only: argparse reads no other, and
-the top usage lists all six names, so help, usage and errors are those
-of the full parser, which ``main`` builds otherwise (``--help``, an
-option before the subcommand, an unknown name).
+query: the named subcommand's parser alone when the first argument names
+one.  The full parser, whose help and errors show the top usage, reads
+any other argv, and one with arguments left over after the named parse.
 
 ``main`` keeps the fields it has loaded, keyed by the spec's content and at
 most ``FIELD_TABLE_SIZE`` of them, so repeated calls in one process load
@@ -360,27 +358,25 @@ _COMMANDS = {  # each subcommand, declared here only, in the order of the help t
 
 def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The top parser with all six subcommand parsers; given a ``command``,
-    the top parser with that subcommand's parser only."""
+    that subcommand's parser alone, built as the top parser builds it."""
     import shutil  # not at module level: importing this module loads no shutil
 
     # argparse builds a formatter for every argument and one given no width
     # asks the terminal; this is the width it computes, asked once per build
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
-    top = argparse.ArgumentParser(prog="hilmod", formatter_class=formatter)
-    # a named build shows the top usage with the full parser's choices; the
-    # full build keeps none, which would rename the argument in its errors
-    named = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
-    sub = top.add_subparsers(
-        dest="command", required=True, **named,
-        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
-    for name, entry in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name)
-            p.add_argument("--format", choices=("json", "human"), default="json")
-            for flag, options in entry.arguments:
-                p.add_argument(flag, **options)
-    return top
+    parser_class = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
+    if command is not None:
+        parsers = {command: parser_class(prog=f"hilmod {command}")}
+    else:
+        top = parser_class(prog="hilmod")
+        sub = top.add_subparsers(dest="command", required=True, parser_class=parser_class)
+        parsers = {name: sub.add_parser(name) for name in _COMMANDS}
+    for name, p in parsers.items():
+        p.add_argument("--format", choices=("json", "human"), default="json")
+        for flag, options in _COMMANDS[name].arguments:
+            p.add_argument(flag, **options)
+    return top if command is None else parsers[command]
 
 
 def _matrix_flags(entry: _Command) -> frozenset:
@@ -415,12 +411,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         try:
-            named = argv[0] if argv and argv[0] in _COMMANDS else None
-            args = _build_parser(named).parse_args(_join_matrix_values(argv))
+            argv = _join_matrix_values(argv)
+            name = argv[0] if argv and argv[0] in _COMMANDS else None
+            if name:
+                args, extra = _build_parser(name).parse_known_args(argv[1:])
+            if not name or extra:  # the top parser prints its help or usage error, and exits
+                _build_parser().parse_args(argv)
         except SystemExit:  # after --help on stdout, or a usage error on stderr
             sys.stdout.flush()
             raise
-        command = _COMMANDS[args.command]
+        command = _COMMANDS[name]
         payload = command.run(args)
         _emit(payload, args.format)
         sys.stdout.flush()

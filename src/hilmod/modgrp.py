@@ -241,11 +241,6 @@ def _cyclotomic_coeffs(m: int) -> list[int]:
     return _cyclotomic_table(d for d in range(1, m + 1) if m % d == 0)[m]
 
 
-def cyclotomic(m: int) -> Poly:
-    """The m-th cyclotomic polynomial, by exact division on integers."""
-    return Poly(_cyclotomic_coeffs(m))
-
-
 def cos_trace_min_poly(m: int) -> Poly:
     """Minimal polynomial over Q of 2*cos(2*pi/m)."""
     if m == 1:

@@ -686,7 +686,7 @@ def test_help_text_matches_the_default_formatter(monkeypatch, columns):
 
 def test_one_terminal_query_per_call(capsys, monkeypatch):
     """Each main() call builds its parser once and asks the terminal once
-    (argparse alone asks once per formatter it makes: 6 times for the
+    (argparse alone asks once per formatter it makes: 4 times for the
     build of a classify call, 32 for the full parser)."""
     calls = {"get_terminal_size": 0, "_build_parser": 0}
 
@@ -717,8 +717,9 @@ def test_help_and_usage_goldens(capsys, monkeypatch, golden, argv, code):
 
 # -- the named build: a call that names a subcommand builds its parser only
 
-# every argv above and of smoke_cli.py, and options before, after or
-# abbreviated around a subcommand name
+# every argv above and of smoke_cli.py, options before, after or abbreviated
+# around a subcommand name, "--" anywhere, and arguments left over after a
+# parse that would succeed, with help or an invalid value among them
 _NAMED_BUILD_ARGVS = [argv for _, argv, _ in USAGE_CASES] + [
     [str(a) for a in argv] for _, argv, _ in CASES
 ] + [
@@ -727,70 +728,67 @@ _NAMED_BUILD_ARGVS = [argv for _, argv, _ in USAGE_CASES] + [
     ["--foo", "classify", "--field", SQRT2, "--matrix", "1;1;0;1"],
     ["classify", "--field", SQRT2, "--matrix", "1;1;0;1", "--max-order", "3"],
     ["classify", "--fie", SQRT2, "--mat", "1;1;0;1"],
+    ["classify", "--field", SQRT2, "--", "--matrix", "1;1;0;1"],
+    ["classify", "--field", SQRT2, "--matrix", "1;1;0;1", "--"],
+    ["classify", "--", "--field", SQRT2, "--matrix", "1;1;0;1"],
+    ["classify", "--field", SQRT2, "--matrix", "1;1;0;1", "extra", "--bogus"],
+    ["classify", "-h", "--bogus"],
+    ["classify", "--bogus", "-h"],
+    ["classify", "--format", "xml", "--bogus"],
+    ["classify", "--field", SQRT2, "--matrix", "-1;0;0;-1", "--fo", "human"],
 ]
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 def test_named_build_replies_as_the_full_parser(capsys, monkeypatch, columns):
-    """Where argv[0] names a subcommand, its build reads the same arguments
-    as the full parser.  Where the parse prints help or a usage error, main
-    builds the named parser when argv[0] names a subcommand and the full one
-    otherwise, and its reply equals that of a run forced onto the full
-    parser, byte for byte."""
+    """main's reply to each argv (exit code or SystemExit code, stdout,
+    stderr) equals, byte for byte, that of a main forced onto the full
+    parser.  Each handler here prints the arguments it was given, but the
+    subcommand name, so where the parse succeeds the two read the same."""
     monkeypatch.setenv("COLUMNS", columns)
-    build, built = cli._build_parser, []
+    build = cli._build_parser
+    for name, entry in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, entry._replace(
+            run=lambda args: {k: v for k, v in vars(args).items() if k != "command"},
+            exit_code=lambda payload: 0))
 
-    def parse(parser, argv):  # the arguments read, or None where the parse exits
-        try:
-            return vars(parser.parse_args(cli._join_matrix_values(argv)))
-        except SystemExit:
-            capsys.readouterr()
-            return None
+    def replies():
+        out = []
+        for argv in _NAMED_BUILD_ARGVS:
+            try:
+                code = ("return", main(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            written = capsys.readouterr()
+            out.append((code, written.out, written.err))
+        return out
 
-    def reply(argv):  # (exit code, stdout, stderr) of a main() that exits in its parse
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        out = capsys.readouterr()
-        return exc.value.code, out.out, out.err
+    class FullParse:  # a named parser that reads its argv with the full parser
+        def __init__(self, command):
+            self.command = command
 
-    def recorded(command=None):
-        built.append(command)
-        return build(command)
+        def parse_known_args(self, args):
+            return build().parse_args([self.command, *args]), []
 
-    exits = []
-    for argv in _NAMED_BUILD_ARGVS:
-        parsed = parse(build(argv[0] if argv[0] in COMMAND_NAMES else None), argv)
-        assert parsed == parse(build(), argv), argv
-        if parsed is None:
-            exits.append(argv)
-    monkeypatch.setattr(cli, "_build_parser", recorded)
-    replies = [reply(argv) for argv in exits]
-    assert built == [argv[0] if argv[0] in COMMAND_NAMES else None for argv in exits]
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
-    assert [reply(argv) for argv in exits] == replies
+    named = replies()
+    assert {kind for (kind, _), _, _ in named} == {"return", "exit"}
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda command=None: build() if command is None else FullParse(command))
+    assert replies() == named
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
-def test_named_build_holds_only_the_named_parser(capsys, monkeypatch, columns):
-    """A named build registers the named subcommand only, under a metavar
-    that is the full parser's rendering of all six choices (the full build
-    has none), and the named parser's help is that of the full build and of
-    argparse's own formatter.  A named main() call constructs 2
-    ArgumentParsers, the full build 7."""
+def test_named_call_builds_only_the_named_parser(capsys, monkeypatch, columns):
+    """A named build is that subcommand's parser alone, whose help is that
+    of the full build's subparser and of argparse's own formatter.  A named
+    main() call constructs 1 ArgumentParser, one with arguments left over
+    1 + 7 (the full parser prints the error), and the full build 7."""
     monkeypatch.setenv("COLUMNS", columns)
-
-    def subparsers(top):
-        sub, = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
-        return sub
-
-    full_top = cli._build_parser()
-    full = subparsers(full_top)
-    assert list(full.choices) == COMMAND_NAMES and full.metavar is None
-    rendered, = full_top._get_formatter()._metavar_formatter(full, None)(1)
+    full, = (a for a in cli._build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction))
+    assert list(full.choices) == COMMAND_NAMES
     for name in COMMAND_NAMES:
-        sub = subparsers(cli._build_parser(name))
-        assert list(sub.choices) == [name] and sub.metavar == rendered
-        parser = sub.choices[name]
+        parser = cli._build_parser(name)
         shared = parser.format_help()
         assert shared == full.choices[name].format_help()
         parser.formatter_class = argparse.HelpFormatter
@@ -805,8 +803,14 @@ def test_named_build_holds_only_the_named_parser(capsys, monkeypatch, columns):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert run(capsys, "classify", "--field", SQRT2, "--matrix", "1;1;0;1")[0] == 0
-    assert constructed == 2
+    classify = ["classify", "--field", SQRT2, "--matrix", "1;1;0;1"]
+    assert run(capsys, *classify)[0] == 0
+    assert constructed == 1
+    constructed = 0
+    with pytest.raises(SystemExit) as exc:
+        main(classify + ["--bogus"])
+    assert exc.value.code == 2 and "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert constructed == 1 + 7
     constructed = 0
     cli._build_parser()
     assert constructed == 7

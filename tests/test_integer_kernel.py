@@ -1,7 +1,7 @@
 """The integer real layer against Fraction references.
 
 ``refine_root``, ``horner_scaled``, ``_lattice_root`` (with the
-interval helpers ``_imul``/``_isum``), ``cyclotomic`` and
+interval helpers ``_imul``/``_isum``), ``_cyclotomic_coeffs`` and
 ``cos_trace_min_poly`` run on integers; the references below are their
 Fraction forms.  Every endpoint, pin and return value must be the same
 rational; the reference ``contains_root_of`` has its own form of the
@@ -21,8 +21,8 @@ import pytest
 
 from hilmod.exactnum import (Poly, RootInterval, ScaledInterval, _nonroot_point, horner_scaled,
                              isolate_real_roots, refine_root)
-from hilmod.modgrp import (_cos_trace_from_cyclotomic, _cyclotomic_table, cos_trace_min_poly,
-                           cyclotomic, torsion_orders)
+from hilmod.modgrp import (_cos_trace_from_cyclotomic, _cyclotomic_coeffs, _cyclotomic_table,
+                           cos_trace_min_poly, torsion_orders)
 from hilmod.numfield import (RESIDUE_PRIME_BOUND, NumberField, _balanced_assignments,
                              _residue_obstruction, contains_root_of, has_square_root)
 from refpoly import (REF_SPLITS, RefPoly, mat_inverse, power_coords, ref_isolate_real_roots,
@@ -510,7 +510,7 @@ def test_residue_obstruction_matches_reference(sqrt2, sqrt5, cubic7):
 def test_cyclotomic_polynomials_match_reference():
     table = _cyclotomic_table(range(1, 61))  # the one pass torsion_orders makes
     for m in range(1, 61):
-        assert cyclotomic(m) == ref_cyclotomic(m) == Poly(table[m])
+        assert Poly(_cyclotomic_coeffs(m)) == ref_cyclotomic(m) == Poly(table[m])
         assert cos_trace_min_poly(m) == ref_cos_trace_min_poly(m)
         if m > 2:
             assert _cos_trace_from_cyclotomic(table[m]) == ref_cos_trace_min_poly(m)
