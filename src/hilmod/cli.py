@@ -8,10 +8,14 @@ diagnostics go to stderr.  Exit codes: 0 success, 2 invalid input, 3
 matrix not in SL_2(O_k), 4 bounded search inconclusive, 141 (128 +
 SIGPIPE) stdout closed by its reader before the output was written.
 
-``main`` builds its argument parser on every call, with one terminal
-query: the named subcommand's parser alone when the first argument names
-one.  The full parser, whose help and errors show the top usage, reads
-any other argv, and one with arguments left over after the named parse.
+``main`` asks the terminal for its width once per call and reads its
+arguments with the parser kept for that (subcommand, width): the named
+subcommand's parser alone when the first argument names one.  The full
+parser, whose help and errors show the top usage, reads any other argv,
+and one with arguments left over after the named parse.  Each parser is
+built on the first call that needs it, and at most ``PARSER_TABLE_SIZE``
+are kept; a parse changes nothing in the parser, so no reply depends on
+earlier calls.
 
 ``main`` keeps the fields it has loaded, keyed by the spec's content and at
 most ``FIELD_TABLE_SIZE`` of them, so repeated calls in one process load
@@ -45,6 +49,7 @@ EXIT_INCONCLUSIVE = 4
 EXIT_BROKEN_PIPE = 141
 
 FIELD_TABLE_SIZE = 16  # loaded fields ``main`` keeps, least recently used dropped
+PARSER_TABLE_SIZE = 16  # parsers ``main`` keeps, by (subcommand, width), least recently used dropped
 
 
 class ParseError(ValueError):
@@ -356,15 +361,16 @@ _COMMANDS = {  # each subcommand, declared here only, in the order of the help t
 }
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=PARSER_TABLE_SIZE)
+def _build_parser(command: Optional[str], width: int) -> argparse.ArgumentParser:
     """The top parser with all six subcommand parsers; given a ``command``,
-    that subcommand's parser alone, built as the top parser builds it."""
-    import shutil  # not at module level: importing this module loads no shutil
-
-    # argparse builds a formatter for every argument and one given no width
-    # asks the terminal; this is the width it computes, asked once per build
-    formatter = functools.partial(argparse.HelpFormatter,
-                                  width=shutil.get_terminal_size().columns - 2)
+    that subcommand's parser alone, built as the top parser builds it.
+    Help and usage are wrapped at ``width`` columns.  Built once per
+    (command, width) and kept: parsing reads a parser and changes nothing
+    in it."""
+    # argparse builds a formatter for every argument, and one given no
+    # width asks the terminal; each is given the width main asked for
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser_class = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
     if command is not None:
         parsers = {command: parser_class(prog=f"hilmod {command}")}
@@ -408,15 +414,18 @@ def _join_matrix_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    import shutil  # not at module level: importing this module loads no shutil
+
     argv = sys.argv[1:] if argv is None else argv
     try:
         try:
             argv = _join_matrix_values(argv)
             name = argv[0] if argv and argv[0] in _COMMANDS else None
+            width = shutil.get_terminal_size().columns - 2  # as argparse computes it
             if name:
-                args, extra = _build_parser(name).parse_known_args(argv[1:])
+                args, extra = _build_parser(name, width).parse_known_args(argv[1:])
             if not name or extra:  # the top parser prints its help or usage error, and exits
-                _build_parser().parse_args(argv)
+                _build_parser(None, width).parse_args(argv)
         except SystemExit:  # after --help on stdout, or a usage error on stderr
             sys.stdout.flush()
             raise

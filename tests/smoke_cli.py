@@ -23,11 +23,13 @@ for a usage error, with its golden (``usage_golden``: ``py313/`` from
 Python 3.13 where one is kept there); the other stream must be empty.
 Prints one line per case and one for all of them.
 
-Then it runs the golden cases through ``hilmod.cli.main`` in this
-interpreter, forward, then ``REFINE``, then reversed, and checks every
-reply the same way: ``main`` keeps the fields it has loaded between
-calls, and no reply may depend on the calls before it.  Prints one line
-for that run, with each reply that differs, and one line for the Q(sqrt 2)
+Then it runs the golden cases, each of the first ten followed by one
+help and usage case (``INTERLEAVED``), through ``hilmod.cli.main`` in
+this interpreter at ``COLUMNS=80``, forward, then ``REFINE``, then
+reversed, and checks every reply the same way: ``main`` keeps the fields
+it has loaded and the parsers it has built between calls, and no reply
+may depend on the calls before it.  Prints one line for that run, with
+each reply that differs, and one line for the Q(sqrt 2)
 field ``main`` kept through ``REFINE``, which must equal a fresh load of
 it: no query changes a loaded field.  Exits 1 when any case, reply or
 field differs, 0 otherwise.  Useful on Python versions without pytest.
@@ -90,6 +92,12 @@ USAGE_CASES = [("help.txt", ["--help"], 0)] + [
     ("usage_unrecognized_argument.txt", ["field-info", "--field", "x.json", "--bogus"], 2),
 ]
 
+# each golden case of the first ten followed by one help and usage case:
+# help, an unknown command, a missing --field and leftover arguments fall
+# between calls that parse
+INTERLEAVED = [case for pair in zip(CASES, USAGE_CASES) for case in pair] \
+    + CASES[len(USAGE_CASES):]
+
 # a classify whose sign decisions refine an embedding of Q(sqrt 2) to about 10^4 bits
 REFINE = ["classify", "--field", DATA / "sqrt2.json", "--matrix=1+g^20000;g^20000;1;1"]
 
@@ -102,6 +110,17 @@ def usage_golden(name: str) -> Path:
     return newer if sys.version_info >= (3, 13) and newer.exists() else GOLDEN / name
 
 
+def reply_matches(golden: str, code: int, got: int, out: bytes, err: bytes) -> bool:
+    """Whether a reply (exit code ``got``, stdout, stderr) is the case's:
+    for a help or usage case (a ``.txt`` golden) its text on stdout for
+    help or stderr for a usage error, the other stream empty; else its
+    golden on stdout."""
+    if not golden.endswith(".txt"):
+        return got == code and out == (GOLDEN / golden).read_bytes()
+    written, silent = (out, err) if code == 0 else (err, out)
+    return got == code and silent == b"" and written == usage_golden(golden).read_bytes()
+
+
 def usage_failures(env) -> list[str]:
     """The golden of each ``USAGE_CASES`` case whose reply, as a child
     process at COLUMNS=80, differs from it; prints one line per case."""
@@ -109,33 +128,36 @@ def usage_failures(env) -> list[str]:
     for golden, argv, code in USAGE_CASES:
         proc = subprocess.run([sys.executable, "-m", "hilmod.cli", *argv], capture_output=True,
                               env={**env, "COLUMNS": "80"}, timeout=60)
-        written, silent = (proc.stdout, proc.stderr) if code == 0 else (proc.stderr, proc.stdout)
-        path = usage_golden(golden)
-        ok = proc.returncode == code and silent == b"" and written == path.read_bytes()
+        ok = reply_matches(golden, code, proc.returncode, proc.stdout, proc.stderr)
         if not ok:
             failed.append(golden)
-        print(f"{'ok  ' if ok else 'FAIL'} {path.relative_to(GOLDEN)}"
+        print(f"{'ok  ' if ok else 'FAIL'} {usage_golden(golden).relative_to(GOLDEN)}"
               + ("" if ok else f" (exit {proc.returncode}) {proc.stderr.decode()[-300:]}"))
     return failed
 
 
 def run_in_process(argv) -> tuple[int, bytes, str]:
-    """(exit code, stdout, stderr) of one call of ``hilmod.cli.main``."""
+    """(exit code, stdout, stderr) of one call of ``hilmod.cli.main``; the
+    code of its SystemExit after help or a usage error."""
     from hilmod.cli import main as cli_main
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main([str(a) for a in argv])
+        try:
+            code = cli_main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue().encode(), err.getvalue()
 
 
 def in_process_failures(cases) -> list[str]:
     """The golden of each case whose reply through ``run_in_process``,
-    called in order, differs from it in stdout or exit code."""
+    called in order at the caller's ``COLUMNS``, is not the case's
+    (``reply_matches``)."""
     failed = []
     for golden, argv, code in cases:
-        got, out, _ = run_in_process(argv)
-        if got != code or out != (GOLDEN / golden).read_bytes():
+        got, out, err = run_in_process(argv)
+        if not reply_matches(golden, code, got, out, err.encode()):
             failed.append(f"{golden} (exit {got})")
     return failed
 
@@ -175,13 +197,14 @@ def main() -> int:
     print(f"{'ok  ' if not usage_failed else 'FAIL'} help and usage at COLUMNS=80: "
           f"{len(USAGE_CASES) - len(usage_failed)}/{len(USAGE_CASES)} match")
     sys.path.insert(0, str(SRC))
-    sequence = CASES + CASES[::-1]
-    differ = in_process_failures(CASES)
+    os.environ["COLUMNS"] = "80"
+    sequence = INTERLEAVED + INTERLEAVED[::-1]
+    differ = in_process_failures(INTERLEAVED)
     code, _, err = run_in_process(REFINE)
     if code != 0:
         differ.append(f"REFINE (exit {code}) {err[-300:]}")
     unchanged = kept_field_unchanged(REFINE[2])
-    differ += in_process_failures(CASES[::-1])
+    differ += in_process_failures(INTERLEAVED[::-1])
     print(f"{'ok  ' if not differ else 'FAIL'} in one interpreter, forward, REFINE, reversed: "
           f"{len(sequence) - len(differ)}/{len(sequence)} replies match"
           + "".join(f"\n     {d}" for d in differ))

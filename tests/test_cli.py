@@ -16,8 +16,8 @@ from hilmod import cli
 from hilmod.cli import ParseError, _digit_limit, main, parse_element, parse_matrix
 from hilmod.numfield import FieldElement, NumberField
 from refpoly import power_coords
-from smoke_cli import (CASES, COMMAND_NAMES, REFINE, USAGE_CASES, in_process_failures,
-                       run_in_process, usage_golden)
+from smoke_cli import (CASES, COMMAND_NAMES, INTERLEAVED, REFINE, USAGE_CASES,
+                       in_process_failures, run_in_process, usage_golden)
 from test_cli_table import _FIELD_SPECS
 
 DATA = Path(__file__).parent / "data"
@@ -506,7 +506,7 @@ def test_smoke_script():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout
     assert "ok   help and usage at COLUMNS=80: 10/10 match\n" in proc.stdout
-    assert "ok   in one interpreter, forward, REFINE, reversed: 34/34 replies match\n" \
+    assert "ok   in one interpreter, forward, REFINE, reversed: 54/54 replies match\n" \
         in proc.stdout
     assert "ok   the Q(sqrt 2) field kept through REFINE equals a fresh load\n" in proc.stdout
     assert proc.stdout.endswith("17/17 cases match\n")
@@ -514,21 +514,24 @@ def test_smoke_script():
 
 # -- the field table: main keeps loaded fields between calls -------------
 
-def test_replies_do_not_depend_on_earlier_calls(tmp_path):
-    """In one interpreter: every golden case of smoke_cli.py, then a
-    classify whose sign decisions refine an embedding of Q(sqrt2) to about
-    10^4 bits, then every case again in reverse order; each reply equals
-    its golden, with its exit code.  The zero-divisor spec of
+def test_replies_do_not_depend_on_earlier_calls(monkeypatch, tmp_path):
+    """In one interpreter at COLUMNS=80: every golden case of smoke_cli.py
+    with a help or usage case after each of the first ten, then a classify
+    whose sign decisions refine an embedding of Q(sqrt2) to about 10^4
+    bits, then every case again in reverse order; each reply equals its
+    golden, with its exit code, so none depends on a field or a parser
+    kept from an earlier call.  The zero-divisor spec of
     test_zero_divisor_sign_exits_2 is loaded and kept, and exits 2 with
     the same message on each call.  On that spec, x = (g^2 - 2)(g + 2) is
     a zero divisor with sigma_0(x) near 0.27, whose first enclosure over
     the load-time interval of -sqrt3 holds 0; it must exit 2 also after a
     classify that refines that embedding far enough to decide the sign of
     sigma_0(x), which leaves the kept field as a fresh load has it."""
-    assert in_process_failures(CASES) == []
+    monkeypatch.setenv("COLUMNS", "80")
+    assert in_process_failures(INTERLEAVED) == []
     code, _, err = run_in_process(REFINE)
     assert code == 0, err
-    assert in_process_failures(CASES[::-1]) == []
+    assert in_process_failures(INTERLEAVED[::-1]) == []
     spec = tmp_path / "quartic.json"
     spec.write_text('{"min_poly": ["6", "0", "-5", "0", "1"]}')  # (x^2 - 2)(x^2 - 3)
     argv = ["classify", "--field", spec, "--matrix=g^2-3;1;-1;0"]
@@ -671,11 +674,19 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, option):
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
-def test_help_text_matches_the_default_formatter(monkeypatch, columns):
+def test_help_text_matches_the_default_formatter(capsys, monkeypatch, columns):
     """Help and usage text are those of argparse's own formatter, which asks
-    the terminal each time, at every width the build sees."""
+    the terminal each time, at the width main asks for.  The parsers are
+    built here, not taken from those main keeps, since the test changes
+    them."""
     monkeypatch.setenv("COLUMNS", columns)
-    top = cli._build_parser()
+    build, widths = cli._build_parser, []
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda command, width: widths.append(width) or build(command, width))
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    top = build.__wrapped__(None, *widths)
     sub, = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
     assert len(sub.choices) == 6
     for parser in (top, *sub.choices.values()):
@@ -684,11 +695,43 @@ def test_help_text_matches_the_default_formatter(monkeypatch, columns):
         assert (parser.format_help(), parser.format_usage()) == shared, parser.prog
 
 
-def test_one_terminal_query_per_call(capsys, monkeypatch):
-    """Each main() call builds its parser once and asks the terminal once
-    (argparse alone asks once per formatter it makes: 4 times for the
-    build of a classify call, 32 for the full parser)."""
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """An empty parser table, and the ArgumentParsers constructed and
+    argparse's gettext lookups while the test runs, counted."""
+    counts = {"ArgumentParser": 0, "gettext": 0}
+    init, lookup = argparse.ArgumentParser.__init__, argparse._
+
+    def constructed(self, *args, **kwargs):
+        counts["ArgumentParser"] += 1
+        init(self, *args, **kwargs)
+
+    def looked_up(message):
+        counts["gettext"] += 1
+        return lookup(message)
+
+    build = cli._build_parser  # a test may replace it with a wrapper
+    build.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", constructed)
+    monkeypatch.setattr(argparse, "_", looked_up)
+    yield counts
+    build.cache_clear()
+
+
+def taken(counts: dict) -> dict:
+    """The counts so far, which start again from 0."""
+    out = dict(counts)
+    counts.update(dict.fromkeys(counts, 0))
+    return out
+
+
+def test_one_terminal_query_per_call(capsys, monkeypatch, parser_builds):
+    """Each main() call takes its parser once and asks the terminal once,
+    whether it builds the parser (the first call at a width) or takes the
+    kept one (argparse alone asks once per formatter it makes: 4 times for
+    the build of a classify call, 32 for the full parser)."""
     calls = {"get_terminal_size": 0, "_build_parser": 0}
+    build = cli._build_parser
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -698,10 +741,12 @@ def test_one_terminal_query_per_call(capsys, monkeypatch):
 
     monkeypatch.setattr(shutil, "get_terminal_size",
                         counted("get_terminal_size", shutil.get_terminal_size))
-    monkeypatch.setattr(cli, "_build_parser", counted("_build_parser", cli._build_parser))
-    for n in (1, 2):
+    monkeypatch.setattr(cli, "_build_parser", counted("_build_parser", build))
+    for n, columns, misses in ((1, "80", 1), (2, "80", 1), (3, "100", 2)):
+        monkeypatch.setenv("COLUMNS", columns)
         assert run(capsys, "classify", "--field", SQRT2, "--matrix", "1;1;0;1")[0] == 0
         assert calls == {"get_terminal_size": n, "_build_parser": n}
+        assert build.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("golden,argv,code", USAGE_CASES, ids=[c[0] for c in USAGE_CASES])
@@ -764,56 +809,83 @@ def test_named_build_replies_as_the_full_parser(capsys, monkeypatch, columns):
         return out
 
     class FullParse:  # a named parser that reads its argv with the full parser
-        def __init__(self, command):
-            self.command = command
+        def __init__(self, command, width):
+            self.command, self.width = command, width
 
         def parse_known_args(self, args):
-            return build().parse_args([self.command, *args]), []
+            return build(None, self.width).parse_args([self.command, *args]), []
 
     named = replies()
     assert {kind for (kind, _), _, _ in named} == {"return", "exit"}
-    monkeypatch.setattr(cli, "_build_parser",
-                        lambda command=None: build() if command is None else FullParse(command))
+    monkeypatch.setattr(cli, "_build_parser", lambda command, width: (
+        build(None, width) if command is None else FullParse(command, width)))
     assert replies() == named
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
-def test_named_call_builds_only_the_named_parser(capsys, monkeypatch, columns):
+def test_named_call_builds_only_the_named_parser(capsys, monkeypatch, parser_builds, columns):
     """A named build is that subcommand's parser alone, whose help is that
-    of the full build's subparser and of argparse's own formatter.  A named
-    main() call constructs 1 ArgumentParser, one with arguments left over
-    1 + 7 (the full parser prints the error), and the full build 7."""
+    of the full build's subparser and of argparse's own formatter (built
+    here, not kept, since the test changes them).  The first named main()
+    call at a width constructs 1 ArgumentParser, a repeat none, and a call
+    at another width 1; the first with arguments left over 1 + 7 (the full
+    parser prints the error), and its repeat none.  A repeat that parses
+    makes no gettext lookup.  The full build constructs 7."""
     monkeypatch.setenv("COLUMNS", columns)
-    full, = (a for a in cli._build_parser()._actions
+    build, width = cli._build_parser.__wrapped__, int(columns) - 2
+    full, = (a for a in build(None, width)._actions
              if isinstance(a, argparse._SubParsersAction))
     assert list(full.choices) == COMMAND_NAMES
     for name in COMMAND_NAMES:
-        parser = cli._build_parser(name)
+        parser = build(name, width)
         shared = parser.format_help()
         assert shared == full.choices[name].format_help()
         parser.formatter_class = argparse.HelpFormatter
         assert parser.format_help() == shared, name
+    assert taken(parser_builds)["ArgumentParser"] == 7 + 6
 
-    constructed = 0
-    init = argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        nonlocal constructed
-        constructed += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     classify = ["classify", "--field", SQRT2, "--matrix", "1;1;0;1"]
-    assert run(capsys, *classify)[0] == 0
-    assert constructed == 1
-    constructed = 0
-    with pytest.raises(SystemExit) as exc:
+    reply = run(capsys, *classify)
+    assert reply[0] == 0
+    first = taken(parser_builds)
+    assert first["ArgumentParser"] == 1 and first["gettext"] > 0
+    assert run(capsys, *classify) == reply
+    assert taken(parser_builds) == {"ArgumentParser": 0, "gettext": 0}
+    monkeypatch.setenv("COLUMNS", str(int(columns) + 1))
+    assert run(capsys, *classify) == reply
+    assert taken(parser_builds)["ArgumentParser"] == 1
+    monkeypatch.setenv("COLUMNS", columns)
+
+    for count in (1 + 7, 0):
+        with pytest.raises(SystemExit) as exc:
+            main(["field-info", "--field", "x.json", "--bogus"])
+        assert exc.value.code == 2 and "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert taken(parser_builds)["ArgumentParser"] == count
+    with pytest.raises(SystemExit):
         main(classify + ["--bogus"])
-    assert exc.value.code == 2 and "unrecognized arguments: --bogus" in capsys.readouterr().err
-    assert constructed == 1 + 7
-    constructed = 0
-    cli._build_parser()
-    assert constructed == 7
+    capsys.readouterr()
+    assert taken(parser_builds)["ArgumentParser"] == 0
+    build(None, width)
+    assert taken(parser_builds)["ArgumentParser"] == 7
+
+
+def test_kept_parsers_are_bounded(capsys, monkeypatch, parser_builds):
+    """At PARSER_TABLE_SIZE + 4 widths main keeps PARSER_TABLE_SIZE parsers:
+    the first width's parser is dropped and built again, and no reply
+    changes."""
+    size = cli.PARSER_TABLE_SIZE
+    classify = ["classify", "--field", SQRT2, "--matrix", "1;1;0;1"]
+    replies = set()
+    for columns in range(60, 60 + size + 4):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        replies.add(run(capsys, *classify))
+    assert len(replies) == 1
+    assert cli._build_parser.cache_info().currsize == size
+    assert taken(parser_builds)["ArgumentParser"] == size + 4
+    monkeypatch.setenv("COLUMNS", "60")
+    assert run(capsys, *classify) in replies
+    assert taken(parser_builds)["ArgumentParser"] == 1
+    assert cli._build_parser.cache_info().currsize == size
 
 
 def test_root_searches_import_no_mpmath_or_sympy():
