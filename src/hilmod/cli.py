@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -119,8 +120,14 @@ def parse_element(text: str, field: NumberField) -> FieldElement:
     not inside one ('1 / 2', 'g ^2'), both ASCII only; '*' stands only
     between a rational and a power, and each term after the first starts
     with a sign.  A ParseError gives the position of the first error.
-    Powers beyond the field degree are reduced by square-and-multiply in
-    the field, so a large exponent costs about log2(e) products.
+
+    The coefficients are summed on integers: each power's numerator over
+    one running denominator, which takes the lcm with a term's denominator
+    that does not divide it (the numerators summed so far scaled up).  The
+    powers below the field degree go to ``from_power`` as those numerators
+    and that denominator, so such a literal builds no Fraction.  Powers at
+    or beyond the degree are reduced by square-and-multiply in the field,
+    so a large exponent costs about log2(e) products.
 
     With L the interpreter's int-string limit (``_digit_limit``), a number
     of more than L digits, a generator power whose computation reaches a
@@ -129,8 +136,9 @@ def parse_element(text: str, field: NumberField) -> FieldElement:
     that denominator) are each rejected with ParseError.
     """
     limit = _digit_limit()
-    power: dict[int, Fraction] = {}
+    power: dict[int, int] = {}  # exponent: numerator over ``den``
     where: dict[int, int] = {}  # exponent: position of its first term
+    den = 1
     pos = 0
     while pos < len(text) or not power:  # an empty text still reads one term
         m = _TERM.match(text, pos)
@@ -150,18 +158,23 @@ def parse_element(text: str, field: NumberField) -> FieldElement:
         for digits, at in ((m["num"], "num"), (m["den"], "num"), (m["exp"], "gen")):
             if digits and len(digits) > limit:  # checked before int() reads them
                 raise ParseError(f"number of more than {limit} digits", m.start(at))
-        if m["den"] and not int(m["den"]):
+        q = int(m["den"] or 1)
+        if not q:
             raise ParseError("zero denominator", start)
-        coeff = Fraction(int(m["num"] or 1), int(m["den"] or 1))
+        if den % q:
+            scale = q // math.gcd(den, q)
+            power = {e: c * scale for e, c in power.items()}
+            den *= scale
+        c = int(m["num"] or 1) * (den // q)
         exp = int(m["exp"] or 1) if m["gen"] else 0
-        power[exp] = power.get(exp, Fraction(0)) + (-coeff if m["signs"].count("-") % 2 else coeff)
+        power[exp] = power.get(exp, 0) + (-c if m["signs"].count("-") % 2 else c)
         where.setdefault(exp, start)
         pos = m.end()
     n = field.degree
-    x = field.from_power([power.get(e, Fraction(0)) for e in range(n)])
+    x = field.from_power([power.get(e, 0) for e in range(n)], den)
     for e, c in power.items():
         if e >= n:
-            x = x + _generator_power(field, e, 2 * limit, where[e]) * c
+            x = x + _generator_power(field, e, 2 * limit, where[e]) * Fraction(c, den)
     if _too_large(x, limit):
         raise ParseError(f"value has a coordinate of more than {limit} digits", 0)
     return x

@@ -224,12 +224,15 @@ class Poly(Record):
     """Univariate polynomial stored like a field element: integer
     numerators ``num``, ascending, over one positive denominator ``den``,
     gcd 1, no trailing zero numerator (zero is ((), 1)).  Immutable; equal
-    polynomials have equal (num, den) whatever they were built from."""
+    polynomials have equal (num, den) whatever they were built from.  A
+    coefficient is an int, a Fraction or a rational string "p" or "p/q"
+    (``rational_from_string``); anything else, a float included, is
+    ValueError."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int | str]):
-        num, den = integer_coords([c if isinstance(c, (int, Fraction)) else Fraction(c)
+        num, den = integer_coords([c if isinstance(c, (int, Fraction)) else rational_from_string(c)
                                    for c in coeffs])
         while num and not num[-1]:
             num.pop()

@@ -259,17 +259,25 @@ class NumberField:
 
     # -- elements -------------------------------------------------------
 
-    def element(self, coords: Sequence) -> "FieldElement":
-        cs = [Fraction(c) for c in coords]
-        if len(cs) != self.degree:
-            raise ValueError(f"expected {self.degree} coordinates, got {len(cs)}")
-        return _element(self, *integer_coords(cs))
+    def element(self, coords: Sequence[int | Fraction]) -> "FieldElement":
+        """The element sum coords_i omega_i.  A coordinate must be an int or
+        a Fraction: anything else, a float included, is ValueError, since a
+        float would stand for its binary expansion."""
+        for c in coords:
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"coordinate {c!r} is not an int or a Fraction")
+        if len(coords) != self.degree:
+            raise ValueError(f"expected {self.degree} coordinates, got {len(coords)}")
+        return _element(self, *integer_coords(coords))
 
     def from_power(self, power: Sequence, den: int = 1) -> "FieldElement":
-        """The element sum power_l theta^l / den, for rationals power_l
-        (reduced mod min_poly) and an integer den > 0."""
+        """The element sum power_l theta^l / den, for integers (or
+        rationals) power_l and an integer den > 0.  A list of at most
+        ``degree`` coefficients is already reduced; a longer one is reduced
+        mod min_poly on its integer numerators."""
         v, d = integer_coords(power)
-        v = divide_monic(v + [0] * self.degree, self.min_poly.num)[1]
+        if len(v) > self.degree:
+            v = divide_monic(v, self.min_poly.num)[1]
         inv, den_inv = self._basis_inv
         return _element(self, _vec_mat(v, inv, self.degree), den * d * den_inv)
 

@@ -5,7 +5,8 @@ Fractions), Gauss-Jordan matrix inversion, and builders of the integer
 intervals from Fraction endpoints (``scaled_of``, ``root_interval``).
 Two views the library has no use for: a field element's power-basis
 coordinates in Fractions (``power_coords``) and whether a K-theory
-expression has no terms (``is_empty``).
+expression has no terms (``is_empty``).  The element-literal parser that
+sums each power's coefficient in Fractions (``ref_parse_element``).
 
 The library computes all of these on integers (pseudo-remainders, exact
 division by a monic divisor, the fraction-free solver); these are the
@@ -19,6 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+from hilmod.cli import ParseError, _TERM, _digit_limit, _generator_power, _too_large
 from hilmod.exactnum import NotSquarefree, Poly, RootInterval, ScaledInterval
 
 
@@ -293,3 +295,46 @@ def power_coords(x) -> list[Fraction]:
 def is_empty(expr) -> bool:
     """Whether a ``KExpression`` has no terms."""
     return not expr.terms
+
+
+def ref_parse_element(text: str, field):
+    """``cli.parse_element`` with each power's coefficient summed as a
+    Fraction and handed to ``from_power`` as Fractions: the same grammar,
+    limits, errors and positions."""
+    limit = _digit_limit()
+    power: dict[int, Fraction] = {}
+    where: dict[int, int] = {}  # exponent: position of its first term
+    pos = 0
+    while pos < len(text) or not power:  # an empty text still reads one term
+        m = _TERM.match(text, pos)
+        if pos and not m["signs"] and m.end() > pos:
+            raise ParseError("terms must be separated by '+' or '-'", pos)
+        if m["star"] and not m["num"]:
+            raise ParseError("unexpected '*'", m.start("star"))
+        if not (m["num"] or m["gen"]):
+            if m.end() < len(text):
+                raise ParseError(f"unexpected character {text[m.end()]!r}", m.end())
+            if m["signs"]:
+                raise ParseError("trailing operator", m.end("signs") - 1)
+            raise ParseError("empty element literal", 0)
+        start = m.start("num" if m["num"] else "gen")
+        if m["star"] and not m["gen"]:
+            raise ParseError("'*' must be followed by the generator", start)
+        for digits, at in ((m["num"], "num"), (m["den"], "num"), (m["exp"], "gen")):
+            if digits and len(digits) > limit:  # checked before int() reads them
+                raise ParseError(f"number of more than {limit} digits", m.start(at))
+        if m["den"] and not int(m["den"]):
+            raise ParseError("zero denominator", start)
+        coeff = Fraction(int(m["num"] or 1), int(m["den"] or 1))
+        exp = int(m["exp"] or 1) if m["gen"] else 0
+        power[exp] = power.get(exp, Fraction(0)) + (-coeff if m["signs"].count("-") % 2 else coeff)
+        where.setdefault(exp, start)
+        pos = m.end()
+    n = field.degree
+    x = field.from_power([power.get(e, Fraction(0)) for e in range(n)])
+    for e, c in power.items():
+        if e >= n:
+            x = x + _generator_power(field, e, 2 * limit, where[e]) * c
+    if _too_large(x, limit):
+        raise ParseError(f"value has a coordinate of more than {limit} digits", 0)
+    return x

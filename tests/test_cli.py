@@ -15,7 +15,7 @@ import pytest
 from hilmod import cli
 from hilmod.cli import ParseError, _digit_limit, main, parse_element, parse_matrix
 from hilmod.numfield import FieldElement, NumberField
-from refpoly import power_coords
+from refpoly import power_coords, ref_parse_element
 from smoke_cli import (CASES, COMMAND_NAMES, INTERLEAVED, REFINE, USAGE_CASES,
                        in_process_failures, run_in_process, usage_golden)
 from test_cli_table import _FIELD_SPECS
@@ -478,6 +478,111 @@ def test_parse_element_large_powers(sqrt2, sqrt5, cubic7):
                 acc * Fraction(3, 2) - acc * g + field.one()
             acc = acc * g
     assert parse_element("g^100", sqrt2) == sqrt2.element([2 ** 50, 0])
+
+
+def _parsed(parse, text: str, field: NumberField):
+    """((num, den), None) for the value ``parse`` gives, or (None,
+    (message, position)) for its ParseError."""
+    try:
+        x = parse(text, field)
+    except ParseError as exc:
+        return None, (str(exc), exc.position)
+    assert x.field is field
+    return (x.num, x.den), None
+
+
+def _literal_cases(n: int, limit: int) -> list[str]:
+    """Literals over a field of degree n for the comparison with the
+    reference parser, at the limit L = ``limit``."""
+    big, other = "1" + "0" * (limit - 1), "9" * limit  # L digits each, coprime
+    return [
+        # several coprime denominators on one power, and on several
+        "1/3g + 1/5g - 2/7g + 1/11g", "1/3 + 1/5 + 1/7 + 1/2g + 1/9g - 4/6",
+        "2/4 + 3/6 - 5/10g + 7/35g^2 - 1/12g^2", "1/8 + 3/4 - 1/2 + 1/16g",
+        # zero denominators
+        "1/0", "g - 3/0g", "2/00", "0/0", "1/2 + 0/0g", f"g^{n} + 1/0",
+        # cancelling terms
+        "g - g", "1/2 - 1/2 + 2/4g - 1/2g", f"3/4g^{n + 2} - 3/4g^{n + 2}",
+        f"1/3g^{n} + 1 - 1/3g^{n} - 1", "0", "0g^7", "--0",
+        # powers at and above the degree mixed with fractions
+        f"3/4g^{n + 2} - 1/6g^{n} + 2/9 - 5/8g^{n + 1} + 1/10g", f"g^{n}", f"1/7g^{2 * n}",
+        f"g^{n} - 1/2g^{n} + 1/3g^{n - 1} - 5/6g^{2 * n + 3} + 1/4", f"1/2 g^{3 * n} + 1/3*g^0",
+        # numbers of L and L + 1 digits
+        other, big, "1/" + other, f"{other}/{big}g", "-" + other + "g^0",
+        "g^" + "1" * limit, "9" * (limit + 1), "1/" + "3" * (limit + 1), "g^" + "1" * (limit + 1),
+        "1 + 00" + "1" * (limit - 1), f"1/2 + {big}0/3g",
+        # the common denominator passes L digits only after the lcm
+        f"1/{big} + 1/{other}", f"1/{big} + 1/{other}g", f"1/{big} - 1/{big}g + 1/{other}",
+        f"1/{other} + 2/{other}g - 3/{other}",
+    ]
+
+
+_FUZZ_ALPHABET = " +-*/^g0123456789?x\t"
+
+
+def _random_literal(rng: random.Random, n: int) -> str:
+    terms = []
+    for k in range(rng.randint(1, 6)):
+        sign = rng.choice(("+", "-", " - ", "+-", "--", " + ")) if k or rng.random() < 0.3 else ""
+        num = rng.choice(("", "", "0", str(rng.randint(1, 40)), str(rng.randint(1, 10 ** 9))))
+        if num and rng.random() < 0.5:
+            num += "/" + str(rng.choice((0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 35, 97, rng.randint(1, 10 ** 6))))
+        gen = rng.choice(("", "g", f"g^{rng.randint(0, 3 * n + 2)}", f"g^{rng.randint(0, 200)}"))
+        star = "*" if num and gen and rng.random() < 0.3 else ""
+        terms.append(f"{sign}{num}{star}{gen}" or sign + "1")
+    text = "".join(terms)
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):  # a few edits give the error paths
+        at = rng.randint(0, len(text))
+        edit = rng.choice(_FUZZ_ALPHABET)
+        text = text[:at] + edit + text[at + rng.randint(0, 1):]
+    return text
+
+
+def test_literal_parser_matches_reference(rationals, sqrt2, sqrt5, cubic7):
+    """The integer parser and the Fraction reference give the same value,
+    or the same ParseError message and position, on seeded literals over Q,
+    Q(sqrt2), Q(sqrt5) (a basis over 2) and the cubic."""
+    limit = _digit_limit()
+    rng = random.Random(32)
+    counts = {"parsed": 0, "errors": 0}
+    for field in (rationals, sqrt2, sqrt5, cubic7):
+        n = field.degree
+        literals = _literal_cases(n, limit) + [_random_literal(rng, n) for _ in range(1500)]
+        for text in literals:
+            got = _parsed(parse_element, text, field)
+            assert got == _parsed(ref_parse_element, text, field), (field, text[:80])
+            counts["parsed" if got[1] is None else "errors"] += 1
+    assert counts["parsed"] > 1000 and counts["errors"] > 1000, counts
+
+
+def test_literal_parser_builds_no_fraction(monkeypatch, rationals, sqrt2, sqrt5, cubic7):
+    """A literal whose powers are all below the field degree is summed on
+    integers: no Fraction is built and no Fraction arithmetic runs."""
+    cases = [(rationals, "1/2 - 3/4 + 5/6 + 7"), (rationals, "--9/12 + 0")]
+    for field in (sqrt2, sqrt5, cubic7):
+        cases += [(field, "1/2 + 3/4g - 5/6g + 7"), (field, "--3/9 g^1 + 2/3 g^0"),
+                  (field, "0"), (field, "g - g"), (field, "1/3g + 1/5g - 2/7 * g + 1/11")]
+    cases += [(cubic7, "1/2g^2 - 1/3g + 5/7 - 4/6g^2")]
+    want = [ref_parse_element(text, field) for field, text in cases]
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for op in ("add", "sub", "mul", "truediv"):
+        monkeypatch.setattr(Fraction, f"__{op}__", forbidden)
+        monkeypatch.setattr(Fraction, f"__r{op}__", forbidden)
+    for (field, text), x in zip(cases, want):
+        assert parse_element(text, field) == x, text
+    assert built == []
+    parse_element("1/2g^2", sqrt2)  # a power at the degree is scaled by a Fraction
+    assert built
 
 
 @pytest.mark.parametrize("name", ["sqrt2", "sqrt5", "cubic"])

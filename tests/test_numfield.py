@@ -654,6 +654,38 @@ def test_change_of_basis_does_no_fraction_arithmetic(monkeypatch):
             assert x.enclosure(refine_root(r, Fraction(1, 100))).den > 0
 
 
+def test_from_power_reduces_past_the_degree(rationals, sqrt5, cubic7):
+    """Only a list of more than ``degree`` coefficients is reduced mod
+    min_poly: over Q (degree 1) and up to power 2n - 2 over the cubic, on
+    integers over a denominator and on Fractions, against the Fraction
+    reduction."""
+    rng = random.Random(19)
+    for field, longest in ((rationals, 4), (sqrt5, 3), (cubic7, 2 * 3 - 1)):
+        for k in [*range(longest + 1)] * 8:
+            ints, den = [rng.randint(-60, 60) for _ in range(k)], rng.randint(1, 12)
+            assert field.from_power(ints, den) == \
+                ref_from_power(field, [Fraction(c, den) for c in ints]), (field, ints, den)
+            fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(k)]
+            assert field.from_power(fracs) == ref_from_power(field, fracs), (field, fracs)
+    g = cubic7.generator()
+    assert cubic7.from_power([0, 0, 0, 0, 1]) == g * g * g * g
+
+
+def test_float_coordinates_are_rejected(sqrt2):
+    """A float stands for its binary expansion (0.1 is 3602879701896397 /
+    2^55), never for the decimal it prints as, so neither an element nor a
+    polynomial accepts one."""
+    for bad in ([0.1, 0], [1, 2.0], ["1", 0]):
+        with pytest.raises(ValueError, match="coordinate") as exc:
+            sqrt2.element(bad)
+        assert repr(next(c for c in bad if not isinstance(c, int))) in str(exc.value)
+    for bad in ([0.1, 1], [1, 2.0]):
+        with pytest.raises(ValueError, match=r"2\.0|0\.1"):
+            Poly(bad)
+    assert sqrt2.element([Fraction(1, 10), 3]).coords == (Fraction(1, 10), 3)
+    assert Poly(["1/10", 1]) == Poly([Fraction(1, 10), 1])
+
+
 # -- the canonical element representation -------------------------------
 
 
