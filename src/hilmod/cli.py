@@ -8,14 +8,13 @@ diagnostics go to stderr.  Exit codes: 0 success, 2 invalid input, 3
 matrix not in SL_2(O_k), 4 bounded search inconclusive, 141 (128 +
 SIGPIPE) stdout closed by its reader before the output was written.
 
-``main`` asks the terminal for its width once per call and reads its
-arguments with the parser kept for that (subcommand, width): the named
-subcommand's parser alone when the first argument names one.  The full
-parser, whose help and errors show the top usage, reads any other argv,
-and one with arguments left over after the named parse.  Each parser is
-built on the first call that needs it, and at most ``PARSER_TABLE_SIZE``
-are kept; a parse changes nothing in the parser, so no reply depends on
-earlier calls.
+``main`` reads its arguments with the parser kept for the subcommand: the
+named subcommand's parser alone when the first argument names one.  The
+full parser, whose help and errors show the top usage, reads any other
+argv, and one with arguments left over after the named parse.  Each parser
+is built on the first call that needs it and kept; a parse changes nothing
+in the parser, so no reply depends on earlier calls.  Help and usage are
+wrapped at the terminal's width when they are printed, as argparse does.
 
 ``main`` keeps the fields it has loaded, keyed by the spec's content and at
 most ``FIELD_TABLE_SIZE`` of them, so repeated calls in one process load
@@ -50,7 +49,6 @@ EXIT_INCONCLUSIVE = 4
 EXIT_BROKEN_PIPE = 141
 
 FIELD_TABLE_SIZE = 16  # loaded fields ``main`` keeps, least recently used dropped
-PARSER_TABLE_SIZE = 16  # parsers ``main`` keeps, by (subcommand, width), least recently used dropped
 
 
 class ParseError(ValueError):
@@ -71,10 +69,9 @@ _TERM = re.compile(r"(?P<signs>(?:\s*[+-])*)\s*(?:(?P<num>\d+)(?:/(?P<den>\d+))?
                    r"\s*(?P<star>\*)?\s*(?P<gen>g(?:\^(?P<exp>\d+))?)?\s*", re.ASCII)
 
 
-def _int_str_limit() -> int:
-    """The interpreter's int-string limit: 0 when it is off or the
-    interpreter has none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# the interpreter's int-string limit, read at each call: 0 when it is off
+# or the interpreter has none
+_int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _digit_limit() -> int:
@@ -193,10 +190,12 @@ def parse_matrix(text: str, field: NumberField) -> Mat2:
 def _read_text(path: str) -> str:
     try:
         if path == "-":
+            if sys.stdin is None:
+                raise CliError(EXIT_INVALID, "cannot read -: stdin is closed")
             return sys.stdin.read()
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_INVALID, f"cannot read {path}: {exc}")
 
 
@@ -374,22 +373,18 @@ _COMMANDS = {  # each subcommand, declared here only, in the order of the help t
 }
 
 
-@functools.lru_cache(maxsize=PARSER_TABLE_SIZE)
-def _build_parser(command: Optional[str], width: int) -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
     """The top parser with all six subcommand parsers; given a ``command``,
     that subcommand's parser alone, built as the top parser builds it.
-    Help and usage are wrapped at ``width`` columns.  Built once per
-    (command, width) and kept: parsing reads a parser and changes nothing
-    in it."""
-    # argparse builds a formatter for every argument, and one given no
-    # width asks the terminal; each is given the width main asked for
-    formatter = functools.partial(argparse.HelpFormatter, width=width)
-    parser_class = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
+    Built once per command and kept: parsing reads a parser and changes
+    nothing in it.  argparse makes a formatter each time it prints help or
+    usage, so the text is wrapped at the terminal's width then."""
     if command is not None:
-        parsers = {command: parser_class(prog=f"hilmod {command}")}
+        parsers = {command: argparse.ArgumentParser(prog=f"hilmod {command}")}
     else:
-        top = parser_class(prog="hilmod")
-        sub = top.add_subparsers(dest="command", required=True, parser_class=parser_class)
+        top = argparse.ArgumentParser(prog="hilmod")
+        sub = top.add_subparsers(dest="command", required=True)
         parsers = {name: sub.add_parser(name) for name in _COMMANDS}
     for name, p in parsers.items():
         p.add_argument("--format", choices=("json", "human"), default="json")
@@ -427,18 +422,15 @@ def _join_matrix_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    import shutil  # not at module level: importing this module loads no shutil
-
     argv = sys.argv[1:] if argv is None else argv
     try:
         try:
             argv = _join_matrix_values(argv)
             name = argv[0] if argv and argv[0] in _COMMANDS else None
-            width = shutil.get_terminal_size().columns - 2  # as argparse computes it
             if name:
-                args, extra = _build_parser(name, width).parse_known_args(argv[1:])
+                args, extra = _build_parser(name).parse_known_args(argv[1:])
             if not name or extra:  # the top parser prints its help or usage error, and exits
-                _build_parser(None, width).parse_args(argv)
+                _build_parser(None).parse_args(argv)
         except SystemExit:  # after --help on stdout, or a usage error on stderr
             sys.stdout.flush()
             raise

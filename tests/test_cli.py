@@ -765,15 +765,40 @@ def test_stdin_field(capsys, monkeypatch):
     assert code == 0 and '"degree": 2' in out
 
 
+def _argv_reading(option: str, path: str) -> list[str]:
+    """A call whose ``option`` reads the file at ``path``."""
+    argv = {"--field": ["field-info"], "--census": ["wh-decomp"]}.get(
+        option, ["ktop", "--field", SQRT2, "--class-number", "1"])
+    return [*argv, option, path]
+
+
+@pytest.mark.parametrize("option", ["--field", "--census"])
+def test_closed_stdin_exits_2(capsys, monkeypatch, option):
+    """With stdin closed (sys.stdin is None), "-" is a file that cannot be
+    read, not a traceback."""
+    monkeypatch.setattr("sys.stdin", None)
+    assert run(capsys, *_argv_reading(option, "-")) == (
+        2, "", "error: cannot read -: stdin is closed\n")
+
+
+@pytest.mark.parametrize("option", ["--field", "--census", "--finite-census", "--cusp-dims"])
+def test_file_not_utf8_exits_2(capsys, tmp_path, option):
+    """A file that is not UTF-8 cannot be read: the message names its path,
+    not a bad spec."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff{}")
+    code, out, err = run(capsys, *_argv_reading(option, str(path)))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize("option", ["--field", "--census", "--finite-census", "--cusp-dims"])
 def test_deeply_nested_json_exits_2(capsys, tmp_path, option):
     """JSON nested past the decoder's recursion limit is a malformed file,
     not a traceback."""
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)
-    argv = {"--field": ["field-info"], "--census": ["wh-decomp"]}.get(
-        option, ["ktop", "--field", SQRT2, "--class-number", "1"])
-    code, out, err = run(capsys, *argv, option, str(deep))
+    code, out, err = run(capsys, *_argv_reading(option, str(deep)))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot read {deep}: ") and "recursion" in err
 
@@ -781,17 +806,17 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, option):
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 def test_help_text_matches_the_default_formatter(capsys, monkeypatch, columns):
     """Help and usage text are those of argparse's own formatter, which asks
-    the terminal each time, at the width main asks for.  The parsers are
-    built here, not taken from those main keeps, since the test changes
-    them."""
+    the terminal each time it prints.  The parsers are built here, not
+    taken from those main keeps, since the test changes them."""
     monkeypatch.setenv("COLUMNS", columns)
-    build, widths = cli._build_parser, []
+    build, commands = cli._build_parser, []
     monkeypatch.setattr(cli, "_build_parser",
-                        lambda command, width: widths.append(width) or build(command, width))
+                        lambda command: commands.append(command) or build(command))
     with pytest.raises(SystemExit):
         main(["--help"])
-    capsys.readouterr()
-    top = build.__wrapped__(None, *widths)
+    printed = capsys.readouterr().out
+    top = build.__wrapped__(None)
+    assert commands == [None] and printed == top.format_help()
     sub, = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
     assert len(sub.choices) == 6
     for parser in (top, *sub.choices.values()):
@@ -830,28 +855,25 @@ def taken(counts: dict) -> dict:
     return out
 
 
-def test_one_terminal_query_per_call(capsys, monkeypatch, parser_builds):
-    """Each main() call takes its parser once and asks the terminal once,
-    whether it builds the parser (the first call at a width) or takes the
-    kept one (argparse alone asks once per formatter it makes: 4 times for
-    the build of a classify call, 32 for the full parser)."""
-    calls = {"get_terminal_size": 0, "_build_parser": 0}
-    build = cli._build_parser
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
+def test_kept_parser_asks_the_terminal_nothing(capsys, monkeypatch, parser_builds):
+    """A parse by a kept parser asks the terminal nothing: after the first
+    classify call, which builds its parser (argparse asks the terminal once
+    for each formatter it makes, 4 times), a repeat at COLUMNS 80 and one
+    at 100 make no terminal query and construct no ArgumentParser."""
+    queries = []
+    size = shutil.get_terminal_size
     monkeypatch.setattr(shutil, "get_terminal_size",
-                        counted("get_terminal_size", shutil.get_terminal_size))
-    monkeypatch.setattr(cli, "_build_parser", counted("_build_parser", build))
-    for n, columns, misses in ((1, "80", 1), (2, "80", 1), (3, "100", 2)):
+                        lambda *args: queries.append(args) or size(*args))
+    classify = ["classify", "--field", SQRT2, "--matrix", "1;1;0;1"]
+    monkeypatch.setenv("COLUMNS", "80")
+    reply = run(capsys, *classify)
+    assert reply[0] == 0 and len(queries) == 4
+    assert taken(parser_builds)["ArgumentParser"] == 1
+    for columns in ("80", "100"):
+        queries.clear()
         monkeypatch.setenv("COLUMNS", columns)
-        assert run(capsys, "classify", "--field", SQRT2, "--matrix", "1;1;0;1")[0] == 0
-        assert calls == {"get_terminal_size": n, "_build_parser": n}
-        assert build.cache_info().misses == misses
+        assert run(capsys, *classify) == reply
+        assert queries == [] and taken(parser_builds)["ArgumentParser"] == 0, columns
 
 
 @pytest.mark.parametrize("golden,argv,code", USAGE_CASES, ids=[c[0] for c in USAGE_CASES])
@@ -914,16 +936,16 @@ def test_named_build_replies_as_the_full_parser(capsys, monkeypatch, columns):
         return out
 
     class FullParse:  # a named parser that reads its argv with the full parser
-        def __init__(self, command, width):
-            self.command, self.width = command, width
+        def __init__(self, command):
+            self.command = command
 
         def parse_known_args(self, args):
-            return build(None, self.width).parse_args([self.command, *args]), []
+            return build(None).parse_args([self.command, *args]), []
 
     named = replies()
     assert {kind for (kind, _), _, _ in named} == {"return", "exit"}
-    monkeypatch.setattr(cli, "_build_parser", lambda command, width: (
-        build(None, width) if command is None else FullParse(command, width)))
+    monkeypatch.setattr(cli, "_build_parser", lambda command: (
+        build(None) if command is None else FullParse(command)))
     assert replies() == named
 
 
@@ -932,17 +954,17 @@ def test_named_call_builds_only_the_named_parser(capsys, monkeypatch, parser_bui
     """A named build is that subcommand's parser alone, whose help is that
     of the full build's subparser and of argparse's own formatter (built
     here, not kept, since the test changes them).  The first named main()
-    call at a width constructs 1 ArgumentParser, a repeat none, and a call
-    at another width 1; the first with arguments left over 1 + 7 (the full
-    parser prints the error), and its repeat none.  A repeat that parses
-    makes no gettext lookup.  The full build constructs 7."""
+    call constructs 1 ArgumentParser, a repeat none, at the same or another
+    COLUMNS; the first with arguments left over 1 + 7 (the full parser
+    prints the error), and its repeat none.  A repeat that parses makes no
+    gettext lookup.  The full build constructs 7."""
     monkeypatch.setenv("COLUMNS", columns)
-    build, width = cli._build_parser.__wrapped__, int(columns) - 2
-    full, = (a for a in build(None, width)._actions
+    build = cli._build_parser.__wrapped__
+    full, = (a for a in build(None)._actions
              if isinstance(a, argparse._SubParsersAction))
     assert list(full.choices) == COMMAND_NAMES
     for name in COMMAND_NAMES:
-        parser = build(name, width)
+        parser = build(name)
         shared = parser.format_help()
         assert shared == full.choices[name].format_help()
         parser.formatter_class = argparse.HelpFormatter
@@ -958,7 +980,7 @@ def test_named_call_builds_only_the_named_parser(capsys, monkeypatch, parser_bui
     assert taken(parser_builds) == {"ArgumentParser": 0, "gettext": 0}
     monkeypatch.setenv("COLUMNS", str(int(columns) + 1))
     assert run(capsys, *classify) == reply
-    assert taken(parser_builds)["ArgumentParser"] == 1
+    assert taken(parser_builds) == {"ArgumentParser": 0, "gettext": 0}
     monkeypatch.setenv("COLUMNS", columns)
 
     for count in (1 + 7, 0):
@@ -970,27 +992,39 @@ def test_named_call_builds_only_the_named_parser(capsys, monkeypatch, parser_bui
         main(classify + ["--bogus"])
     capsys.readouterr()
     assert taken(parser_builds)["ArgumentParser"] == 0
-    build(None, width)
+    build(None)
     assert taken(parser_builds)["ArgumentParser"] == 7
 
 
-def test_kept_parsers_are_bounded(capsys, monkeypatch, parser_builds):
-    """At PARSER_TABLE_SIZE + 4 widths main keeps PARSER_TABLE_SIZE parsers:
-    the first width's parser is dropped and built again, and no reply
-    changes."""
-    size = cli.PARSER_TABLE_SIZE
-    classify = ["classify", "--field", SQRT2, "--matrix", "1;1;0;1"]
-    replies = set()
-    for columns in range(60, 60 + size + 4):
-        monkeypatch.setenv("COLUMNS", str(columns))
-        replies.add(run(capsys, *classify))
-    assert len(replies) == 1
-    assert cli._build_parser.cache_info().currsize == size
-    assert taken(parser_builds)["ArgumentParser"] == size + 4
-    monkeypatch.setenv("COLUMNS", "60")
-    assert run(capsys, *classify) in replies
-    assert taken(parser_builds)["ArgumentParser"] == 1
-    assert cli._build_parser.cache_info().currsize == size
+def test_kept_parsers_reply_at_the_current_width(capsys, monkeypatch, parser_builds):
+    """The help and usage cases at COLUMNS 200, 40, 80 and 33, in that
+    order in this interpreter, each reply as in a fresh interpreter at that
+    width: a kept parser wraps its text at the width when it prints.  main
+    keeps at most 7 parsers, one per subcommand and the full one."""
+    child = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from smoke_cli import USAGE_CASES, run_in_process
+replies = []
+for _, argv, _ in USAGE_CASES:
+    code, out, err = run_in_process(argv)
+    replies.append([code, out.decode(), err])
+print(json.dumps(replies))
+"""
+    for columns in ("200", "40", "80", "33"):
+        monkeypatch.setenv("COLUMNS", columns)
+        here = []
+        for _, argv, _ in USAGE_CASES:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            written = capsys.readouterr()
+            here.append([exc.value.code, written.out, written.err])
+        fresh = subprocess.run([sys.executable, "-c", child, str(Path(__file__).parent)],
+                               capture_output=True, text=True, timeout=60,
+                               env={**os.environ, "PYTHONPATH": SRC, "COLUMNS": columns})
+        assert fresh.returncode == 0, fresh.stderr
+        assert here == json.loads(fresh.stdout), columns
+    assert cli._build_parser.cache_info().currsize <= 7
 
 
 def test_root_searches_import_no_mpmath_or_sympy():
