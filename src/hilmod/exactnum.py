@@ -58,6 +58,13 @@ def rational_from_string(s: str) -> Fraction:
     return Fraction(num, den)
 
 
+def as_rational(c) -> int | Fraction:
+    """An int or a Fraction as it is, a string by ``rational_from_string``;
+    anything else, a float included, is ValueError naming it, since a float
+    would stand for its binary expansion."""
+    return c if isinstance(c, (int, Fraction)) else rational_from_string(c)
+
+
 def ratio_to_string(a: int, d: int) -> str:
     """a / d in lowest terms as "p/q", for integers a and d > 0."""
     g = math.gcd(a, d)
@@ -225,15 +232,14 @@ class Poly(Record):
     numerators ``num``, ascending, over one positive denominator ``den``,
     gcd 1, no trailing zero numerator (zero is ((), 1)).  Immutable; equal
     polynomials have equal (num, den) whatever they were built from.  A
-    coefficient is an int, a Fraction or a rational string "p" or "p/q"
-    (``rational_from_string``); anything else, a float included, is
+    coefficient is read by ``as_rational``: an int, a Fraction or a
+    rational string "p" or "p/q"; anything else, a float included, is
     ValueError."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int | str]):
-        num, den = integer_coords([c if isinstance(c, (int, Fraction)) else rational_from_string(c)
-                                   for c in coeffs])
+        num, den = integer_coords([as_rational(c) for c in coeffs])
         while num and not num[-1]:
             num.pop()
         object.__setattr__(self, "num", tuple(num))

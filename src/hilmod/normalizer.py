@@ -197,7 +197,7 @@ def involution_search(a: PslElem, height_bound: int,
             t = x * p_s
             roots = (root, -root) if not root.is_zero else (root,)
             ys = [(e - t) * r_inv * Fraction(1, 2) for e in roots]
-            for y in sorted(ys, key=lambda y: _coord_key(y.coords)):
+            for y in sorted(ys, key=lambda y: _coord_key(y.num)):
                 yield y, (-t - r * y) * q_inv
             return
         t = x * p_s

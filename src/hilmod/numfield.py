@@ -8,14 +8,16 @@ integers (Cohen, GTM 138, ch. 4): the field stores the basis matrix and
 its inverse, an integer adjugate from the fraction-free solver
 ``int_det_solve``, each as a sparse integer matrix over one denominator,
 the power basis as the identity over 1.  Power coordinates, ``from_power``
-and the multiplication table T with omega_i * omega_j = sum_k T_ijk
-omega_k are integer products with them.  Products, trace, norm and
-inverse are integer sums over T, sums one pass over the numerators.  Every
-T_ijk must be an integer, which certifies that the basis spans an order;
-a basis that does not, or a singular one, is rejected with ValueError.  A
-rational root of the minimal polynomial is always rejected, which settles
-irreducibility up to degree 3; above that it is a caller contract, and
-``inverse`` and ``embed_sign`` raise ReducibleDetected on a zero divisor.
+(which takes integer power-basis numerators over one positive
+denominator, never a Fraction) and the multiplication table T with
+omega_i * omega_j = sum_k T_ijk omega_k are integer products with them.
+Products, trace, norm and inverse are integer sums over T, sums one pass
+over the numerators.  Every T_ijk must be an integer, which certifies
+that the basis spans an order; a basis that does not, or a singular one,
+is rejected with ValueError.  A rational root of the minimal polynomial
+is always rejected, which settles irreducibility up to degree 3; above
+that it is a caller contract, and ``inverse`` and ``embed_sign`` raise
+ReducibleDetected on a zero divisor.
 
 A field never changes after ``__init__``: its embeddings are the isolating
 intervals found at load, and each loop that needs a finer one refines a
@@ -64,6 +66,7 @@ from .exactnum import (
     Record,
     RootInterval,
     ScaledInterval,
+    as_rational,
     divide_monic,
     horner_scaled,
     isolate_real_roots,
@@ -168,6 +171,8 @@ class NumberField:
 
     ``integral_basis`` rows are the basis elements of O_k written in the
     power basis {1, theta, ..., theta^(n-1)}; row 0 must be the constant 1.
+    An entry is read like a ``Poly`` coefficient (``as_rational``), so a
+    float is ValueError.
     Embedding i is the isolating interval ``root_intervals[i]``, of width
     < 1, in ascending root order, so embedding 0 corresponds to the
     smallest real root.  No attribute changes after ``__init__`` (the
@@ -176,7 +181,7 @@ class NumberField:
     """
 
     def __init__(self, min_poly: Poly,
-                 integral_basis: Optional[Sequence[Sequence[Fraction]]] = None):
+                 integral_basis: Optional[Sequence[Sequence[int | Fraction | str]]] = None):
         if min_poly.is_zero or not min_poly.is_monic:
             raise NotMonic("minimal polynomial must be monic and nonzero")
         if min_poly.den != 1:
@@ -194,17 +199,15 @@ class NumberField:
         self.min_poly = min_poly
         self.degree = n
         if integral_basis is None:
-            basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        else:
-            basis = [[Fraction(x) for x in row] for row in integral_basis]
-            if len(basis) != n or any(len(row) != n for row in basis):
-                raise ValueError("integral basis must be an n x n matrix")
-        if basis[0] != [Fraction(1)] + [Fraction(0)] * (n - 1):
-            raise ValueError("basis element 0 must be the constant 1")
-        self.integral_basis = tuple(tuple(row) for row in basis)
+            integral_basis = [[int(i == j) for j in range(n)] for i in range(n)]
+        elif len(integral_basis) != n or any(len(row) != n for row in integral_basis):
+            raise ValueError("integral basis must be an n x n matrix")
         # (M, d) with M / d the basis matrix, and the same for its inverse
-        flat, den = integer_coords([x for row in basis for x in row])
+        flat, den = integer_coords([as_rational(x) for row in integral_basis for x in row])
         rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+        if rows[0] != [den] + [0] * (n - 1):
+            raise ValueError("basis element 0 must be the constant 1")
+        self.integral_basis = tuple(tuple(Fraction(a, den) for a in row) for row in rows)
         adj, det = _adjugate(rows)  # basis^-1 = den * adj / det
         self._basis = _sparse(rows), den
         self._basis_inv = _sparse([[den * a for a in row] for row in adj]), det
@@ -270,16 +273,18 @@ class NumberField:
             raise ValueError(f"expected {self.degree} coordinates, got {len(coords)}")
         return _element(self, *integer_coords(coords))
 
-    def from_power(self, power: Sequence, den: int = 1) -> "FieldElement":
-        """The element sum power_l theta^l / den, for integers (or
-        rationals) power_l and an integer den > 0.  A list of at most
-        ``degree`` coefficients is already reduced; a longer one is reduced
-        mod min_poly on its integer numerators."""
-        v, d = integer_coords(power)
-        if len(v) > self.degree:
-            v = divide_monic(v, self.min_poly.num)[1]
+    def from_power(self, num: Sequence[int], den: int = 1) -> "FieldElement":
+        """The element sum num_l theta^l / den, for integers num_l and an
+        integer den > 0; a den <= 0 is ValueError, and a numerator that is
+        not an int (a Fraction or a float) makes ``_element`` raise
+        TypeError.  A list of at most ``degree`` numerators is already
+        reduced; a longer one is reduced mod min_poly."""
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        if len(num) > self.degree:
+            num = divide_monic(num, self.min_poly.num)[1]
         inv, den_inv = self._basis_inv
-        return _element(self, _vec_mat(v, inv, self.degree), den * d * den_inv)
+        return _element(self, _vec_mat(num, inv, self.degree), den * den_inv)
 
     def zero(self) -> "FieldElement":
         return _element(self, [0] * self.degree, 1)
@@ -661,7 +666,7 @@ def has_square_root(c: FieldElement) -> SearchOutcome:
 
     signs = ((0,) + rest for rest in itertools.product((0, 1), repeat=n - 1))
     y = _lattice_root(field, enclose, signs, lambda y: y * y == cs)
-    return SearchOutcome(None if y is None else y * Fraction(1, s))
+    return SearchOutcome(None if y is None else _element(field, y.num, y.den * s))
 
 
 def contains_root_of(field: NumberField, p: Poly) -> SearchOutcome:

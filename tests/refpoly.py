@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Sequence
 
 from hilmod.cli import ParseError, _TERM, _digit_limit, _generator_power, _too_large
-from hilmod.exactnum import NotSquarefree, Poly, RootInterval, ScaledInterval
+from hilmod.exactnum import NotSquarefree, Poly, RootInterval, ScaledInterval, integer_coords
 
 
 class RefPoly(Poly):
@@ -299,8 +299,9 @@ def is_empty(expr) -> bool:
 
 def ref_parse_element(text: str, field):
     """``cli.parse_element`` with each power's coefficient summed as a
-    Fraction and handed to ``from_power`` as Fractions: the same grammar,
-    limits, errors and positions."""
+    Fraction; the powers below the degree go to ``from_power`` as integer
+    numerators over their least common denominator (``integer_coords``).
+    The same grammar, limits, errors and positions."""
     limit = _digit_limit()
     power: dict[int, Fraction] = {}
     where: dict[int, int] = {}  # exponent: position of its first term
@@ -331,7 +332,7 @@ def ref_parse_element(text: str, field):
         where.setdefault(exp, start)
         pos = m.end()
     n = field.degree
-    x = field.from_power([power.get(e, Fraction(0)) for e in range(n)])
+    x = field.from_power(*integer_coords([power.get(e, Fraction(0)) for e in range(n)]))
     for e, c in power.items():
         if e >= n:
             x = x + _generator_power(field, e, 2 * limit, where[e]) * c

@@ -20,7 +20,7 @@ from math import isqrt
 import pytest
 
 from hilmod.exactnum import (Poly, RootInterval, ScaledInterval, _nonroot_point, horner_scaled,
-                             isolate_real_roots, refine_root)
+                             integer_coords, isolate_real_roots, refine_root)
 from hilmod.modgrp import (_cos_trace_from_cyclotomic, _cyclotomic_coeffs, _cyclotomic_table,
                            cos_trace_min_poly, torsion_orders)
 from hilmod.numfield import (RESIDUE_PRIME_BOUND, NumberField, _balanced_assignments,
@@ -137,7 +137,7 @@ class RefField:
                 if any(a > b for a, b in pins):
                     break
                 if all(a == b for a, b in pins):
-                    y = field.from_power([Fraction(a, den) for a, _ in pins])
+                    y = field.from_power(*integer_coords([Fraction(a, den) for a, _ in pins]))
                     if verify(y):
                         return y
                     break

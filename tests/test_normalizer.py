@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -231,10 +230,11 @@ def test_coord_tuples_streamed_in_canonical_order(n, height):
     assert list(_coord_tuples(n, height)) == _reference_coord_tuples(n, height)
 
 
-# units in power-basis coordinates: [1, 1] is 1 + g, and so on
-_UNITS = {"sqrt2": ([1, 1], [-1, 1], [3, 2]),
-          "sqrt5": ([Fraction(1, 2), Fraction(1, 2)], [2, 1], [-2, 1]),
-          "cubic7": ([0, 1], [-1, 0, 1], [1, 1])}
+# units as power-basis numerators over a denominator: ([1, 1], 1) is 1 + g,
+# ([1, 1], 2) is (1 + g) / 2, and so on
+_UNITS = {"sqrt2": (([1, 1], 1), ([-1, 1], 1), ([3, 2], 1)),
+          "sqrt5": (([1, 1], 2), ([2, 1], 1), ([-2, 1], 1)),
+          "cubic7": (([0, 1], 1), ([-1, 0, 1], 1), ([1, 1], 1))}
 
 
 def _sample_elements(fields, rng, count):
@@ -260,7 +260,7 @@ def _sample_elements(fields, rng, count):
             c = f.element([rng.randint(-1, 1) for _ in range(f.degree)])
             m = Mat2(b, -one - b * b, one, -b) * Mat2(-c, one, -one - c * c, c)
         else:
-            u = f.from_power(rng.choice(_UNITS[name]))
+            u = f.from_power(*rng.choice(_UNITS[name]))
             m = {"diagonal": Mat2(u, zero, zero, u.inverse()),
                  "upper": Mat2(u, b, zero, u.inverse()),
                  "lower": Mat2(u, zero, b, u.inverse())}[shape]

@@ -13,7 +13,8 @@ import pytest
 from conftest import embed_mp
 
 from hilmod import cli, exactnum
-from hilmod.exactnum import NotSquarefree, Poly, ScaledInterval, divide_monic, refine_root
+from hilmod.exactnum import (NotSquarefree, Poly, ScaledInterval, divide_monic, integer_coords,
+                             refine_root)
 from hilmod.modgrp import cos_trace_min_poly
 from hilmod.numfield import (
     RESIDUE_PRIME_BOUND,
@@ -156,7 +157,7 @@ def test_embed_sign_skips_the_norm_up_to_degree_3(cubic7, monkeypatch):
     monkeypatch.setattr(FieldElement, "norm", lambda x: calls.append(x) or norm(x))
     for i, r in enumerate(cubic7.root_intervals):
         for c in (r.low, (r.low + r.high) / 2, r.high):
-            x = cubic7.from_power([-c, 1])
+            x = cubic7.from_power(*integer_coords([-c, 1]))
             lo, hi, _ = x.enclosure(r)
             assert lo <= 0 <= hi  # the first enclosure holds 0
             assert x.embed_sign(i) == (1 if embed_mp(x, i, 50) > 0 else -1)
@@ -512,7 +513,7 @@ def test_negatively_oriented_basis():
         x, y = (field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                                for _ in range(2)]) for _ in range(2))
         assert x * y == _ref_mul(x, y)
-        assert field.from_power(power_coords(x)) == x
+        assert field.from_power(*integer_coords(power_coords(x))) == x
 
 
 def test_basis_must_span_an_order():
@@ -623,10 +624,11 @@ def test_change_of_basis_matches_fraction_path(seed, build):
         x = field.element(coords)
         p = power_coords(x)
         assert p == ref_power_coords(x)
-        assert field.from_power(p) == x
+        assert field.from_power(*integer_coords(p)) == x
         power = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                  for _ in range(rng.randint(0, 2 * n))]
-        assert field.from_power(power).coords == ref_from_power(field, power).coords
+        assert field.from_power(*integer_coords(power)).coords == \
+            ref_from_power(field, power).coords
         for i in range(n):
             assert x.embed_sign(i) == ref_embed_sign(x, i)
             r = refine_root(field.root_intervals[i], Fraction(1, rng.choice((3, 100, 10 ** 6))))
@@ -648,33 +650,38 @@ def test_change_of_basis_does_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Fraction, f"__r{op}__", forbidden)
     for x in elements:
         field = x.field
-        assert field.from_power(power_coords(x)).coords == x.coords
+        assert field.from_power(*integer_coords(power_coords(x))).coords == x.coords
         for i, r in enumerate(field.root_intervals):
             assert x.embed_sign(i) in (-1, 1)
             assert x.enclosure(refine_root(r, Fraction(1, 100))).den > 0
 
 
 def test_from_power_reduces_past_the_degree(rationals, sqrt5, cubic7):
-    """Only a list of more than ``degree`` coefficients is reduced mod
+    """Only a list of more than ``degree`` numerators is reduced mod
     min_poly: over Q (degree 1) and up to power 2n - 2 over the cubic, on
-    integers over a denominator and on Fractions, against the Fraction
-    reduction."""
+    integers over a denominator, against the Fraction reduction.  The
+    numerators are integers and the denominator is positive: a den <= 0
+    is ValueError, and a Fraction or float numerator is TypeError."""
     rng = random.Random(19)
     for field, longest in ((rationals, 4), (sqrt5, 3), (cubic7, 2 * 3 - 1)):
         for k in [*range(longest + 1)] * 8:
             ints, den = [rng.randint(-60, 60) for _ in range(k)], rng.randint(1, 12)
             assert field.from_power(ints, den) == \
                 ref_from_power(field, [Fraction(c, den) for c in ints]), (field, ints, den)
-            fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(k)]
-            assert field.from_power(fracs) == ref_from_power(field, fracs), (field, fracs)
     g = cubic7.generator()
     assert cubic7.from_power([0, 0, 0, 0, 1]) == g * g * g * g
+    for den in (0, -1, -2):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            sqrt5.from_power([1, 0], den)
+    for bad in ([Fraction(1, 2), 0], [0, 0.5], [1, 0, 0, Fraction(1, 3)], [2.0, 1]):
+        with pytest.raises(TypeError):
+            sqrt5.from_power(bad)
 
 
 def test_float_coordinates_are_rejected(sqrt2):
     """A float stands for its binary expansion (0.1 is 3602879701896397 /
-    2^55), never for the decimal it prints as, so neither an element nor a
-    polynomial accepts one."""
+    2^55), never for the decimal it prints as, so no element, polynomial
+    or integral-basis entry accepts one, nor a decimal string."""
     for bad in ([0.1, 0], [1, 2.0], ["1", 0]):
         with pytest.raises(ValueError, match="coordinate") as exc:
             sqrt2.element(bad)
@@ -682,8 +689,13 @@ def test_float_coordinates_are_rejected(sqrt2):
     for bad in ([0.1, 1], [1, 2.0]):
         with pytest.raises(ValueError, match=r"2\.0|0\.1"):
             Poly(bad)
+    for bad in ([[1, 0], [0.5, 0.5]], [[1.0, 0], [0, 1]], [[1, 0], ["0.5", "1/2"]]):
+        with pytest.raises(ValueError, match=r"0\.5|1\.0"):
+            NumberField(Poly([-5, 0, 1]), bad)
     assert sqrt2.element([Fraction(1, 10), 3]).coords == (Fraction(1, 10), 3)
     assert Poly(["1/10", 1]) == Poly([Fraction(1, 10), 1])
+    strings = NumberField(Poly([-5, 0, 1]), [[1, "0"], ["1/2", Fraction(1, 2)]])
+    assert strings.integral_basis == NumberField.quadratic(5).integral_basis
 
 
 # -- the canonical element representation -------------------------------
@@ -721,7 +733,7 @@ def test_elements_are_canonical(monkeypatch, sqrt2, sqrt5, cubic7):
                 (x * k, tuple(a * k for a in cx)),
                 (x * s, tuple(a * s for a in cx)),
                 (s * x, tuple(a * s for a in cx)),
-                (field.from_power(power), ref_from_power(field, power).coords),
+                (field.from_power(*integer_coords(power)), ref_from_power(field, power).coords),
             ]
             if not x.is_zero:
                 cases.append((x.inverse(), _ref_inverse(x).coords))
@@ -733,7 +745,7 @@ def test_elements_are_canonical(monkeypatch, sqrt2, sqrt5, cubic7):
                 (x * (x + y), x * x + x * y),
                 (x * 6 * Fraction(1, 6), x),
                 (field.element(x.coords), x),
-                (field.from_power(power_coords(x)), x),
+                (field.from_power(*integer_coords(power_coords(x))), x),
                 (x - x, field.zero()),
                 (x * 0, field.zero()),
             ]
