@@ -8,13 +8,16 @@ diagnostics go to stderr.  Exit codes: 0 success, 2 invalid input, 3
 matrix not in SL_2(O_k), 4 bounded search inconclusive, 141 (128 +
 SIGPIPE) stdout closed by its reader before the output was written.
 
-``main`` reads its arguments with the parser kept for the subcommand: the
-named subcommand's parser alone when the first argument names one.  The
-full parser, whose help and errors show the top usage, reads any other
-argv, and one with arguments left over after the named parse.  Each parser
-is built on the first call that needs it and kept; a parse changes nothing
-in the parser, so no reply depends on earlier calls.  Help and usage are
-wrapped at the terminal's width when they are printed, as argparse does.
+``main`` reads a plain argv from the table (``_plain_args``): a subcommand
+name, then only its exact flags, each once, as "--flag=value" or "--flag
+value", every required flag given and every value valid.  It gives the
+arguments the full parser would, with no parser built.  The full parser
+reads any other argv, and alone prints help and usage errors, with the
+top usage; it is built on the first call that needs it and kept, and a
+parse changes nothing in it, so no reply depends on earlier calls.  Help
+and usage are wrapped at the terminal's width when they are printed, as
+argparse does.  argparse is imported with that parser only, so a plain
+call loads neither it nor ``gettext`` and ``locale``.
 
 ``main`` keeps the fields it has loaded, keyed by the spec's content and at
 most ``FIELD_TABLE_SIZE`` of them, so repeated calls in one process load
@@ -24,7 +27,6 @@ a local interval), so no output depends on earlier calls.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -32,6 +34,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 from .classify import classification_json
@@ -341,11 +344,12 @@ def _cmd_ktop(args) -> dict:
 
 
 class _Command(NamedTuple):
-    run: Callable[[argparse.Namespace], dict]
+    run: Callable[..., dict]  # reads the parsed arguments
     arguments: tuple  # (flag, add_argument keywords) for each argument after --format
     exit_code: Callable[[dict], int] = lambda payload: EXIT_OK
 
 
+_FORMAT = ("--format", dict(choices=("json", "human"), default="json"))
 _FIELD = ("--field", dict(required=True, help="field spec JSON path, or - for stdin"))
 
 _COMMANDS = {  # each subcommand, declared here only, in the order of the help text
@@ -372,43 +376,91 @@ _COMMANDS = {  # each subcommand, declared here only, in the order of the help t
         ("--degree", dict(type=int, default=0, help="K-theory degree q")))),
 }
 
+# each subcommand's options, flag: add_argument keywords, in the order of its help
+_OPTIONS = {name: dict((_FORMAT, *entry.arguments)) for name, entry in _COMMANDS.items()}
+
 
 @functools.cache
-def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
-    """The top parser with all six subcommand parsers; given a ``command``,
-    that subcommand's parser alone, built as the top parser builds it.
-    Built once per command and kept: parsing reads a parser and changes
-    nothing in it.  argparse makes a formatter each time it prints help or
-    usage, so the text is wrapped at the terminal's width then."""
-    if command is not None:
-        parsers = {command: argparse.ArgumentParser(prog=f"hilmod {command}")}
-    else:
-        top = argparse.ArgumentParser(prog="hilmod")
-        sub = top.add_subparsers(dest="command", required=True)
-        parsers = {name: sub.add_parser(name) for name in _COMMANDS}
-    for name, p in parsers.items():
-        p.add_argument("--format", choices=("json", "human"), default="json")
-        for flag, options in _COMMANDS[name].arguments:
-            p.add_argument(flag, **options)
-    return top if command is None else parsers[command]
+def _full_parser() -> "argparse.ArgumentParser":
+    """The top parser with all six subcommand parsers, built from
+    ``_OPTIONS`` on the first call that needs it and kept: parsing reads a
+    parser and changes nothing in it.  argparse makes a formatter each time
+    it prints help or usage, so the text is wrapped at the terminal's width
+    then.  argparse is imported here, so a call the table reads
+    (``_plain_args``) loads neither it nor the locale modules its messages
+    need."""
+    import argparse
+
+    top = argparse.ArgumentParser(prog="hilmod")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, options in _OPTIONS.items():
+        parser = sub.add_parser(name)
+        for flag, keywords in options.items():
+            parser.add_argument(flag, **keywords)
+    return top
 
 
-def _matrix_flags(entry: _Command) -> frozenset:
+def _plain_args(name: str, tokens: list[str]) -> Optional[SimpleNamespace]:
+    """The arguments the full parser reads from ``[name, *tokens]``, read
+    from the subcommand's ``_OPTIONS`` alone, when every token is an exact
+    flag of the subcommand given once, as "--flag=value" or "--flag value"
+    (a value not starting with '-', but "-" itself), every required flag is
+    given, and each value converts with its ``type`` and is among its
+    ``choices``; a flag not given takes its default.  Any other argv gives
+    None, and the full parser reads it: it alone prints help and usage
+    errors, and it reads an abbreviation, a repeat, "--" and a value
+    starting with '-' as argparse does."""
+    options = _OPTIONS[name]
+    given = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        keywords = options.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            if eq:  # argparse: "ignored explicit argument"
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and value != "-":
+                return None
+        elif value == "--":  # argparse drops a "--" value
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=name)
+    for flag, keywords in options.items():
+        if flag not in given and keywords.get("required"):
+            return None
+        default = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
+def _matrix_flags(flags) -> frozenset:
     """"--matrix" and, where the subcommand takes it, each abbreviation
     argparse resolves to it there: a prefix from "--m" on that begins no
-    other option of that subcommand's parser."""
-    options = ["--help", "--format", *(flag for flag, _ in entry.arguments)]
+    other of the subcommand's ``flags`` or --help."""
+    options = ["--help", *flags]
     prefixes = ("--matrix"[:n] for n in range(3, 9))
     return frozenset(["--matrix", *(prefix for prefix in prefixes
                                     if [o for o in options if o.startswith(prefix)] == ["--matrix"])])
 
 
-_MATRIX_FLAGS = {name: _matrix_flags(entry) for name, entry in _COMMANDS.items()}
+_MATRIX_FLAGS = {name: _matrix_flags(options) for name, options in _OPTIONS.items()}
 
 
 def _join_matrix_values(argv: list[str]) -> list[str]:
     """Rewrite "--matrix VALUE" as "--matrix=VALUE", and the same for each
-    abbreviation of --matrix in the subcommand's parser (``_MATRIX_FLAGS``
+    abbreviation of --matrix in the subcommand (``_MATRIX_FLAGS``
     of the first argument that names one), so that argparse does not read a
     literal starting with '-' as an option."""
     command = next((tok for tok in argv if tok in _COMMANDS), None)
@@ -424,17 +476,15 @@ def _join_matrix_values(argv: list[str]) -> list[str]:
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        try:
-            argv = _join_matrix_values(argv)
-            name = argv[0] if argv and argv[0] in _COMMANDS else None
-            if name:
-                args, extra = _build_parser(name).parse_known_args(argv[1:])
-            if not name or extra:  # the top parser prints its help or usage error, and exits
-                _build_parser(None).parse_args(argv)
-        except SystemExit:  # after --help on stdout, or a usage error on stderr
-            sys.stdout.flush()
-            raise
-        command = _COMMANDS[name]
+        argv = _join_matrix_values(argv)
+        args = _plain_args(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+        if args is None:
+            try:
+                args = _full_parser().parse_args(argv)
+            except SystemExit:  # after --help on stdout, or a usage error on stderr
+                sys.stdout.flush()
+                raise
+        command = _COMMANDS[args.command]
         payload = command.run(args)
         _emit(payload, args.format)
         sys.stdout.flush()

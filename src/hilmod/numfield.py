@@ -275,12 +275,14 @@ class NumberField:
 
     def from_power(self, num: Sequence[int], den: int = 1) -> "FieldElement":
         """The element sum num_l theta^l / den, for integers num_l and an
-        integer den > 0; a den <= 0 is ValueError, and a numerator that is
-        not an int (a Fraction or a float) makes ``_element`` raise
-        TypeError.  A list of at most ``degree`` numerators is already
-        reduced; a longer one is reduced mod min_poly."""
+        integer den > 0; a den <= 0 is ValueError, and a numerator or den
+        that is not an int (a Fraction or a float), zero or not, is
+        TypeError, from ``math.gcd``.  A list of at most ``degree``
+        numerators is already reduced; a longer one is reduced mod
+        min_poly."""
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
+        math.gcd(den, *num)  # ints only: ``_vec_mat`` skips a zero of any type
         if len(num) > self.degree:
             num = divide_monic(num, self.min_poly.num)[1]
         inv, den_inv = self._basis_inv

@@ -806,19 +806,18 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, option):
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 def test_help_text_matches_the_default_formatter(capsys, monkeypatch, columns):
     """Help and usage text are those of argparse's own formatter, which asks
-    the terminal each time it prints.  The parsers are built here, not
-    taken from those main keeps, since the test changes them."""
+    the terminal each time it prints.  The parser is built here, not taken
+    from the one main keeps, since the test changes it."""
     monkeypatch.setenv("COLUMNS", columns)
-    build, commands = cli._build_parser, []
-    monkeypatch.setattr(cli, "_build_parser",
-                        lambda command: commands.append(command) or build(command))
+    build, calls = cli._full_parser, []
+    monkeypatch.setattr(cli, "_full_parser", lambda: calls.append(None) or build())
     with pytest.raises(SystemExit):
         main(["--help"])
     printed = capsys.readouterr().out
-    top = build.__wrapped__(None)
-    assert commands == [None] and printed == top.format_help()
+    top = build.__wrapped__()
+    assert calls == [None] and printed == top.format_help()
     sub, = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
-    assert len(sub.choices) == 6
+    assert list(sub.choices) == COMMAND_NAMES
     for parser in (top, *sub.choices.values()):
         shared = parser.format_help(), parser.format_usage()
         parser.formatter_class = argparse.HelpFormatter
@@ -827,10 +826,10 @@ def test_help_text_matches_the_default_formatter(capsys, monkeypatch, columns):
 
 @pytest.fixture
 def parser_builds(monkeypatch):
-    """An empty parser table, and the ArgumentParsers constructed and
-    argparse's gettext lookups while the test runs, counted."""
-    counts = {"ArgumentParser": 0, "gettext": 0}
-    init, lookup = argparse.ArgumentParser.__init__, argparse._
+    """No kept parser, and the ArgumentParsers constructed, argparse's
+    gettext lookups and the terminal queries while the test runs, counted."""
+    counts = {"ArgumentParser": 0, "gettext": 0, "terminal": 0}
+    init, lookup, size = argparse.ArgumentParser.__init__, argparse._, shutil.get_terminal_size
 
     def constructed(self, *args, **kwargs):
         counts["ArgumentParser"] += 1
@@ -840,12 +839,16 @@ def parser_builds(monkeypatch):
         counts["gettext"] += 1
         return lookup(message)
 
-    build = cli._build_parser  # a test may replace it with a wrapper
-    build.cache_clear()
+    def asked(*args):
+        counts["terminal"] += 1
+        return size(*args)
+
+    cli._full_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", constructed)
     monkeypatch.setattr(argparse, "_", looked_up)
+    monkeypatch.setattr(shutil, "get_terminal_size", asked)
     yield counts
-    build.cache_clear()
+    cli._full_parser.cache_clear()
 
 
 def taken(counts: dict) -> dict:
@@ -855,25 +858,34 @@ def taken(counts: dict) -> dict:
     return out
 
 
+NOTHING = {"ArgumentParser": 0, "gettext": 0, "terminal": 0}
+
+CENSUS_P = str(DATA / "census_p.json")
+
+# one plain call of each subcommand, in the order of the help text
+PLAIN_CALLS = [
+    ["field-info", "--field", SQRT2],
+    ["classify", "--field", SQRT2, "--matrix=1+1g;1+1g;2;1+1g"],
+    ["normalizer", "--field", SQRT2, "--matrix=1+1g;0;0;-1+1g", "--height", "2"],
+    ["torsion-search", "--field", SQRT2, "--max-order", "12"],
+    ["wh-decomp", "--census", CENSUS_P, "--q", "1"],
+    ["ktop", "--field", SQRT2, "--class-number", "1",
+     "--finite-census", str(DATA / "fc.json"), "--degree", "0"],
+]
+
+
 def test_kept_parser_asks_the_terminal_nothing(capsys, monkeypatch, parser_builds):
-    """A parse by a kept parser asks the terminal nothing: after the first
-    classify call, which builds its parser (argparse asks the terminal once
-    for each formatter it makes, 4 times), a repeat at COLUMNS 80 and one
-    at 100 make no terminal query and construct no ArgumentParser."""
-    queries = []
-    size = shutil.get_terminal_size
-    monkeypatch.setattr(shutil, "get_terminal_size",
-                        lambda *args: queries.append(args) or size(*args))
+    """A plain call asks the terminal nothing, constructs no ArgumentParser
+    and makes no gettext lookup, the first with no parser kept as well as a
+    repeat at COLUMNS 80 and one at 100."""
     classify = ["classify", "--field", SQRT2, "--matrix", "1;1;0;1"]
     monkeypatch.setenv("COLUMNS", "80")
     reply = run(capsys, *classify)
-    assert reply[0] == 0 and len(queries) == 4
-    assert taken(parser_builds)["ArgumentParser"] == 1
+    assert reply[0] == 0 and taken(parser_builds) == NOTHING
     for columns in ("80", "100"):
-        queries.clear()
         monkeypatch.setenv("COLUMNS", columns)
         assert run(capsys, *classify) == reply
-        assert queries == [] and taken(parser_builds)["ArgumentParser"] == 0, columns
+        assert taken(parser_builds) == NOTHING, columns
 
 
 @pytest.mark.parametrize("golden,argv,code", USAGE_CASES, ids=[c[0] for c in USAGE_CASES])
@@ -887,14 +899,18 @@ def test_help_and_usage_goldens(capsys, monkeypatch, golden, argv, code):
     assert written == usage_golden(golden).read_text() and silent == ""
 
 
-# -- the named build: a call that names a subcommand builds its parser only
+# -- the table path: a plain argv is read from _OPTIONS, any other by the full parser
 
 # every argv above and of smoke_cli.py, options before, after or abbreviated
-# around a subcommand name, "--" anywhere, and arguments left over after a
-# parse that would succeed, with help or an invalid value among them
-_NAMED_BUILD_ARGVS = [argv for _, argv, _ in USAGE_CASES] + [
+# around a subcommand name, "--" anywhere, arguments left over after a parse
+# that would succeed, with help or an invalid value among them, and values
+# the table reads as argparse does or leaves to it: "=" forms, a value int()
+# reads with a space or an underscore, an empty value, a repeated or
+# valued store_true flag, a separate negative value, a "--" value and a
+# missing required flag
+_ORACLE_ARGVS = [argv for _, argv, _ in USAGE_CASES] + [
     [str(a) for a in argv] for _, argv, _ in CASES
-] + [
+] + PLAIN_CALLS + [
     ["--format", "json", "classify", "--field", SQRT2, "--matrix", "1;1;0;1"],
     ["-h", "classify"],
     ["--foo", "classify", "--field", SQRT2, "--matrix", "1;1;0;1"],
@@ -908,17 +924,39 @@ _NAMED_BUILD_ARGVS = [argv for _, argv, _ in USAGE_CASES] + [
     ["classify", "--bogus", "-h"],
     ["classify", "--format", "xml", "--bogus"],
     ["classify", "--field", SQRT2, "--matrix", "-1;0;0;-1", "--fo", "human"],
+    ["classify", f"--field={SQRT2}", "--matrix=1;1;0;1", "--format=human"],
+    ["classify", "--field", SQRT2, "--matrix", "1;1;0;1", "--format", "xml"],
+    ["classify", "--field", SQRT2, "--matrix", "1;1;0;1", "--format", "json", "--format", "human"],
+    ["classify", "--field", SQRT2, "--matrix=a=b"],
+    ["classify", "--field", "-", "--matrix", "-"],
+    ["classify", "--matrix=1;1;0;1", "--field", "--format=json"],
+    ["field-info", "--field", ""],
+    ["field-info", "--field"],
+    ["field-info", "--field=--"],
+    ["field-info", "--field", "--", SQRT2],
+    ["wh-decomp", "--census", CENSUS_P, "--q=-1"],
+    ["wh-decomp", "--census", CENSUS_P, "--q", " 3"],
+    ["wh-decomp", "--census", CENSUS_P, "--q", "1_0"],
+    ["wh-decomp", "--census", CENSUS_P, "--q", "x"],
+    ["wh-decomp", "--census="],
+    ["wh-decomp", "--census", CENSUS_P, "--sl", "--sl"],
+    ["wh-decomp", "--census", CENSUS_P, "--sl=1"],
+    ["wh-decomp", "--q", "2", "--regular"],
+    ["ktop", "--field", SQRT2, "--class-number", "1", "--degree", "-1"],
+    ["ktop", "--field", SQRT2],
+    ["torsion-search", "--field", SQRT2, "--max-order=7", "--format=json"],
 ]
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 def test_named_build_replies_as_the_full_parser(capsys, monkeypatch, columns):
     """main's reply to each argv (exit code or SystemExit code, stdout,
-    stderr) equals, byte for byte, that of a main forced onto the full
-    parser.  Each handler here prints the arguments it was given, but the
-    subcommand name, so where the parse succeeds the two read the same."""
+    stderr) equals, byte for byte, that of a main whose ``_plain_args``
+    declines every argv, so that the full parser reads them all.  Each
+    handler here prints the arguments it was given, but the subcommand
+    name, so where the parse succeeds the two read the same.  Some argvs
+    take the table path and some are declined."""
     monkeypatch.setenv("COLUMNS", columns)
-    build = cli._build_parser
     for name, entry in cli._COMMANDS.items():
         monkeypatch.setitem(cli._COMMANDS, name, entry._replace(
             run=lambda args: {k: v for k, v in vars(args).items() if k != "command"},
@@ -926,7 +964,7 @@ def test_named_build_replies_as_the_full_parser(capsys, monkeypatch, columns):
 
     def replies():
         out = []
-        for argv in _NAMED_BUILD_ARGVS:
+        for argv in _ORACLE_ARGVS:
             try:
                 code = ("return", main(argv))
             except SystemExit as exc:
@@ -935,72 +973,80 @@ def test_named_build_replies_as_the_full_parser(capsys, monkeypatch, columns):
             out.append((code, written.out, written.err))
         return out
 
-    class FullParse:  # a named parser that reads its argv with the full parser
-        def __init__(self, command):
-            self.command = command
-
-        def parse_known_args(self, args):
-            return build(None).parse_args([self.command, *args]), []
-
-    named = replies()
-    assert {kind for (kind, _), _, _ in named} == {"return", "exit"}
-    monkeypatch.setattr(cli, "_build_parser", lambda command: (
-        build(None) if command is None else FullParse(command)))
-    assert replies() == named
+    plain, read = [], cli._plain_args
+    monkeypatch.setattr(cli, "_plain_args",
+                        lambda name, tokens: plain.append([name, *tokens]) or read(name, tokens))
+    table = replies()
+    taken_by_table = [argv for argv in plain if read(argv[0], argv[1:]) is not None]
+    assert {kind for (kind, _), _, _ in table} == {"return", "exit"}
+    assert PLAIN_CALLS[0] in taken_by_table and _ORACLE_ARGVS[-1] in taken_by_table
+    assert ["wh-decomp", "--census", CENSUS_P, "--sl=1"] in plain
+    assert ["wh-decomp", "--census", CENSUS_P, "--sl=1"] not in taken_by_table
+    monkeypatch.setattr(cli, "_plain_args", lambda name, tokens: None)
+    assert replies() == table
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 def test_named_call_builds_only_the_named_parser(capsys, monkeypatch, parser_builds, columns):
-    """A named build is that subcommand's parser alone, whose help is that
-    of the full build's subparser and of argparse's own formatter (built
-    here, not kept, since the test changes them).  The first named main()
-    call constructs 1 ArgumentParser, a repeat none, at the same or another
-    COLUMNS; the first with arguments left over 1 + 7 (the full parser
-    prints the error), and its repeat none.  A repeat that parses makes no
-    gettext lookup.  The full build constructs 7."""
+    """A plain call of each subcommand, the first with no parser kept, a
+    repeat and one at another COLUMNS, constructs no ArgumentParser, makes
+    no gettext lookup and asks the terminal nothing.  The first argv the
+    table declines builds the full parser, 7 ArgumentParsers, which prints
+    the error; a repeat builds none."""
     monkeypatch.setenv("COLUMNS", columns)
-    build = cli._build_parser.__wrapped__
-    full, = (a for a in build(None)._actions
-             if isinstance(a, argparse._SubParsersAction))
-    assert list(full.choices) == COMMAND_NAMES
-    for name in COMMAND_NAMES:
-        parser = build(name)
-        shared = parser.format_help()
-        assert shared == full.choices[name].format_help()
-        parser.formatter_class = argparse.HelpFormatter
-        assert parser.format_help() == shared, name
-    assert taken(parser_builds)["ArgumentParser"] == 7 + 6
+    for argv in PLAIN_CALLS:
+        reply = run(capsys, *argv)
+        assert reply[0] == 0 and taken(parser_builds) == NOTHING, argv[0]
+        assert run(capsys, *argv) == reply
+        monkeypatch.setenv("COLUMNS", str(int(columns) + 1))
+        assert run(capsys, *argv) == reply
+        monkeypatch.setenv("COLUMNS", columns)
+        assert taken(parser_builds) == NOTHING, argv[0]
 
-    classify = ["classify", "--field", SQRT2, "--matrix", "1;1;0;1"]
-    reply = run(capsys, *classify)
-    assert reply[0] == 0
-    first = taken(parser_builds)
-    assert first["ArgumentParser"] == 1 and first["gettext"] > 0
-    assert run(capsys, *classify) == reply
-    assert taken(parser_builds) == {"ArgumentParser": 0, "gettext": 0}
-    monkeypatch.setenv("COLUMNS", str(int(columns) + 1))
-    assert run(capsys, *classify) == reply
-    assert taken(parser_builds) == {"ArgumentParser": 0, "gettext": 0}
-    monkeypatch.setenv("COLUMNS", columns)
-
-    for count in (1 + 7, 0):
+    for count in (7, 0):
         with pytest.raises(SystemExit) as exc:
             main(["field-info", "--field", "x.json", "--bogus"])
         assert exc.value.code == 2 and "unrecognized arguments: --bogus" in capsys.readouterr().err
         assert taken(parser_builds)["ArgumentParser"] == count
-    with pytest.raises(SystemExit):
-        main(classify + ["--bogus"])
-    capsys.readouterr()
-    assert taken(parser_builds)["ArgumentParser"] == 0
-    build(None)
-    assert taken(parser_builds)["ArgumentParser"] == 7
+    assert run(capsys, *PLAIN_CALLS[1])[0] == 0
+    assert taken(parser_builds) == NOTHING
+
+
+def test_plain_calls_import_no_argparse_or_locale():
+    """In a fresh interpreter, importing the CLI and one plain call of each
+    subcommand load neither argparse nor gettext nor locale; --help, which
+    the full parser prints, loads all three."""
+    code = """
+import contextlib, io, json, sys
+from hilmod.cli import main
+watched = ("argparse", "gettext", "locale")
+loaded = [sorted(set(watched) & set(sys.modules))]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded.append(sorted(set(watched) & set(sys.modules)))
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(["--help"])
+    except SystemExit:
+        pass
+loaded.append(sorted(set(watched) & set(sys.modules)))
+print(json.dumps(loaded))
+"""
+    out = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(PLAIN_CALLS)],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    *plain, helped = json.loads(out.stdout)
+    assert plain == [[]] * (1 + len(PLAIN_CALLS))
+    assert helped == ["argparse", "gettext", "locale"]
 
 
 def test_kept_parsers_reply_at_the_current_width(capsys, monkeypatch, parser_builds):
     """The help and usage cases at COLUMNS 200, 40, 80 and 33, in that
     order in this interpreter, each reply as in a fresh interpreter at that
-    width: a kept parser wraps its text at the width when it prints.  main
-    keeps at most 7 parsers, one per subcommand and the full one."""
+    width: the kept parser wraps its text at the width when it prints.  main
+    keeps one parser, the full one."""
     child = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -1024,7 +1070,7 @@ print(json.dumps(replies))
                                env={**os.environ, "PYTHONPATH": SRC, "COLUMNS": columns})
         assert fresh.returncode == 0, fresh.stderr
         assert here == json.loads(fresh.stdout), columns
-    assert cli._build_parser.cache_info().currsize <= 7
+    assert cli._full_parser.cache_info().currsize == 1
 
 
 def test_root_searches_import_no_mpmath_or_sympy():

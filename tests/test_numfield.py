@@ -661,7 +661,8 @@ def test_from_power_reduces_past_the_degree(rationals, sqrt5, cubic7):
     min_poly: over Q (degree 1) and up to power 2n - 2 over the cubic, on
     integers over a denominator, against the Fraction reduction.  The
     numerators are integers and the denominator is positive: a den <= 0
-    is ValueError, and a Fraction or float numerator is TypeError."""
+    is ValueError, and a Fraction or float numerator or den is TypeError,
+    a zero one too."""
     rng = random.Random(19)
     for field, longest in ((rationals, 4), (sqrt5, 3), (cubic7, 2 * 3 - 1)):
         for k in [*range(longest + 1)] * 8:
@@ -673,9 +674,13 @@ def test_from_power_reduces_past_the_degree(rationals, sqrt5, cubic7):
     for den in (0, -1, -2):
         with pytest.raises(ValueError, match="denominator must be positive"):
             sqrt5.from_power([1, 0], den)
-    for bad in ([Fraction(1, 2), 0], [0, 0.5], [1, 0, 0, Fraction(1, 3)], [2.0, 1]):
+    for bad in ([Fraction(1, 2), 0], [0, 0.5], [1, 0, 0, Fraction(1, 3)], [2.0, 1],
+                [Fraction(0), 0.0], [0, 0.0], [0, 0, Fraction(0)]):
         with pytest.raises(TypeError):
             sqrt5.from_power(bad)
+    for den in (1.0, Fraction(2)):
+        with pytest.raises(TypeError):
+            sqrt5.from_power([0, 0], den)
 
 
 def test_float_coordinates_are_rejected(sqrt2):
