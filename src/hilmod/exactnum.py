@@ -179,6 +179,14 @@ class ScaledInterval(NamedTuple):
         p = (a * f * e, a * f * c, b * f * e, b * f * c)
         return ScaledInterval(min(p), max(p), d * c * e)
 
+    def sqrt(self, w: Fraction) -> "ScaledInterval":
+        """Enclosure of sqrt(self), hi > 0, widened by at most 2w, over 2^b."""
+        b = math.ceil(1 / w).bit_length()  # 2^-b < w
+        scale = 4 ** b
+        low = math.isqrt(max(self.lo, 0) * scale // self.den)
+        high = math.isqrt(-(-self.hi * scale // self.den)) + 1
+        return ScaledInterval(low, high, 2 ** b)
+
 
 def _horner_sign(cs: Sequence[int], u: int, v: int) -> int:
     """Sign of c(u/v) for integer coefficients ``cs``, ascending, and

@@ -148,33 +148,30 @@ class KTerm(NamedTuple):
             out["level"] = self.level
         return out
 
-    @staticmethod
-    def from_json(data: dict) -> "KTerm":
-        return KTerm(data["kind"], degree=data.get("degree"), ring=data.get("ring"),
-                     group_order=data.get("group_order"), group_id=data.get("group_id"),
-                     label=data.get("label"), level=data.get("level", 0))
 
-
-class KExpression:
+class KExpression(Record):
     """A canonically sorted multiset of (KTerm, Cardinal) pairs.
 
     Zero-multiplicity entries are dropped and duplicate terms merged, so
     the merge is associative and commutative with a unique normal form.
-    ``notes`` carries non-structural annotations (long exact sequences,
-    collapse remarks) and is ignored by equality."""
+    ``notes``, a tuple, carries non-structural annotations (long exact
+    sequences, collapse remarks) and is ignored by equality and hashing."""
 
     __slots__ = ("terms", "notes")
 
     def __init__(self, pairs: Sequence[tuple[KTerm, Cardinal]] = (),
-                 notes: Optional[list] = None):
+                 notes: Sequence[dict] = ()):
         merged: dict[KTerm, Cardinal] = {}
         for term, mult in pairs:
             prev = merged.get(term)
             merged[term] = mult if prev is None else prev + mult
         items = [(t, m) for t, m in merged.items() if not m.is_zero]
         items.sort(key=lambda tm: tm[0].sort_key())
-        self.terms = tuple(items)
-        self.notes = list(notes or [])
+        object.__setattr__(self, "terms", tuple(items))
+        object.__setattr__(self, "notes", tuple(notes))
+
+    def _key(self) -> tuple:
+        return (self.terms,)
 
     @staticmethod
     def single(term: KTerm, mult: Cardinal = Cardinal.finite(1)) -> "KExpression":
@@ -204,9 +201,6 @@ class KExpression:
     def filter(self, kind: str) -> "KExpression":
         return KExpression([(t, m) for t, m in self.terms if t.kind == kind])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, KExpression) and self.terms == other.terms
-
     def __repr__(self) -> str:
         if not self.terms:
             return "KExpression(0)"
@@ -223,11 +217,6 @@ class KExpression:
     def to_json(self) -> list[dict]:
         return [{"term": t.to_json(), "multiplicity": m.to_json()}
                 for t, m in self.terms]
-
-    @staticmethod
-    def from_json(data: Sequence[dict]) -> "KExpression":
-        return KExpression([(KTerm.from_json(e["term"]),
-                             Cardinal.from_json(e["multiplicity"])) for e in data])
 
 
 class RingProps(NamedTuple):
@@ -265,20 +254,14 @@ class Census(Record):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "finite": [{"order": o, "count": c.to_json()} for o, c in self.finite],
-            "p": self.p.to_json(), "h1": self.h1.to_json(), "h2": self.h2.to_json(),
-            "hp1": self.hp1.to_json(), "hp2": self.hp2.to_json(),
-            "m1": [c.to_json() for c in self.m1],
-            "m2": [c.to_json() for c in self.m2],
-        }
-
     @staticmethod
     def from_json(data) -> "Census":
-        """The census of a ``to_json`` object; ValueError naming the expected
-        shape on any other input."""
+        """The census of a spec object: "n", the degree, and optionally
+        "finite", a list of {"order": m, "count": cardinal}, the cardinals
+        "p", "h1", "h2", "hp1" and "hp2", and the lists of cardinals "m1"
+        and "m2"; a cardinal is {"finite": count}, a bare count,
+        "infinite" or "unknown", and an absent one is 0.  ValueError naming
+        the expected shape on any other input."""
         data = require_json(data, dict, 'an object {"n": degree, "finite": [...], "p": cardinal, '
                                         '..., "m1": [...], "m2": [...]}, only "n" required', ("n",))
 
@@ -400,15 +383,15 @@ def wh_decomposition_sl(census: Census, q: int,
     attached as a note."""
     opaque = [(KTerm.opaque(OPAQUE_LABEL), Cardinal.finite(1))]
     expr = simplify(KExpression(opaque + _nil_blocks(census, q, BASE_C2)), props)
-    expr.notes.append({
+    sequence_note = {
         "long_exact_sequence": [
             "... -> (+)_{M in F} H_q^M(EM;K_R)",
             "-> H_q^G(EG;K_R) (+) (+)_{M in F} K_q(R(M))",
             f"-> {OPAQUE_LABEL} -> ...",
         ],
         "finite_census": [{"order": o, "count": c.to_json()} for o, c in census.finite],
-    })
-    return expr
+    }
+    return KExpression(expr.terms, expr.notes + (sequence_note,))
 
 
 def simplify(e: KExpression, props: RingProps) -> KExpression:
@@ -420,8 +403,8 @@ def simplify(e: KExpression, props: RingProps) -> KExpression:
         return KExpression([(t, m) for t, m in e.terms if t.kind != "nk"], e.notes)
     if props.nk_finite_exponent:
         out = [(t, Cardinal.finite(1) if t.kind == "nk" else m) for t, m in e.terms]
-        notes = e.notes + [{"nk_finite_exponent_collapse":
+        notes = e.notes + ({"nk_finite_exponent_collapse":
                             "NK multiplicities flattened to one copy each "
-                            "(finite-exponent Nil groups, up to isomorphism)"}]
+                            "(finite-exponent Nil groups, up to isomorphism)"},)
         return KExpression(out, notes)
     return e

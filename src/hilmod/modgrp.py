@@ -8,8 +8,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactnum import Poly, Record, divide_monic, refine_root
-from .numfield import (FieldElement, NumberField, _sqrt_interval, contains_root_of,
-                       element_from_json, has_square_root)
+from .numfield import FieldElement, NumberField, contains_root_of, has_square_root
 
 
 class NotUnimodular(ValueError):
@@ -75,12 +74,6 @@ class Mat2(Record):
     def to_json(self) -> list[list[list[str]]]:
         return [[self.a.to_json(), self.b.to_json()],
                 [self.c.to_json(), self.d.to_json()]]
-
-    @staticmethod
-    def from_json(field: NumberField, data) -> "Mat2":
-        (a, b), (c, d) = data
-        return Mat2(element_from_json(field, a), element_from_json(field, b),
-                    element_from_json(field, c), element_from_json(field, d))
 
 
 def check_sl(m: Mat2) -> bool:
@@ -210,7 +203,7 @@ def _enclose_quadratic_roots(qa: FieldElement, qb: FieldElement, qc: FieldElemen
         disc = b.times(b).plus(a.times(c).scale(-4))
         den = a.scale(2)
         if disc.lo > 0 and (den.lo > 0 or den.hi < 0):
-            root = _sqrt_interval(disc, w)
+            root = disc.sqrt(w)
             minus_b = b.scale(-1)
             roots = [minus_b.plus(sq).divided_by(den) for sq in (root, root.scale(-1))]
             if all(r.width_at_most(width) for r in roots):

@@ -329,16 +329,13 @@ class NumberField:
 
     # -- serialization --------------------------------------------------
 
-    def to_json(self) -> dict:
-        out = {"min_poly": self.min_poly.to_json()}
-        out["integral_basis"] = [[ratio_to_string(*x.as_integer_ratio()) for x in row]
-                                 for row in self.integral_basis]
-        return out
-
     @staticmethod
     def from_json(data) -> "NumberField":
-        """The field of a ``to_json`` object; ValueError naming the expected
-        shape on any other input."""
+        """The field of a spec object: "min_poly", the minimal polynomial's
+        coefficients as rational strings, ascending, and optionally
+        "integral_basis", one row of rational strings per basis element in
+        the power basis; ValueError naming the expected shape on any other
+        input."""
         data = require_json(data, dict, 'an object {"min_poly": [...], "integral_basis": '
                                         '[[...], ...]}, "integral_basis" optional', ("min_poly",))
         p = Poly.from_json(require_json(data["min_poly"], list,
@@ -565,10 +562,6 @@ class FieldElement(Record):
         return f"FieldElement({[str(c) for c in self.coords]})"
 
 
-def element_from_json(field: NumberField, data: Sequence[str]) -> FieldElement:
-    return field.element([rational_from_string(c) for c in data])
-
-
 # -- square roots and rational-polynomial roots inside k ----------------
 
 
@@ -577,15 +570,6 @@ class SearchOutcome(NamedTuple):
     None, which certifies that k holds no root."""
 
     value: Optional[FieldElement]
-
-
-def _sqrt_interval(v: ScaledInterval, w: Fraction) -> ScaledInterval:
-    """Enclosure of sqrt(v), v.hi > 0, widened by at most 2w, over 2^b."""
-    b = math.ceil(1 / w).bit_length()  # 2^-b < w
-    scale = 4 ** b
-    low = isqrt(max(v.lo, 0) * scale // v.den)
-    high = isqrt(-(-v.hi * scale // v.den)) + 1
-    return ScaledInterval(low, high, 2 ** b)
 
 
 def _lattice_root(field: NumberField, enclose, assignments, verify) -> Optional[FieldElement]:
@@ -662,7 +646,7 @@ def has_square_root(c: FieldElement) -> SearchOutcome:
     def enclose(w, thetas):
         out = []
         for t in thetas:
-            root = _sqrt_interval(cs.enclosure(t), w)
+            root = cs.enclosure(t).sqrt(w)
             out.append((root, root.scale(-1)))
         return out
 

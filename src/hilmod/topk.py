@@ -48,16 +48,6 @@ class BettiProfile(Record):
     def cusp_defaulted(self) -> bool:
         return not self.cusp_dims
 
-    def to_json(self) -> dict:
-        return {"degree": self.n, "class_number": self.h,
-                "cusp_dims": [{"p": p, "r": r, "dim": d} for p, r, d in self.cusp_dims]}
-
-    @staticmethod
-    def from_json(data: dict) -> "BettiProfile":
-        return BettiProfile(data["degree"], data["class_number"],
-                            tuple((e["p"], e["r"], e["dim"])
-                                  for e in data.get("cusp_dims", [])))
-
 
 class FiniteCensus(Record):
     """Conjugacy classes of maximal finite subgroups as (order, count)
@@ -76,9 +66,6 @@ class FiniteCensus(Record):
 
     def correction(self) -> int:
         return sum(count * (order - 1) for order, count in self.classes)
-
-    def to_json(self) -> list[dict]:
-        return [{"order": o, "count": c} for o, c in self.classes]
 
     @staticmethod
     def from_json(data) -> "FiniteCensus":

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -62,11 +63,6 @@ def test_expression_merge_commutes():
     b = KExpression.single(KTerm.k(1))
     c = KExpression.single(KTerm.wh(1, 2, "C2"))
     assert (a + b) + c == a + (b + c) == (c + b) + a
-
-
-def test_expression_json_roundtrip():
-    e = dos_nil(2, 1) + KExpression.single(KTerm.wh(1, 3, "C3"), INF)
-    assert KExpression.from_json(e.to_json()) == e
 
 
 def test_dos_nil_rows():
@@ -146,8 +142,13 @@ def test_census_rejects_degrees_above_maximum():
 
 
 def test_census_json_roundtrip():
-    c = Census(n=2, finite=((2, FIN(3)), (3, INF)), p=UNK, hp2=FIN(1), m1=(INF,))
-    assert Census.from_json(c.to_json()) == c
+    """The census reader on literal JSON against the census built directly;
+    the library writes no census, so nothing is read back."""
+    data = json.loads('{"n": 2, "finite": [{"order": 2, "count": {"finite": 3}}, '
+                      '{"order": 3, "count": "infinite"}], '
+                      '"p": "unknown", "hp2": 1, "m1": ["infinite"]}')
+    want = Census(n=2, finite=((2, FIN(3)), (3, INF)), p=UNK, hp2=FIN(1), m1=(INF,))
+    assert Census.from_json(data) == want
 
 
 def test_psl_decomposition_regular():

@@ -347,13 +347,6 @@ def test_torsion_orders_bad_input(rationals):
         torsion_orders(rationals, 0)
 
 
-def test_matrix_json_roundtrip(sqrt2):
-    th = sqrt2.generator()
-    one = sqrt2.one()
-    m = Mat2(one + th, one + th, one * 2, one + th)
-    assert Mat2.from_json(sqrt2, m.to_json()) == m
-
-
 def _phi_by_trial_division(m: int) -> int:
     out, r, k = m, m, 2
     while k * k <= r:

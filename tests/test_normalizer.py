@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -321,7 +322,8 @@ def test_normalizer_large_height_streams(sqrt5):
     got = json.loads(out.stdout)
     assert got["psl_type"] == "semidirect_z2"
     a = psl_normalize(parse_matrix("0;1;-1;3", sqrt5))
-    beta = Mat2.from_json(sqrt5, got["witness_involution"])
+    beta = Mat2(*[sqrt5.element([Fraction(c) for c in entry])
+                  for row in got["witness_involution"] for entry in row])
     assert check_sl(beta) and beta.trace().is_zero
     assert psl_normalize(beta * a.rep * beta.inv()) == psl_normalize(a.rep.inv())
 

@@ -2,6 +2,7 @@
 built without the ``dataclasses`` machinery; and what importing the
 package and the CLI loads."""
 
+import ast
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import hilmod
+from hilmod import numfield
 from hilmod.classify import ClassKind, ElementClass, EmbeddingType
 from hilmod.exactnum import Poly, Record, RootInterval, ScaledInterval
 from hilmod.ktheory import MAX_CENSUS_DEGREE, Cardinal, Census, KExpression, KTerm, RingProps
@@ -54,6 +56,8 @@ RECORDS = {
     "CensusSlot": lambda: CensusSlot("M1", j=1),
     "Cardinal": lambda: Cardinal.finite(3),
     "KTerm": lambda: KTerm.nk(2, level=1),
+    "KExpression": lambda: KExpression([(KTerm.nk(2), Cardinal.infinite())],
+                                       ({"collapse": "one copy"},)),
     "RingProps": lambda: RingProps(regular=True),
     "Census": lambda: Census(3, finite=[(2, Cardinal.finite(1))], m1=[Cardinal.infinite()]),
     "BettiProfile": lambda: BettiProfile(2, 1, [[1, 1, 3]]),
@@ -170,7 +174,7 @@ def test_package_exports_are_unchanged():
 
 
 # fields that equality and hashing leave out, by record type
-UNCOMPARED = {"NormalizerType": {"witness"}}
+UNCOMPARED = {"NormalizerType": {"witness"}, "KExpression": {"notes"}}
 
 
 def _fields(record) -> tuple[str, ...]:
@@ -240,12 +244,27 @@ def test_records_define_only_called_operations():
     product or inverse of the representatives, a power of an element is
     the literal parser's bounded g^e, and a fixed-point count is
     ``len(per_embedding[i])``; none of them is a method.  Power-basis
-    Fractions and an expression's emptiness are test helpers in refpoly."""
+    Fractions and an expression's emptiness are test helpers in refpoly.
+    The library reads only the CLI's JSON inputs and writes only its
+    reports, so no other JSON direction is defined."""
     unused = {PslElem: {"__mul__", "inv"}, FieldElement: {"__pow__", "power_coords"},
-              Mat2: {"height"}, FixedPointData: {"boundary_count"},
-              KExpression: {"is_empty"}}
+              Mat2: {"height", "from_json"}, FixedPointData: {"boundary_count"},
+              KExpression: {"is_empty", "from_json"}, NumberField: {"to_json"},
+              KTerm: {"from_json"}, Census: {"to_json"}, FiniteCensus: {"to_json"},
+              BettiProfile: {"to_json", "from_json"}}
     for cls, names in unused.items():
         assert not names & set(dir(cls)), cls.__name__
+    assert not hasattr(numfield, "element_from_json")
+
+
+def test_modules_import_no_private_names_from_each_other():
+    """What one ``hilmod`` module takes from another is public: a shared
+    helper is a method of the type it works on (``ScaledInterval.sqrt``)."""
+    for path in sorted((SRC / "hilmod").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (path.name, node.module, private)
 
 
 def test_normalizer_type_equality_ignores_witness():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -25,11 +26,6 @@ def test_profile_validation():
         BettiProfile(2, 1, ((1, 2, 0),))  # p + r != n
     with pytest.raises(BadProfile):
         BettiProfile(2, 1, ((1, 1, -1),))
-
-
-def test_profile_json_roundtrip():
-    p = BettiProfile(3, 2, ((1, 2, 4), (2, 1, 1)))
-    assert BettiProfile.from_json(p.to_json()) == p
 
 
 def test_betti_examples():
@@ -87,7 +83,8 @@ def test_finite_census():
     fc = FiniteCensus(((2, 1), (3, 2)))
     assert fc.correction() == 1 + 2 * 2
     assert FiniteCensus().correction() == 0
-    assert FiniteCensus.from_json(fc.to_json()) == fc
+    assert FiniteCensus.from_json(json.loads('[{"order": 2, "count": 1}, '
+                                             '{"order": 3, "count": 2}]')) == fc
     with pytest.raises(BadProfile):
         FiniteCensus(((1, 1),))
 
