@@ -58,9 +58,12 @@ class ElementClass(NamedTuple):
         return self.per_embedding.count(EmbeddingType.HYPERBOLIC)
 
 
-def _disc(a: PslElem) -> FieldElement:
-    t = a.trace()
-    return t * t - a.field.one() * 4
+def _disc(t: FieldElement) -> FieldElement:
+    """Tr^2 - 4 from the trace t.  Subtracting 4 from the coordinate of
+    omega_0 = 1 changes num_0 by a multiple of den, so gcd(den, *num) stays
+    1 and the element stays canonical."""
+    s = t * t
+    return FieldElement(s.field, (s.num[0] - 4 * s.den,) + s.num[1:], s.den)
 
 
 def _type_of_sign(s: int) -> EmbeddingType:
@@ -71,27 +74,29 @@ def _type_of_sign(s: int) -> EmbeddingType:
     return EmbeddingType.HYPERBOLIC
 
 
-def per_embedding_types(a: PslElem) -> tuple[EmbeddingType, ...]:
-    d = _disc(a)
-    return tuple(_type_of_sign(d.embed_sign(i)) for i in range(a.field.degree))
+def per_embedding_types(d: FieldElement) -> tuple[EmbeddingType, ...]:
+    """The type at each embedding of an element whose Tr^2 - 4 is d."""
+    return tuple(_type_of_sign(d.embed_sign(i)) for i in range(d.field.degree))
 
 
 def classify(a: PslElem) -> ElementClass:
     """Class of a, with its per-embedding types, whether Tr^2 - 4 is a
-    square in k, and its order when finite.  Only a totally hyperbolic
-    element needs the square test: an elliptic embedding makes Tr^2 - 4
-    negative there, so no square, and a parabolic one makes it exactly
-    zero."""
+    square in k, and its order when finite.  Tr^2 - 4 is computed once,
+    and both its signs and the square test read it.  Only a totally
+    hyperbolic element needs the square test: an elliptic embedding makes
+    Tr^2 - 4 negative there, so no square, and a parabolic one makes it
+    exactly zero."""
     if a.is_identity():
         return ElementClass(ClassKind.IDENTITY, order=1)
-    types = per_embedding_types(a)
+    d = _disc(a.trace())
+    types = per_embedding_types(d)
     if all(t is EmbeddingType.PARABOLIC for t in types):
         return ElementClass(ClassKind.TOTALLY_PARABOLIC, types, disc_square=True)
     if all(t is EmbeddingType.ELLIPTIC for t in types):
         return ElementClass(ClassKind.TOTALLY_ELLIPTIC, types, disc_square=False,
                             order=_psl_order(a))
     if all(t is EmbeddingType.HYPERBOLIC for t in types):
-        square = has_square_root(_disc(a)).value is not None
+        square = has_square_root(d).value is not None
         return ElementClass(ClassKind.TOTALLY_HYPERBOLIC, types, disc_square=square)
     # no parabolic embedding here: one means Tr^2 - 4 = 0 in k, so all are
     return ElementClass(ClassKind.MIXED, types, disc_square=False)

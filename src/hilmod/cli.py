@@ -406,7 +406,9 @@ def _plain_args(name: str, tokens: list[str]) -> Optional[SimpleNamespace]:
     flag of the subcommand given once, as "--flag=value" or "--flag value"
     (a value not starting with '-', but "-" itself), every required flag is
     given, and each value converts with its ``type`` and is among its
-    ``choices``; a flag not given takes its default.  Any other argv gives
+    ``choices``; a flag not given takes its default.  "--flag=--" gives the
+    value "--", the file named "--" for a path, as an argparse that keeps
+    a "--" value does (3.13, later 3.12 releases).  Any other argv gives
     None, and the full parser reads it: it alone prints help and usage
     errors, and it reads an abbreviation, a repeat, "--" and a value
     starting with '-' as argparse does."""
@@ -426,8 +428,6 @@ def _plain_args(name: str, tokens: list[str]) -> Optional[SimpleNamespace]:
             value = next(tokens, None)
             if value is None or value.startswith("-") and value != "-":
                 return None
-        elif value == "--":  # argparse drops a "--" value
-            return None
         if "type" in keywords:
             try:
                 value = keywords["type"](value)
@@ -481,6 +481,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args is None:
             try:
                 args = _full_parser().parse_args(argv)
+                # an argparse that drops a "--" value (3.10, 3.11, earlier 3.12
+                # releases) reads "--flag=--" as []; the flag alone draws its
+                # own usage error, "argument --flag: expected one argument"
+                dropped = next((k for k, v in vars(args).items() if isinstance(v, list)), None)
+                if dropped is not None:
+                    _full_parser().parse_args([args.command, "--" + dropped.replace("_", "-")])
             except SystemExit:  # after --help on stdout, or a usage error on stderr
                 sys.stdout.flush()
                 raise

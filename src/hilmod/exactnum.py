@@ -19,9 +19,14 @@ Each result is the rational that Fraction arithmetic gives.
 
 Value types across the library are immutable records of one idiom,
 ``Record``: the fields are named in ``__slots__``, ``__init__`` validates
-and sets each one with ``object.__setattr__``, assignment and deletion
-raise AttributeError, and a record equals, and hashes like, a record of
-its class with equal fields.  Only a record that the benchmark's
+and sets each one through its slot, assignment and deletion raise
+AttributeError, and a record equals, and hashes like, a record of its
+class with equal fields.  A record sets a field with
+``object.__setattr__``, which finds the slot by name on every call, but
+``FieldElement``, which the benchmark's workloads build about nine times
+as often as any other record, calls the slot descriptors' setters, bound
+once at module level (``_set_num = FieldElement.num.__set__``), at about
+two thirds of the cost.  Only a record that the benchmark's
 workloads compare often spells ``__eq__`` out on its fields, several
 times faster than ``Record.__eq__``: ``FieldElement``, with 1,361 calls
 in one cli-session pass at seed 7, 22 in involution-search and 24 in

@@ -289,9 +289,19 @@ class NumberField:
         return _element(self, _vec_mat(num, inv, self.degree), den * den_inv)
 
     def zero(self) -> "FieldElement":
-        return _element(self, [0] * self.degree, 1)
+        """0, one shared element per field (``_zero``)."""
+        return self._zero
 
     def one(self) -> "FieldElement":
+        """1, one shared element per field (``_one``)."""
+        return self._one
+
+    @cached_property
+    def _zero(self) -> "FieldElement":
+        return _element(self, [0] * self.degree, 1)
+
+    @cached_property
+    def _one(self) -> "FieldElement":
         return _element(self, [1] + [0] * (self.degree - 1), 1)
 
     def generator(self) -> "FieldElement":
@@ -412,9 +422,9 @@ class FieldElement(Record):
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field: NumberField, num: tuple[int, ...], den: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_field(self, field)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -560,6 +570,12 @@ class FieldElement(Record):
 
     def __repr__(self) -> str:
         return f"FieldElement({[str(c) for c in self.coords]})"
+
+
+# the slot descriptors' setters, which ``__init__`` calls directly (see the
+# ``exactnum`` module docstring)
+_set_field, _set_num, _set_den = (FieldElement.field.__set__, FieldElement.num.__set__,
+                                  FieldElement.den.__set__)
 
 
 # -- square roots and rational-polynomial roots inside k ----------------

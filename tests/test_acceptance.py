@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hilmod.classify import ClassKind, EmbeddingType, classify, per_embedding_types
+from hilmod.classify import ClassKind, EmbeddingType, classify
 from hilmod.cli import main
 from hilmod.ktheory import (
     BASE_C2,
@@ -53,8 +53,7 @@ def test_criterion_1_worked_examples(sqrt2):
     mixed = psl_normalize(Mat2(one + th, one + th, one * 2, one + th))
     cls = classify(mixed)
     assert cls.kind is ClassKind.MIXED and cls.hyperbolic_components == 1
-    assert per_embedding_types(mixed) == (EmbeddingType.ELLIPTIC,
-                                          EmbeddingType.HYPERBOLIC)
+    assert cls.per_embedding == (EmbeddingType.ELLIPTIC, EmbeddingType.HYPERBOLIC)
 
     u = one + th
     hp = psl_normalize(Mat2(u, zero, zero, u.inverse()))

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from hilmod.classify import (
     default_order_bound,
     per_embedding_types,
 )
-from hilmod.modgrp import Mat2, psl_normalize
+from hilmod.modgrp import Mat2, PslElem, psl_normalize
+
+classify_module = importlib.import_module("hilmod.classify")
 
 
 def _psl(field, rows):
@@ -31,8 +34,13 @@ def hp_example(sqrt2):
     return _psl(sqrt2, [[1, 1], [0, 0], [0, 0], [-1, 1]])
 
 
+def _tr2_minus_4(a):
+    t = a.trace()
+    return t * t - a.field.one() * 4
+
+
 def test_embedding_types_mixed(mixed_example):
-    assert per_embedding_types(mixed_example) == (
+    assert per_embedding_types(_tr2_minus_4(mixed_example)) == (
         EmbeddingType.ELLIPTIC, EmbeddingType.HYPERBOLIC)
 
 
@@ -46,7 +54,7 @@ def test_classify_mixed(mixed_example):
 def test_classify_parabolic(sqrt2):
     a = _psl(sqrt2, [[1, 0], [1, 0], [0, 0], [1, 0]])
     assert classify(a).kind is ClassKind.TOTALLY_PARABOLIC
-    assert per_embedding_types(a)[0] is EmbeddingType.PARABOLIC
+    assert per_embedding_types(_tr2_minus_4(a))[0] is EmbeddingType.PARABOLIC
 
 
 def test_classify_hp(hp_example):
@@ -54,6 +62,26 @@ def test_classify_hp(hp_example):
     assert cls.kind is ClassKind.TOTALLY_HYPERBOLIC
     assert cls.hyperbolic_parabolic is True
     assert cls.disc_square is True
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1], [0, 0], [0, 0], [-1, 1]],  # hp_example: Tr^2 - 4 = 4, a square
+    [[2, 0], [1, 0], [1, 0], [1, 0]],  # Tr^2 - 4 = 5, no square in Q(sqrt 2)
+])
+def test_classification_computes_tr2_minus_4_once(monkeypatch, sqrt2, rows):
+    """A totally hyperbolic element reads Tr^2 - 4 for its signs and for
+    the square test: ``classify`` computes it, and the trace, once, and
+    ``classification_json`` reads the trace once more for its report."""
+    a = _psl(sqrt2, rows)
+    discs, traces = [], []
+    disc, trace = classify_module._disc, PslElem.trace
+    monkeypatch.setattr(classify_module, "_disc", lambda t: discs.append(t) or disc(t))
+    monkeypatch.setattr(PslElem, "trace", lambda self: traces.append(self) or trace(self))
+    assert classify(a).kind is ClassKind.TOTALLY_HYPERBOLIC
+    assert (len(discs), len(traces)) == (1, 1)
+    out = classification_json(a)
+    assert (len(discs), len(traces)) == (2, 3)
+    assert out["class"] == "totally_hyperbolic" and out["trace"] == trace(a).to_json()
 
 
 def test_classify_identity(sqrt2):
@@ -90,7 +118,7 @@ def test_element_class_stores_four_facts(sqrt2, word_sampler):
         if cls.kind is ClassKind.IDENTITY:
             assert cls.per_embedding == () and cls.order == 1
             continue
-        assert cls.per_embedding == per_embedding_types(a)
+        assert cls.per_embedding == per_embedding_types(_tr2_minus_4(a))
         hyp = cls.per_embedding.count(EmbeddingType.HYPERBOLIC)
         assert cls.hyperbolic_components == (hyp if cls.kind is ClassKind.MIXED else None)
         assert cls.hyperbolic_parabolic == (

@@ -933,12 +933,15 @@ _ORACLE_ARGVS = [argv for _, argv, _ in USAGE_CASES] + [
     ["field-info", "--field", ""],
     ["field-info", "--field"],
     ["field-info", "--field=--"],
+    ["field-info", "--fie=--"],
     ["field-info", "--field", "--", SQRT2],
+    ["normalizer", "--field", SQRT2, "--matrix", "1;1;0;1", "--height=--"],
     ["wh-decomp", "--census", CENSUS_P, "--q=-1"],
     ["wh-decomp", "--census", CENSUS_P, "--q", " 3"],
     ["wh-decomp", "--census", CENSUS_P, "--q", "1_0"],
     ["wh-decomp", "--census", CENSUS_P, "--q", "x"],
     ["wh-decomp", "--census="],
+    ["wh-decomp", "--census=--"],
     ["wh-decomp", "--census", CENSUS_P, "--sl", "--sl"],
     ["wh-decomp", "--census", CENSUS_P, "--sl=1"],
     ["wh-decomp", "--q", "2", "--regular"],
@@ -946,6 +949,19 @@ _ORACLE_ARGVS = [argv for _, argv, _ in USAGE_CASES] + [
     ["ktop", "--field", SQRT2],
     ["torsion-search", "--field", SQRT2, "--max-order=7", "--format=json"],
 ]
+
+# the table reads "--flag=--" as the value "--", as an argparse that keeps a
+# "--" value does; one that drops it reads [], which main answers with the
+# usage error of the flag given no value
+_DASH_VALUES = {("field-info", "--field=--"): "--field", ("wh-decomp", "--census=--"): "--census"}
+
+
+def _argparse_drops_dash_value() -> bool:
+    """Whether this Python's argparse reads "--x=--" as [] (3.10, 3.11 and
+    earlier 3.12 releases) rather than as "--" (3.13, later 3.12 releases)."""
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--x")
+    return parser.parse_args(["--x=--"]).x == []
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
@@ -955,7 +971,8 @@ def test_named_build_replies_as_the_full_parser(capsys, monkeypatch, columns):
     declines every argv, so that the full parser reads them all.  Each
     handler here prints the arguments it was given, but the subcommand
     name, so where the parse succeeds the two read the same.  Some argvs
-    take the table path and some are declined."""
+    take the table path and some are declined.  Where argparse drops a
+    "--" value, the ``_DASH_VALUES`` differ, as declared there."""
     monkeypatch.setenv("COLUMNS", columns)
     for name, entry in cli._COMMANDS.items():
         monkeypatch.setitem(cli._COMMANDS, name, entry._replace(
@@ -983,7 +1000,64 @@ def test_named_build_replies_as_the_full_parser(capsys, monkeypatch, columns):
     assert ["wh-decomp", "--census", CENSUS_P, "--sl=1"] in plain
     assert ["wh-decomp", "--census", CENSUS_P, "--sl=1"] not in taken_by_table
     monkeypatch.setattr(cli, "_plain_args", lambda name, tokens: None)
-    assert replies() == table
+    drops = _argparse_drops_dash_value()
+    for argv, full, read in zip(_ORACLE_ARGVS, replies(), table):
+        flag = _DASH_VALUES.get(tuple(argv))
+        if flag is not None and drops:
+            assert read[0] == ("return", 0) and f'"{flag[2:]}": "--"' in read[1], argv
+            assert full[:2] == (("exit", 2), "") and full[2].startswith(f"usage: hilmod {argv[0]} ")
+            assert full[2].endswith(
+                f"hilmod {argv[0]}: error: argument {flag}: expected one argument\n"), argv
+        else:
+            assert full == read, argv
+
+
+def test_dash_value_names_the_file_dash_dash(capsys, monkeypatch, tmp_path, parser_builds):
+    """"--flag=--" on a path flag reads the file named "--", on every
+    Python, from the table: no parser is built."""
+    fields, censuses = tmp_path / "fields", tmp_path / "censuses"
+    fields.mkdir()
+    censuses.mkdir()
+    shutil.copy(SQRT5, fields / "--")
+    shutil.copy(DATA / "census_full100.json", censuses / "--")
+    monkeypatch.chdir(fields)
+    assert run(capsys, "field-info", "--field=--") == (
+        0, (GOLDEN / "field_info_sqrt5.json").read_text(), "")
+    ktop = ["ktop", "--class-number", "1", "--degree", "2"]
+    assert run(capsys, *ktop, "--field=--") == run(capsys, *ktop, "--field", SQRT5)
+    monkeypatch.chdir(censuses)
+    assert run(capsys, "wh-decomp", "--census=--", "--sl") == (
+        0, (GOLDEN / "whdecomp_full100_sl.json").read_text(), "")
+    assert taken(parser_builds) == NOTHING
+
+
+def test_dash_value_for_the_full_parser_names_the_flag(capsys, monkeypatch, tmp_path):
+    """A "--flag=--" value in an argv the table declines (an abbreviated
+    flag, a value that is no int) reaches argparse, which reads it as "--"
+    or, where it drops a "--" value, as []; main answers [] with the usage
+    error argparse gives the flag with no value, not with the handler's
+    error on a list."""
+    shutil.copy(SQRT5, tmp_path / "--")
+    monkeypatch.chdir(tmp_path)
+
+    def reply(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    code, out, err = reply("normalizer", "--field", SQRT2, "--matrix", "1;1;0;1", "--height=--")
+    assert (code, out) == (2, "") and "argument --height: " in err and "list" not in err
+    if _argparse_drops_dash_value():
+        code, out, err = reply("field-info", "--fie=--")
+        assert (code, out) == (2, "") and err.endswith(
+            "hilmod field-info: error: argument --field: expected one argument\n")
+        assert reply("field-info", "--fie") == (code, out, err)
+    else:
+        assert reply("field-info", "--fie=--") == (
+            0, (GOLDEN / "field_info_sqrt5.json").read_text(), "")
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])

@@ -25,7 +25,7 @@ from hilmod.modgrp import (
     psl_normalize,
     torsion_orders,
 )
-from hilmod.classify import ClassKind, EmbeddingType, classify, per_embedding_types
+from hilmod.classify import ClassKind, EmbeddingType, classify
 
 SQRT2 = str(Path(__file__).parent / "data" / "sqrt2.json")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -165,7 +165,7 @@ def test_fixed_point_count_matches_embedding_type(sqrt2, word_sampler):
         if a.is_identity():
             continue
         fp = fixed_points(a)
-        for i, t in enumerate(per_embedding_types(a)):
+        for i, t in enumerate(classify(a).per_embedding):
             assert len(fp.per_embedding[i]) == want[t]
 
 

@@ -23,6 +23,7 @@ from hilmod.numfield import (
     NotTotallyReal,
     NumberField,
     ReducibleDetected,
+    _element,
     _integer_roots,
     _lattice_root,
     _narrow_roots,
@@ -712,6 +713,26 @@ def _assert_canonical(x) -> None:
     """num / den with den > 0 and gcd(den, *num) = 1, so zero is 0 / 1."""
     assert type(x.num) is tuple and all(type(a) is int for a in x.num), x
     assert type(x.den) is int and x.den > 0 and math.gcd(x.den, *x.num) == 1, x
+
+
+def test_one_and_zero_are_shared_canonical_elements(rationals, sqrt2, sqrt5, cubic7):
+    """A field keeps one 1 and one 0, memos of the spec like its other
+    ``cached_property`` values; each equals the canonical form and, as every
+    record, refuses assignment and deletion."""
+    for field in (rationals, sqrt2, sqrt5, cubic7):
+        n = field.degree
+        one, zero = field.one(), field.zero()
+        assert one is field.one() and zero is field.zero()
+        assert one == _element(field, [1] + [0] * (n - 1), 1) == field.element([1] + [0] * (n - 1))
+        assert zero == _element(field, [0] * n, 1) == field.element([0] * n)
+        for x in (one, zero):
+            _assert_canonical(x)
+            for name in FieldElement.__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(x, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(x, name)
+        assert field.one() == one and field.zero() == zero and zero.is_zero
 
 
 def test_elements_are_canonical(monkeypatch, sqrt2, sqrt5, cubic7):
