@@ -23,6 +23,15 @@ call loads neither it nor ``gettext`` and ``locale``.
 most ``FIELD_TABLE_SIZE`` of them, so repeated calls in one process load
 each field once.  A query never changes a loaded field (each loop refines
 a local interval), so no output depends on earlier calls.
+
+``parse_element`` keeps the elements it has parsed, at most
+``LITERAL_TABLE_SIZE`` of them, the least recently used dropped first,
+keyed by the text, the field object (one text is a different element in
+each field) and the digit limit the parser reads (whether a long literal
+parses depends on it), so the table also holds the fields of its keys.
+A literal that fails raises each time and is not kept.  A
+``FieldElement`` is immutable, so sharing one between queries changes no
+reply.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ EXIT_INCONCLUSIVE = 4
 EXIT_BROKEN_PIPE = 141
 
 FIELD_TABLE_SIZE = 16  # loaded fields ``main`` keeps, least recently used dropped
+LITERAL_TABLE_SIZE = 256  # parsed element literals kept, least recently used dropped
 
 
 class ParseError(ValueError):
@@ -134,8 +144,17 @@ def parse_element(text: str, field: NumberField) -> FieldElement:
     coordinate of 2L digits, and a value with an integral-basis coordinate
     of more than L digits (numerators over the common denominator, and
     that denominator) are each rejected with ParseError.
+
+    A parsed element is kept in the literal table (see the module
+    docstring) and returned again for the same text, field and limit.
     """
-    limit = _digit_limit()
+    return _element_from_text(text, field, _digit_limit())
+
+
+@functools.lru_cache(maxsize=LITERAL_TABLE_SIZE)
+def _element_from_text(text: str, field: NumberField, limit: int) -> FieldElement:
+    """``parse_element`` at the digit limit ``limit``, once per distinct
+    key; a ParseError propagates and is not kept."""
     power: dict[int, int] = {}  # exponent: numerator over ``den``
     where: dict[int, int] = {}  # exponent: position of its first term
     den = 1

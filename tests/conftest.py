@@ -4,10 +4,19 @@ import random
 import mpmath
 import pytest
 
+from hilmod import cli
 from hilmod.exactnum import Poly
 from hilmod.modgrp import Mat2
 from hilmod.numfield import NumberField
 from refpoly import power_coords
+
+
+@pytest.fixture(autouse=True)
+def empty_process_tables():
+    """Each test starts with no loaded field and no parsed literal kept, so
+    none depends on what an earlier test left in the process tables."""
+    cli._field_from_text.cache_clear()
+    cli._element_from_text.cache_clear()
 
 
 @pytest.fixture(scope="session")

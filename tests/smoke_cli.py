@@ -27,12 +27,13 @@ Then it runs the golden cases, each of the first ten followed by one
 help and usage case (``INTERLEAVED``), through ``hilmod.cli.main`` in
 this interpreter at ``COLUMNS=80``, forward, then ``REFINE``, then
 reversed, and checks every reply the same way: ``main`` keeps the fields
-it has loaded and the parsers it has built between calls, and no reply
-may depend on the calls before it.  Prints one line for that run, with
-each reply that differs, and one line for the Q(sqrt 2)
-field ``main`` kept through ``REFINE``, which must equal a fresh load of
-it: no query changes a loaded field.  Exits 1 when any case, reply or
-field differs, 0 otherwise.  Useful on Python versions without pytest.
+it has loaded, the literals it has parsed and the parsers it has built
+between calls, and no reply may depend on the calls before it.  Prints
+one line for that run, with each reply that differs, and one line for
+the Q(sqrt 2) field ``main`` kept through ``REFINE``, which must equal a
+fresh load of it: no query changes a loaded field.  Exits 1 when any
+case, reply or field differs, 0 otherwise.  Useful on Python versions
+without pytest.
 """
 
 import contextlib

@@ -585,6 +585,92 @@ def test_literal_parser_builds_no_fraction(monkeypatch, rationals, sqrt2, sqrt5,
     assert built
 
 
+def test_literal_table_matches_reference(rationals, sqrt2, sqrt5, cubic7):
+    """Seeded literals over Q, Q(sqrt2), Q(sqrt5) and the cubic give the
+    reference parser's value or ParseError on a first and a second call,
+    and the second call returns the kept element itself."""
+    rng = random.Random(38)
+    kept = 0
+    for field in (rationals, sqrt2, sqrt5, cubic7):
+        n = field.degree
+        for text in _literal_cases(n, _digit_limit()) + [_random_literal(rng, n) for _ in range(300)]:
+            want = _parsed(ref_parse_element, text, field)
+            assert _parsed(parse_element, text, field) == want, (field, text[:80])
+            if want[1] is None:
+                assert parse_element(text, field) is parse_element(text, field), text[:80]
+                kept += 1
+            else:
+                assert _parsed(parse_element, text, field) == want, (field, text[:80])
+    assert kept > 500, kept
+
+
+def test_literal_table_gives_each_field_its_own_element(sqrt2, sqrt5):
+    """One text over two fields is two elements, each of its own field."""
+    for text in ("g", "1/2 + 3/2g", "g^3 - 1"):
+        a, b = parse_element(text, sqrt2), parse_element(text, sqrt5)
+        assert a.field is sqrt2 and b.field is sqrt5
+        assert a == ref_parse_element(text, sqrt2) and b == ref_parse_element(text, sqrt5)
+        assert parse_element(text, sqrt2) is a and parse_element(text, sqrt5) is b
+    assert parse_element("g", sqrt2).num != parse_element("g", sqrt5).num  # basis (1, (1+g)/2)
+
+
+def test_literal_table_keeps_no_failure(sqrt2):
+    """A bad literal raises the same ParseError, message and position, on
+    each call, and is not kept."""
+    parse_element("1 + g", sqrt2)
+    size = cli._element_from_text.cache_info().currsize
+    for bad in ("1 + g +", "1/0", "g ^2", "g g", "x", "", "9" * (_digit_limit() + 1)):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as exc:
+                parse_element(bad, sqrt2)
+            errors.append((str(exc.value), exc.value.position))
+        assert errors[0] == errors[1], bad[:40]
+        assert cli._element_from_text.cache_info().currsize == size, bad[:40]
+
+
+def test_literal_table_drops_the_least_recently_used(monkeypatch, sqrt2):
+    """LITERAL_TABLE_SIZE + 1 distinct literals keep LITERAL_TABLE_SIZE:
+    the first is dropped and parsed again, the last is kept."""
+    size = cli.LITERAL_TABLE_SIZE
+    calls = []
+    from_power = NumberField.from_power
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return from_power(self, *args, **kwargs)
+
+    monkeypatch.setattr(NumberField, "from_power", counted)
+    texts = [f"{k} + {k + 1}/2g" for k in range(size + 1)]
+    first = [parse_element(text, sqrt2) for text in texts]
+    assert len(calls) == size + 1
+    assert cli._element_from_text.cache_info().currsize == size
+    assert parse_element(texts[-1], sqrt2) is first[-1] and len(calls) == size + 1
+    again = parse_element(texts[0], sqrt2)
+    assert again == first[0] and again is not first[0] and len(calls) == size + 2
+    assert cli._element_from_text.cache_info().currsize == size
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int-string limit")
+def test_literal_table_follows_the_int_string_limit(sqrt2):
+    """A 1000-digit literal is a ParseError under a limit of 640 digits,
+    parses under 4300, and is a ParseError again under 640, whatever was
+    parsed before."""
+    text = "9" * 1000
+    before = sys.get_int_max_str_digits()
+    try:
+        for limit, parses in ((640, False), (4300, True), (640, False), (4300, True)):
+            sys.set_int_max_str_digits(limit)
+            if parses:
+                assert parse_element(text, sqrt2) == sqrt2.element([10 ** 1000 - 1, 0])
+            else:
+                with pytest.raises(ParseError, match="number of more than 640 digits"):
+                    parse_element(text, sqrt2)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 @pytest.mark.parametrize("name", ["sqrt2", "sqrt5", "cubic"])
 def test_torsion_search_golden(capsys, name):
     code, out, _ = run(capsys, "torsion-search", "--field", str(DATA / f"{name}.json"),
@@ -657,8 +743,8 @@ def test_replies_do_not_depend_on_earlier_calls(monkeypatch, tmp_path):
 
 @pytest.fixture
 def field_loads(monkeypatch):
-    """An empty field table, and the fields ``NumberField.__init__`` is
-    called on while the test runs."""
+    """The fields ``NumberField.__init__`` is called on while the test
+    runs; the field table starts empty (``empty_process_tables``)."""
     calls = []
     init = NumberField.__init__
 
@@ -666,10 +752,8 @@ def field_loads(monkeypatch):
         calls.append(self)
         init(self, *args, **kwargs)
 
-    cli._field_from_text.cache_clear()
     monkeypatch.setattr(NumberField, "__init__", counted)
-    yield calls
-    cli._field_from_text.cache_clear()
+    return calls
 
 
 def test_field_table_is_keyed_by_content(capsys, monkeypatch, tmp_path, field_loads):
