@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .modgrp import PslElem, default_order_bound, element_order
+from .modgrp import PslElem, default_order_bound, disc_from_trace, element_order
 from .numfield import FieldElement, has_square_root
 
 
@@ -58,14 +58,6 @@ class ElementClass(NamedTuple):
         return self.per_embedding.count(EmbeddingType.HYPERBOLIC)
 
 
-def _disc(t: FieldElement) -> FieldElement:
-    """Tr^2 - 4 from the trace t.  Subtracting 4 from the coordinate of
-    omega_0 = 1 changes num_0 by a multiple of den, so gcd(den, *num) stays
-    1 and the element stays canonical."""
-    s = t * t
-    return FieldElement(s.field, (s.num[0] - 4 * s.den,) + s.num[1:], s.den)
-
-
 def _type_of_sign(s: int) -> EmbeddingType:
     if s < 0:
         return EmbeddingType.ELLIPTIC
@@ -81,35 +73,33 @@ def per_embedding_types(d: FieldElement) -> tuple[EmbeddingType, ...]:
 
 def classify(a: PslElem) -> ElementClass:
     """Class of a, with its per-embedding types, whether Tr^2 - 4 is a
-    square in k, and its order when finite.  Tr^2 - 4 is computed once,
-    and both its signs and the square test read it.  Only a totally
+    square in k, and its order when finite.  The trace is read once, and
+    Tr^2 - 4 and the order are computed from it; Tr^2 - 4 is computed
+    once, and both its signs and the square test read it.  Only a totally
     hyperbolic element needs the square test: an elliptic embedding makes
     Tr^2 - 4 negative there, so no square, and a parabolic one makes it
     exactly zero."""
     if a.is_identity():
         return ElementClass(ClassKind.IDENTITY, order=1)
-    d = _disc(a.trace())
+    tr = a.trace()
+    d = disc_from_trace(tr)
     types = per_embedding_types(d)
     if all(t is EmbeddingType.PARABOLIC for t in types):
         return ElementClass(ClassKind.TOTALLY_PARABOLIC, types, disc_square=True)
     if all(t is EmbeddingType.ELLIPTIC for t in types):
+        # the order in PSL_2: the first e <= the phi bound with a^e = +-I.
+        # ``element_order`` returns e when a^e = I and 2e when a^e = -I.  An
+        # even answer is always 2e: a first hit a^e = I with e even cannot
+        # occur, since (a^(e/2))^2 = I forces a^(e/2) = +-I in SL_2 over a
+        # field.
+        order = element_order(tr, default_order_bound(a.field.degree))
         return ElementClass(ClassKind.TOTALLY_ELLIPTIC, types, disc_square=False,
-                            order=_psl_order(a))
+                            order=order if order is None or order % 2 else order // 2)
     if all(t is EmbeddingType.HYPERBOLIC for t in types):
         square = has_square_root(d).value is not None
         return ElementClass(ClassKind.TOTALLY_HYPERBOLIC, types, disc_square=square)
     # no parabolic embedding here: one means Tr^2 - 4 = 0 in k, so all are
     return ElementClass(ClassKind.MIXED, types, disc_square=False)
-
-
-def _psl_order(a: PslElem) -> Optional[int]:
-    """The order of a in PSL_2: the first e <= the phi bound with a^e = +-I.
-
-    ``element_order`` returns e when a^e = I and 2e when a^e = -I.  An even
-    answer is always 2e: a first hit a^e = I with e even cannot occur,
-    since (a^(e/2))^2 = I forces a^(e/2) = +-I in SL_2 over a field."""
-    order = element_order(a.rep, default_order_bound(a.field.degree))
-    return order if order is None or order % 2 else order // 2
 
 
 def classification_json(a: PslElem) -> dict:

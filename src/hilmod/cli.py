@@ -67,7 +67,7 @@ LITERAL_TABLE_SIZE = 256  # parsed element literals kept, least recently used dr
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 class CliError(RuntimeError):
@@ -200,10 +200,18 @@ def _element_from_text(text: str, field: NumberField, limit: int) -> FieldElemen
 
 
 def parse_matrix(text: str, field: NumberField) -> Mat2:
+    """Parse "a;b;c;d"; a ParseError gives its position in ``text``."""
     entries = text.split(";")
     if len(entries) != 4:
         raise ParseError(f"expected 4 entries separated by ';', got {len(entries)}", 0)
-    return Mat2(*(parse_element(e, field) for e in entries))
+    out, start = [], 0
+    for e in entries:
+        try:
+            out.append(parse_element(e, field))
+        except ParseError as exc:
+            raise ParseError(exc.message, start + exc.position) from None
+        start += len(e) + 1
+    return Mat2(*out)
 
 
 # -- input loading -------------------------------------------------------
@@ -338,7 +346,7 @@ def _cmd_ktop(args) -> dict:
     from .topk import BettiProfile, FiniteCensus, ktop_json
 
     field = _load_field(args.field)
-    data = _load_json(args.cusp_dims) if args.cusp_dims else []
+    data = _load_json(args.cusp_dims) if args.cusp_dims is not None else []
     shape = 'a list of objects {"p": p, "r": r, "dim": d}'
     try:
         entries = [require_json(e, dict, shape, ("p", "r", "dim"))
@@ -349,7 +357,7 @@ def _cmd_ktop(args) -> dict:
     try:
         prof = BettiProfile(field.degree, args.class_number, cusp)
         fc = FiniteCensus.from_json(_load_json(args.finite_census)) \
-            if args.finite_census else FiniteCensus()
+            if args.finite_census is not None else FiniteCensus()
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(EXIT_INVALID, str(exc))
     payload = ktop_json(args.degree, prof, fc)

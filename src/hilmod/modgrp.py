@@ -161,7 +161,7 @@ def fixed_points(p: PslElem, enclosure_width: Fraction = Fraction(1, 1024)) -> F
     components: list[tuple[BoundaryPoint, ...]] = []
 
     exact_roots: Optional[list[FieldElement]] = None
-    disc = qb * qb - qc * qa * 4
+    disc = disc_from_trace(m.trace())  # qb^2 - 4 qa qc, as det m = 1
     if not qa.is_zero:
         sq = has_square_root(disc)
         if sq.value is not None:
@@ -261,32 +261,34 @@ def _cos_trace_from_cyclotomic(phi: Sequence[int]) -> Poly:
     return Poly(coeffs)
 
 
-def element_order(m: Mat2, bound: int) -> Optional[int]:
-    """Order of m in SL_2, from the powers m, m^2, ..., m^bound: the first
-    power that is +-I is m^e with e the order in PSL_2, and the SL_2 order
-    is e if m^e = I, 2e if m^e = -I (which may exceed ``bound``).  None if
-    no power up to m^bound is +-I.  Raises NotUnimodular when det(m) != 1.
+def element_order(t: FieldElement, bound: int) -> Optional[int]:
+    """Order in SL_2 of a determinant-1 matrix m of trace t other than +-I,
+    from the powers m, m^2, ..., m^bound: the first power that is +-I is
+    m^e with e the order in PSL_2, and the SL_2 order is e if m^e = I, 2e
+    if m^e = -I (which may exceed ``bound``).  None if no power up to
+    m^bound is +-I.
 
-    No matrix is multiplied.  By Cayley-Hamilton, m^e = u_e m - u_(e-1) I
-    with u_0 = 0, u_1 = 1 and u_(e+1) = tr(m) u_e - u_(e-1).  For m not
-    scalar, I and m are independent, so m^e is scalar exactly when u_e =
-    0, and then m^e = -u_(e-1) I with u_(e-1)^2 = det(m^e) = 1.  A scalar
-    m of determinant 1 is I or -I.  Each step is one field product."""
-    field = m.field
-    one = field.one()
-    if m.det() != one:
-        raise NotUnimodular("element order requires determinant 1")
-    if bound < 1:
-        return None
-    if m.b.is_zero and m.c.is_zero and m.a == m.d:  # +-I
-        return 1 if m.a == one else 2
-    tr, minus_one = m.trace(), -one
-    prev, cur = field.zero(), one  # u_(e-1), u_e
+    Only the trace is read, and no matrix is multiplied.  By
+    Cayley-Hamilton, m^e = u_e m - u_(e-1) I with u_0 = 0, u_1 = 1 and
+    u_(e+1) = t u_e - u_(e-1).  As m is not scalar, I and m are
+    independent, so m^e is scalar exactly when u_e = 0, and then m^e =
+    -u_(e-1) I with u_(e-1)^2 = det(m^e) = 1.  Each step is one field
+    product."""
+    one = t.field.one()
+    prev, cur = t.field.zero(), one  # u_(e-1), u_e
     for e in range(1, bound + 1):
         if cur.is_zero:
-            return e if prev == minus_one else 2 * e
-        prev, cur = cur, tr * cur - prev
+            return e if prev == -one else 2 * e
+        prev, cur = cur, t * cur - prev
     return None
+
+
+def disc_from_trace(t: FieldElement) -> FieldElement:
+    """Tr^2 - 4 of a determinant-1 matrix of trace t.  Subtracting 4 from
+    the coordinate of omega_0 = 1 changes num_0 by a multiple of den, so
+    gcd(den, *num) stays 1 and the element stays canonical."""
+    s = t * t
+    return FieldElement(s.field, (s.num[0] - 4 * s.den,) + s.num[1:], s.den)
 
 
 def _totients(top: int) -> list[int]:
@@ -318,9 +320,7 @@ def torsion_orders(field: NumberField, m_max: int) -> list[tuple[int, Mat2]]:
     one = Mat2.identity(field)
     out: list[tuple[int, Mat2]] = [(1, one)]
     if m_max >= 2:
-        wit = -one
-        assert element_order(wit, 2) == 2
-        out.append((2, wit))
+        out.append((2, -one))
     # Q(2cos(2*pi/m)) has degree phi(m)/2, which must divide n, so
     # phi(m) <= 2n and m <= 2(2n)^2 + 2 (default_order_bound)
     totient = _totients(min(m_max, 2 * (2 * n) ** 2 + 2))
@@ -331,7 +331,6 @@ def torsion_orders(field: NumberField, m_max: int) -> list[tuple[int, Mat2]]:
         if res.value is None or not res.value.is_integral():
             continue
         t = res.value
-        wit = Mat2(field.zero(), -field.one(), field.one(), t)
-        if element_order(wit, m) == m:
-            out.append((m, wit))
+        if element_order(t, m) == m:  # t is the trace of the witness
+            out.append((m, Mat2(field.zero(), -field.one(), field.one(), t)))
     return out

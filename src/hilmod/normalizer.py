@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .classify import ClassKind, ElementClass, classify
 from .exactnum import Record
-from .modgrp import Mat2, PslElem, psl_normalize
+from .modgrp import Mat2, PslElem, disc_from_trace, psl_normalize
 from .numfield import FieldElement, has_square_root
 
 
@@ -185,7 +185,7 @@ def involution_search(a: PslElem, height_bound: int,
     q_inv = None if q.is_zero else q.inverse()
     p_s = p - s
     four_qr = q * r * 4
-    disc = p_s * p_s + four_qr
+    disc = disc_from_trace(a.trace())  # (p - s)^2 + 4qr, as det a = 1
 
     def candidates(x: FieldElement) -> Iterator[tuple[FieldElement, FieldElement]]:
         """Every (y, z) in k solving both conditions, y in canonical order

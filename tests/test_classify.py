@@ -74,14 +74,29 @@ def test_classification_computes_tr2_minus_4_once(monkeypatch, sqrt2, rows):
     ``classification_json`` reads the trace once more for its report."""
     a = _psl(sqrt2, rows)
     discs, traces = [], []
-    disc, trace = classify_module._disc, PslElem.trace
-    monkeypatch.setattr(classify_module, "_disc", lambda t: discs.append(t) or disc(t))
+    disc, trace = classify_module.disc_from_trace, PslElem.trace
+    monkeypatch.setattr(classify_module, "disc_from_trace",
+                        lambda t: discs.append(t) or disc(t))
     monkeypatch.setattr(PslElem, "trace", lambda self: traces.append(self) or trace(self))
     assert classify(a).kind is ClassKind.TOTALLY_HYPERBOLIC
     assert (len(discs), len(traces)) == (1, 1)
     out = classification_json(a)
     assert (len(discs), len(traces)) == (2, 3)
     assert out["class"] == "totally_hyperbolic" and out["trace"] == trace(a).to_json()
+
+
+def test_totally_elliptic_classification_computes_one_determinant(monkeypatch, sqrt2):
+    """Normalizing and classifying a totally elliptic element computes the
+    determinant once, in ``check_sl``, and the trace once: the order is
+    read from that trace."""
+    m = Mat2(*(sqrt2.element(r) for r in ([0, 1], [-1, 0], [1, 0], [0, 0])))  # Tr = sqrt 2
+    dets, traces = [], []
+    det, trace = Mat2.det, Mat2.trace
+    monkeypatch.setattr(Mat2, "det", lambda self: dets.append(self) or det(self))
+    monkeypatch.setattr(Mat2, "trace", lambda self: traces.append(self) or trace(self))
+    cls = classify(psl_normalize(m))
+    assert (cls.kind, cls.order) == (ClassKind.TOTALLY_ELLIPTIC, 4)
+    assert (len(dets), len(traces)) == (1, 1)
 
 
 def test_classify_identity(sqrt2):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -109,6 +110,28 @@ def test_parse_matrix(sqrt2):
     assert m.a == sqrt2.element([1, 1]) and m.c == sqrt2.element([2, 0])
     with pytest.raises(ParseError):
         parse_matrix("1;2;3", sqrt2)
+
+
+@pytest.mark.parametrize("entry", range(4))
+@pytest.mark.parametrize("bad, message, at", [
+    ("1x", "unexpected character 'x'", 1),
+    ("", "empty element literal", 0),
+    ("2+g+", "trailing operator", 3),
+])
+def test_parse_matrix_error_position_counts_from_the_matrix_text(capsys, sqrt2, entry,
+                                                                 bad, message, at):
+    """A bad entry keeps its message, and its position counts from the
+    start of the --matrix text, not of the entry."""
+    entries = ["1+g", "-1", "2/3", "g^2"]
+    start = sum(len(e) + 1 for e in entries[:entry])
+    entries[entry] = bad
+    text = ";".join(entries)
+    want = f"{message} (at position {start + at})"
+    with pytest.raises(ParseError, match=re.escape(want)) as info:
+        parse_matrix(text, sqrt2)
+    assert info.value.position == start + at
+    assert run(capsys, "classify", "--field", SQRT2, f"--matrix={text}") == (
+        2, "", f"error: bad matrix literal: {want}\n")
 
 
 def _check_golden(name: str, payload: str):
@@ -874,6 +897,14 @@ def test_file_not_utf8_exits_2(capsys, tmp_path, option):
     code, out, err = run(capsys, *_argv_reading(option, str(path)))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("option", ["--field", "--census", "--finite-census", "--cusp-dims"])
+def test_empty_path_exits_2(capsys, option):
+    """An empty path names no file: it cannot be read, and is not taken
+    for an absent option."""
+    assert run(capsys, *_argv_reading(option, "")) == (
+        2, "", "error: cannot read : [Errno 2] No such file or directory: ''\n")
 
 
 @pytest.mark.parametrize("option", ["--field", "--census", "--finite-census", "--cusp-dims"])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -20,6 +21,7 @@ from hilmod.modgrp import (
     check_sl,
     cos_trace_min_poly,
     default_order_bound,
+    disc_from_trace,
     element_order,
     fixed_points,
     psl_normalize,
@@ -271,14 +273,17 @@ def test_cos_trace_min_poly():
 
 
 def test_element_order(rationals):
+    """The order is read from the trace of a non-scalar matrix."""
     s = _mat(rationals, 0, -1, 1, 0)
-    assert element_order(s, 10) == 4  # order 4 in SL_2
-    assert element_order(_mat(rationals, 1, 1, 0, 1), 10) is None
+    assert element_order(s.trace(), 10) == 4  # order 4 in SL_2
+    assert element_order(_mat(rationals, 1, 1, 0, 1).trace(), 10) is None
+    assert element_order(_mat(rationals, -1, 1, 0, -1).trace(), 10) is None
     # the powers stop at +-I: s^2 = -I, so the order 4 is found within bound 2
-    assert element_order(s, 2) == 4
-    assert element_order(-Mat2.identity(rationals), 1) == 2
-    assert element_order(_mat(rationals, 0, -1, 1, 1), 10) == 6  # r^3 = -I
-    assert element_order(_mat(rationals, 0, -1, 1, -1), 10) == 3  # r^3 = I
+    assert element_order(s.trace(), 2) == 4
+    assert element_order(s.trace(), 1) is None
+    assert element_order(s.trace(), 0) is None
+    assert element_order(_mat(rationals, 0, -1, 1, 1).trace(), 10) == 6  # r^3 = -I
+    assert element_order(_mat(rationals, 0, -1, 1, -1).trace(), 10) == 3  # r^3 = I
 
 
 def _matrix_power_order(m, bound):
@@ -295,7 +300,14 @@ def _matrix_power_order(m, bound):
     return None
 
 
+def _is_scalar(m):
+    return m.b.is_zero and m.c.is_zero and m.a == m.d
+
+
 def test_element_order_matches_matrix_powers(sqrt2, sqrt5, cubic7, word_sampler):
+    """On every non-scalar word, the order read from the trace is the one
+    the matrix powers give, at every bound; +-I, whose order the trace does
+    not give, is still classified."""
     rng = random.Random(17)
     kinds = set()
     for field in (sqrt2, sqrt5, cubic7):
@@ -306,26 +318,31 @@ def test_element_order_matches_matrix_powers(sqrt2, sqrt5, cubic7, word_sampler)
         words += [g * wit * g.inv() for g, wit in zip(words, witnesses * 8)]
         words += [one, -one]
         for m in words + witnesses:
-            want = _matrix_power_order(m, 30)
             kinds.add(classify(psl_normalize(m)).kind)
+            if _is_scalar(m):
+                continue
+            want = _matrix_power_order(m, 30)
             bounds = {-1, 0, 1, 2, 7, 30}
             if want is not None:
                 e = want if want % 2 else want // 2  # the first power at +-I
                 bounds |= {e - 1, e, e + 1}
             for bound in sorted(bounds):
-                assert element_order(m, bound) == _matrix_power_order(m, bound), (m, bound)
+                assert element_order(m.trace(), bound) == _matrix_power_order(m, bound), (m, bound)
     assert kinds >= set(ClassKind)
 
 
-def test_element_order_non_unimodular(rationals, sqrt2):
-    """Only SL_2 elements have an order here: a determinant other than 1,
-    scalar or not, raises at every bound."""
-    for field in (rationals, sqrt2):
-        for entries in ((2, 0, 0, 1), (1, 1, 0, 2), (0, 0, 0, 0), (-1, 0, 0, 1), (2, 0, 0, 2)):
-            m = _mat(field, *entries)
-            for bound in (0, 1, 24):
-                with pytest.raises(NotUnimodular):
-                    element_order(m, bound)
+def test_disc_from_trace_matches_the_expanded_forms(sqrt2, sqrt5, cubic7, word_sampler):
+    """Tr^2 - 4 of a determinant-1 matrix [[p, q], [r, s]] equals the
+    fixed-point discriminant (s - p)^2 + 4qr, and the result is the
+    canonical element of that value."""
+    rng = random.Random(5)
+    for field in (sqrt2, sqrt5, cubic7):
+        for m in word_sampler(field, rng, 30) + [Mat2.identity(field)]:
+            t = m.trace()
+            d = disc_from_trace(t)
+            assert d == t * t - field.one() * 4
+            assert d == (m.d - m.a) * (m.d - m.a) + m.b * m.c * 4
+            assert math.gcd(d.den, *d.num) == 1
 
 
 def test_torsion_orders_rationals(rationals):
@@ -334,7 +351,9 @@ def test_torsion_orders_rationals(rationals):
     assert orders == [1, 2, 3, 4, 6]
     for m, wit in found:
         assert check_sl(wit)
-        assert element_order(wit, m) == m
+        assert _matrix_power_order(wit, m) == m
+        if not _is_scalar(wit):
+            assert element_order(wit.trace(), m) == m
     # closed under divisors
     for m in orders:
         for d in range(1, m):
