@@ -3,6 +3,7 @@ points, and the census of torsion orders."""
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -303,10 +304,11 @@ def _totients(top: int) -> list[int]:
     return phi
 
 
+@functools.cache
 def default_order_bound(n: int) -> int:
     """Largest m with phi(m) <= 2n; beyond it no trace 2cos(2*pi/m) can
     live in a degree-n field (SL order is at most twice the PSL order).
-    phi(m) >= sqrt(m/2), so no m above 2(2n)^2 + 2 counts."""
+    phi(m) >= sqrt(m/2), so no m above 2(2n)^2 + 2 counts.  Kept per n."""
     return max(m for m, t in enumerate(_totients(2 * (2 * n) ** 2 + 2)) if t <= 2 * n)
 
 

@@ -29,9 +29,10 @@ roots and roots of rational polynomials inside the field are decided
 exactly: after scaling, a root y is an algebraic integer, so its
 power-basis coordinates c = T^-1 (Tr(theta^l y))_l lie in (1/D)Z^n, with T
 the trace form of the order Z[theta] and D = det T = disc(min_poly) > 0,
-which is also the discriminant the field reports.  Integer interval
-enclosures of the embeddings of y, combined with the integer adjugate of
-T, pin D c to one lattice point, verified exactly, or exclude every
+which is also the discriminant the field reports.  D c = sum_i sigma_i(y)
+A(theta_i), with the rows of the integer adjugate A of T read as
+polynomials; sums of integer enclosures of these parts, built once per
+width, pin D c to one lattice point, verified exactly, or exclude every
 lattice point; either way the answer is certified.  A root of a polynomial
 is searched for over the balanced assignments of its real roots to the
 embeddings only: the embeddings of an irrational root y of degree e take
@@ -57,7 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import isqrt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -251,7 +252,7 @@ class NumberField:
     def quadratic(d: int) -> "NumberField":
         """Q(sqrt(d)) for squarefree d > 1, with the standard maximal-order
         basis: {1, (1+theta)/2} when d = 1 mod 4, the power basis otherwise."""
-        if d <= 1:
+        if d <= 1 or any(d % (k * k) == 0 for k in range(2, isqrt(d) + 1)):
             raise ValueError("need a squarefree integer d > 1")
         p = Poly([-d, 0, 1])
         if d % 4 == 1:
@@ -596,38 +597,34 @@ def _lattice_root(field: NumberField, enclose, assignments, verify) -> Optional[
     values allowed at embedding i, shrinking with w, for ``thetas[i]`` its
     root refined to width <= w; an assignment picks one per embedding.
     The power-basis coordinates c of y lie in (1/D)Z^n, and D c = A
-    (Tr(theta^l y))_l (see ``NumberField._trace_form``).  Enclosures of
-    Tr(theta^l y) shrink the intervals around D c until one holds no
-    integer (no such y) or each pins exactly one, the only possible
-    candidate, verified exactly.  Everything runs on integers; the width w
-    is 1 / wden.  The theta_i are refined, and enclose(w, thetas) called,
-    only for a w finer than any before, and both serve every assignment.
+    (Tr(theta^l y))_l (see ``NumberField._trace_form``).  As Tr(theta^l y)
+    = sum_i theta_i^l sigma_i(y), D c_k = sum_l A_kl sum_i theta_i^l
+    sigma_i(y) = sum_i sigma_i(y) A_k(theta_i), for row k of A read as
+    the polynomial A_k(x) = sum_l A_kl x^l (the trace-form dual basis;
+    Cohen, GTM 138, 4.2).  At each width Horner encloses every
+    A_k(theta_i) once, and each value allowed at embedding i times it is
+    that embedding's part of D c_k.  An assignment sums its n parts: each
+    holds the product of two reals its factors hold, so the sum holds D
+    c_k.  These shrink around D c until one holds no integer (no such y)
+    or each pins exactly one, the only candidate, verified exactly.  All
+    on integers; the width w is 1 / wden.  The theta_i are refined, and
+    the parts built, only for a w finer than any before.
     """
     adj, den = field._trace_form
-    n = field.degree
-    zero = ScaledInterval(0, 0, 1)
     thetas = list(field.root_intervals)
-    finest = 0  # thetas have width at most 1 / finest, and allowed is over them
+    finest = 0  # thetas have width at most 1 / finest, and parts are over them
     for assign in assignments:
         wden = 4 * den
         while True:
             if wden > finest:  # else thetas are narrower than 1 / wden already
                 w = Fraction(1, wden)
                 thetas = [refine_root(r, w) for r in thetas]
-                finest, allowed = wden, enclose(w, thetas)
-            u = [zero] * n  # u_l encloses Tr(theta^l y)
-            for i, j in enumerate(assign):
-                theta = thetas[i].scaled
-                power = allowed[i][j]  # theta_i^l * sigma_i(y), l = 0, 1, ...
-                for l in range(n):
-                    u[l] = u[l].plus(power)
-                    power = power.times(theta)
-            coords = []  # enclosures of D c_k
-            for row in adj:
-                acc = zero
-                for x, ul in zip(row, u):
-                    acc = acc.plus(ul.scale(x))
-                coords.append(acc)
+                finest, parts = wden, []  # parts[i][j][k]: value j at i times A_k(theta_i)
+                for t, values in zip(thetas, enclose(w, thetas)):
+                    a = [horner_scaled(row, 1, t.scaled) for row in adj]
+                    parts.append([[v.times(ak) for ak in a] for v in values])
+            coords = [reduce(ScaledInterval.plus, col)  # enclosures of D c_k
+                      for col in zip(*(p[j] for p, j in zip(parts, assign)))]
             pins = [(-(-lo // d), hi // d) for lo, hi, d in coords]
             if any(a > b for a, b in pins):
                 break

@@ -6,7 +6,10 @@ intervals from Fraction endpoints (``scaled_of``, ``root_interval``).
 Two views the library has no use for: a field element's power-basis
 coordinates in Fractions (``power_coords``) and whether a K-theory
 expression has no terms (``is_empty``).  The element-literal parser that
-sums each power's coefficient in Fractions (``ref_parse_element``).
+sums each power's coefficient in Fractions (``ref_parse_element``).  The
+lattice search that builds each assignment's enclosure of D c from the
+powers theta_i^l sigma_i(y) and the adjugate sums, where the library sums
+parts built once per width (``ref_lattice_root``).
 
 The library computes all of these on integers (pseudo-remainders, exact
 division by a monic divisor, the fraction-free solver); these are the
@@ -18,10 +21,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 from hilmod.cli import ParseError, _TERM, _digit_limit, _generator_power, _too_large
-from hilmod.exactnum import NotSquarefree, Poly, RootInterval, ScaledInterval, integer_coords
+from hilmod.exactnum import (NotSquarefree, Poly, RootInterval, ScaledInterval, integer_coords,
+                             refine_root)
+from hilmod.numfield import FieldElement, NumberField
 
 
 class RefPoly(Poly):
@@ -339,3 +344,56 @@ def ref_parse_element(text: str, field):
     if _too_large(x, limit):
         raise ParseError(f"value has a coordinate of more than {limit} digits", 0)
     return x
+
+
+def ref_lattice_root(field: NumberField, enclose, assignments, verify) -> Optional[FieldElement]:
+    """The first verified algebraic integer y in k whose embeddings follow
+    one of the ``assignments``; None certifies that there is none.
+
+    ``enclose(w, thetas)[i]`` lists enclosures (``ScaledInterval``) of the
+    values allowed at embedding i, shrinking with w, for ``thetas[i]`` its
+    root refined to width <= w; an assignment picks one per embedding.
+    The power-basis coordinates c of y lie in (1/D)Z^n, and D c = A
+    (Tr(theta^l y))_l (see ``NumberField._trace_form``).  Enclosures of
+    Tr(theta^l y) shrink the intervals around D c until one holds no
+    integer (no such y) or each pins exactly one, the only possible
+    candidate, verified exactly.  Everything runs on integers; the width w
+    is 1 / wden.  The theta_i are refined, and enclose(w, thetas) called,
+    only for a w finer than any before, and both serve every assignment.
+    """
+    adj, den = field._trace_form
+    n = field.degree
+    zero = ScaledInterval(0, 0, 1)
+    thetas = list(field.root_intervals)
+    finest = 0  # thetas have width at most 1 / finest, and allowed is over them
+    for assign in assignments:
+        wden = 4 * den
+        while True:
+            if wden > finest:  # else thetas are narrower than 1 / wden already
+                w = Fraction(1, wden)
+                thetas = [refine_root(r, w) for r in thetas]
+                finest, allowed = wden, enclose(w, thetas)
+            u = [zero] * n  # u_l encloses Tr(theta^l y)
+            for i, j in enumerate(assign):
+                theta = thetas[i].scaled
+                power = allowed[i][j]  # theta_i^l * sigma_i(y), l = 0, 1, ...
+                for l in range(n):
+                    u[l] = u[l].plus(power)
+                    power = power.times(theta)
+            coords = []  # enclosures of D c_k
+            for row in adj:
+                acc = zero
+                for x, ul in zip(row, u):
+                    acc = acc.plus(ul.scale(x))
+                coords.append(acc)
+            pins = [(-(-lo // d), hi // d) for lo, hi, d in coords]
+            if any(a > b for a, b in pins):
+                break
+            if all(a == b for a, b in pins):
+                y = field.from_power([a for a, _ in pins], den)
+                if verify(y):
+                    return y
+                break
+            widest = max(-(-2 * (hi - lo) // d) for lo, hi, d in coords)  # ceil(2 D width)
+            wden *= 2 ** max(1, widest.bit_length())
+    return None

@@ -15,6 +15,7 @@ from hilmod.classify import (
 from hilmod.modgrp import Mat2, PslElem, psl_normalize
 
 classify_module = importlib.import_module("hilmod.classify")
+modgrp_module = importlib.import_module("hilmod.modgrp")
 
 
 def _psl(field, rows):
@@ -144,6 +145,26 @@ def test_element_class_stores_four_facts(sqrt2, word_sampler):
 def test_default_order_bound():
     assert default_order_bound(1) == 6   # phi(m) <= 2
     assert default_order_bound(2) == 12  # phi(m) <= 4
+
+
+def test_order_bound_sieved_once_per_degree(monkeypatch, sqrt2, sqrt5):
+    """The phi bound depends on the degree only: totally elliptic elements
+    of one degree, over one field or two, run the sieve at most once."""
+    calls = []
+    sieve = modgrp_module._totients
+
+    def counted(top):
+        calls.append(top)
+        return sieve(top)
+
+    monkeypatch.setattr(modgrp_module, "_totients", counted)
+    default_order_bound.cache_clear()
+    orders = [classify(_psl(k, rows)).order for k, rows in
+              ((sqrt2, [[0, 0], [-1, 0], [1, 0], [0, 0]]),   # order 2
+               (sqrt2, [[0, 0], [-1, 0], [1, 0], [1, 0]]),   # trace 1, order 3
+               (sqrt5, [[0, 0], [-1, 0], [1, 0], [0, 1]]))]  # trace (1+sqrt5)/2, order 5
+    assert orders == [2, 3, 5]
+    assert len(calls) <= 1
 
 
 def test_classification_conjugation_invariant(sqrt2, word_sampler):

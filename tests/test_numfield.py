@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from conftest import embed_mp
 
-from hilmod import cli, exactnum
+from hilmod import cli, exactnum, numfield
 from hilmod.exactnum import (NotSquarefree, Poly, ScaledInterval, divide_monic, integer_coords,
                              refine_root)
 from hilmod.modgrp import cos_trace_min_poly
@@ -23,6 +23,7 @@ from hilmod.numfield import (
     NotTotallyReal,
     NumberField,
     ReducibleDetected,
+    _balanced_assignments,
     _element,
     _integer_roots,
     _lattice_root,
@@ -31,7 +32,7 @@ from hilmod.numfield import (
     contains_root_of,
     has_square_root,
 )
-from refpoly import RefPoly, mat_inverse, power_coords
+from refpoly import RefPoly, mat_inverse, power_coords, ref_lattice_root
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,6 +79,14 @@ def test_large_constant_term_rational_root_rejected():
     out = _build_within_10s(-10 ** 12)
     assert out.returncode == 1
     assert "ReducibleDetected: rational root -1000000 detected" in out.stderr
+
+
+def test_quadratic_rejects_a_non_squarefree_d():
+    """d = 8, 12 or 18 would build Z[sqrt d], not the maximal order, and
+    d = 4 or 9 a reducible polynomial: each is the squarefree error."""
+    for d in (4, 8, 9, 12, 18):
+        with pytest.raises(ValueError, match="need a squarefree integer d > 1"):
+            NumberField.quadratic(d)
 
 
 def test_quadratic_convenience_basis(sqrt5):
@@ -327,6 +336,93 @@ def test_balanced_assignments_match_full_enumeration(sqrt2, sqrt5, cubic7):
         assert (got and got.coords) == (want and want.coords), (field, p)
         found += got is not None
     assert len(cases) > 100 and 20 < found < len(cases)
+
+
+def _product(*factors) -> Poly:
+    out = RefPoly([1])
+    for f in factors:
+        out = out * RefPoly(f.coeffs)
+    return Poly(out.coeffs)
+
+
+def test_lattice_parts_match_the_per_assignment_reference(monkeypatch, sqrt2, sqrt5, cubic7):
+    """The lattice that sums per-embedding parts answers as the reference
+    that builds each assignment's enclosure from powers and adjugate sums
+    (``refpoly.ref_lattice_root``): the same coordinates, or the same None.
+    Cases: squares and non-squares that reach the lattice, psi_m for
+    m <= 40, and products with several roots in k, where the assignment
+    order decides which root comes back."""
+    ct15 = NumberField(cos_trace_min_poly(15))
+    fields = (sqrt2, sqrt5, cubic7, ct15)
+    rng = random.Random(40)
+    squares = []
+    for field in fields:
+        n = field.degree
+        for _ in range(10):
+            x, z = (field.element([Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                                   for _ in range(n)]) for _ in range(2))
+            if x.is_zero:
+                continue
+            # z*z + 1 is totally positive; u = N(w) / w has the square norm
+            # N(w)^(n-1) for n odd, a rational has one for n even
+            w = z * z + field.one()
+            u = w.inverse() * w.norm() if n % 2 else field.one() * rng.choice((2, 3, 5, 6, 7))
+            squares += [(field, x * x), (field, x * x * u), (field, x * x * w * w)]
+    polys = [(field, cos_trace_min_poly(m)) for field in fields for m in range(1, 41)]
+    polys += [(sqrt2, _product(RefPoly([-2, 0, 1]), RefPoly([-8, 0, 1]))),
+              (sqrt2, _product(RefPoly([-2, 0, 1]), RefPoly([-1, -2, 1]))),
+              (sqrt5, _product(cos_trace_min_poly(5), cos_trace_min_poly(10))),
+              (sqrt5, _product(RefPoly([-5, 0, 1]), cos_trace_min_poly(10))),
+              (cubic7, _product(cos_trace_min_poly(7), cos_trace_min_poly(14))),
+              (ct15, _product(cos_trace_min_poly(15), cos_trace_min_poly(30))),
+              (ct15, _product(cos_trace_min_poly(5), cos_trace_min_poly(15)))]
+    for field in fields:  # k is Galois, so every root of a minimal polynomial lies in k
+        for _ in range(4):
+            y, z = (field.element([rng.randint(-2, 2) for _ in range(field.degree)])
+                    for _ in range(2))
+            f, g = _min_poly_over_q(y), _min_poly_over_q(z)
+            if f.degree > 1 and g.degree > 1 and (f * g).is_squarefree():
+                polys.append((field, Poly((f * g).coeffs)))
+
+    def answers():
+        out = [has_square_root(c).value for _, c in squares]
+        out += [contains_root_of(field, p).value for field, p in polys]
+        return [y and y.coords for y in out]
+
+    mine = answers()
+    searches = []
+
+    def reference(*args):
+        searches.append(ref_lattice_root(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(numfield, "_lattice_root", reference)
+    assert answers() == mine
+    found = sum(y is not None for y in searches)
+    assert 20 < found < len(searches) - 20, (found, len(searches))
+
+
+def test_lattice_builds_no_product_per_assignment(monkeypatch):
+    """The lattice builds its interval products once per width, not once
+    per assignment.  (x^2-2)(x^2-3)(x^2-6) over Q(zeta_15)^+ has no residue
+    obstruction and no root, so the search runs all 450 balanced
+    assignments; the per-assignment power loop made 7,216 products."""
+    ct15 = NumberField(cos_trace_min_poly(15))
+    p = _product(RefPoly([-2, 0, 1]), RefPoly([-3, 0, 1]), RefPoly([-6, 0, 1]))
+    assert _residue_obstruction(ct15, p) is None
+    assignments = sum(1 for _ in _balanced_assignments(6, ct15.degree))
+    assert assignments == 450
+    calls = 0
+    times = ScaledInterval.times
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return times(*args)
+
+    monkeypatch.setattr(ScaledInterval, "times", counted)
+    assert contains_root_of(ct15, p).value is None
+    assert 0 < calls < assignments
 
 
 def test_contains_root_of_input_checks(sqrt2):
