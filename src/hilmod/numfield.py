@@ -24,33 +24,48 @@ intervals found at load, and each loop that needs a finer one refines a
 local copy, so no answer depends on earlier queries and one field can
 serve many.  Sign decisions and enclosures (``FieldElement.enclosure``) at
 an embedding are interval Horner (``exactnum.horner_scaled``) on the
-integer power coordinates over such a root, so they are certified.  Square
+integer power coordinates over such a root, so they are certified; the
+sign of a rational is read from its coordinate, with no interval.  Square
 roots and roots of rational polynomials inside the field are decided
 exactly: after scaling, a root y is an algebraic integer, so its
 power-basis coordinates c = T^-1 (Tr(theta^l y))_l lie in (1/D)Z^n, with T
 the trace form of the order Z[theta] and D = det T = disc(min_poly) > 0,
 which is also the discriminant the field reports.  D c = sum_i sigma_i(y)
 A(theta_i), with the rows of the integer adjugate A of T read as
-polynomials; sums of integer enclosures of these parts, built once per
-width, pin D c to one lattice point, verified exactly, or exclude every
-lattice point; either way the answer is certified.  A root of a polynomial
-is searched for over the balanced assignments of its real roots to the
-embeddings only: the embeddings of an irrational root y of degree e take
-each of its e conjugates exactly n / e times, so no other assignment can
-be realised.
+polynomials; sums of integer enclosures of these parts, each built at
+most once per width, pin D c to one lattice point, verified exactly, or
+exclude every lattice point; either way the answer is certified.  A root
+of a polynomial is searched for over the balanced assignments of its
+real roots to the embeddings only: the embeddings of an irrational root
+y of degree e take each of its e conjugates exactly n / e times, so no
+other assignment can be realised.
+
+Residue maps (Dedekind; Cohen, GTM 138, 6.2): for a prime p not
+dividing D, D = [O_k : Z[theta]]^2 d_k, so O_k / pO_k = F_p[x] /
+(min_poly mod p), and a root r of min_poly mod p gives a ring map phi:
+O_k -> F_p with theta -> r.  The field keeps every such pair (p, r) with
+p below ``RESIDUE_PRIME_BOUND`` (``NumberField._residue_maps``, built on
+first use).  One pass over x below the bound, a running product of the
+values (``_residue_roots``), finds the primes at which a polynomial has
+a root, all at once; the maps' roots are read from that pass's values at
+those primes only.
 
 ``contains_root_of`` scales p to a monic integer q and decides in three
-steps.  First a residue-field certificate (Dedekind; Cohen, GTM 138,
-6.2): for a prime p not dividing D, D = [O_k : Z[theta]]^2 d_k, so
-O_k / pO_k = F_p[x] / (min_poly mod p); a root r of min_poly mod p gives
-a ring map O_k -> F_p with theta -> r, and a root of q in k, an algebraic
-integer, maps to a root of q mod p.  So q without a root mod such a p
-has no root in k.  One pass over x below ``RESIDUE_PRIME_BOUND``, a
-running product of the values (``_residue_roots``), decides every prime
-at once: it finds the primes at which min_poly has a root once per
-field, and q's first obstructing prime.  Then a rational root of q, then
-the lattice.  The certificate never fires when a root exists, so it
-changes no answer, only how soon an absence is known.
+steps.  First a residue-field certificate: a root of q in k, an
+algebraic integer, maps to a root of q mod p, so q without a root mod
+such a p has no root in k; the pass finds q's first obstructing prime.
+Then a rational root of q, then the lattice.
+
+``has_square_root(c)`` answers a rational square s^2, zero included,
+with |s|.  Otherwise it decides in four steps.  First a residue
+certificate, which decides almost every non-square: write c =
+P(theta) / d with P integral; if y*y = c, then (d y)^2 = d P(theta) in
+Z[theta], so d y lies in O_k, and for a map phi at an odd p not dividing
+d, d P(r) = phi(d y)^2 is a square mod p.  So a nonzero non-residue d
+P(r) (Euler's criterion) leaves c no square root in k.  Then a negative
+embedding, then a norm that is not a rational square, then the lattice.
+Neither certificate fires when a root exists, so they change no answer,
+only how soon an absence is known.
 """
 
 from __future__ import annotations
@@ -313,13 +328,23 @@ class NumberField:
         return self._trace_form[1]
 
     @cached_property
-    def _residue_primes(self) -> tuple[int, ...]:
-        """The primes p < ``RESIDUE_PRIME_BOUND``, ascending, with p not
-        dividing D = disc(min_poly) and min_poly having a root mod p; each
-        gives a ring map O_k -> F_p (see the module docstring)."""
+    def _residue_maps(self) -> tuple[tuple[int, int], ...]:
+        """Every pair (p, r), ascending, of a prime p < ``RESIDUE_PRIME_BOUND``
+        not dividing D = disc(min_poly) and an r in [0, p) with min_poly(r)
+        = 0 mod p: the ring map O_k -> F_p, theta -> r, of the degree-1
+        prime (p, theta - r) (see the module docstring).  One pass of
+        ``_residue_roots`` finds the primes with a root, and r is sought at
+        those primes only, among the values that pass computed."""
         disc = self.discriminant()
         primes = [p for p in _SMALL_PRIMES if disc % p]
-        return tuple(p for p, root in _residue_roots(self.min_poly.num, primes) if root)
+        vals = _residue_values(self.min_poly.num, primes)
+        return tuple((p, r) for p, root in _residue_roots(vals, primes) if root
+                     for r in range(p) if vals[r] % p == 0)
+
+    @cached_property
+    def _residue_primes(self) -> tuple[int, ...]:
+        """The primes of ``_residue_maps``, ascending, each once."""
+        return tuple(dict.fromkeys(p for p, _ in self._residue_maps))
 
     @cached_property
     def _trace_form(self) -> tuple[list[list[int]], int]:
@@ -372,18 +397,27 @@ _SMALL_PRIMES = tuple(p for p in range(2, RESIDUE_PRIME_BOUND)
                       if all(p % k for k in range(2, isqrt(p) + 1)))
 
 
-def _residue_roots(cs: Sequence[int], primes: Sequence[int]) -> Iterator[tuple[int, bool]]:
-    """(p, whether the integer polynomial ``cs``, ascending, has a root mod
-    p) for each of the ascending ``primes``: exactly when p divides
-    prod_{x < p} cs(x).  One pass over x, the values by Horner side by side
-    and the running product modulo M = prod(primes), which every p divides;
-    a coefficient past M is reduced too, so no number exceeds M^2 * p^deg."""
+def _residue_values(cs: Sequence[int], primes: Sequence[int]) -> list[int]:
+    """The values of the integer polynomial ``cs``, ascending, at every x
+    below the largest of the ascending ``primes``, by Horner side by side,
+    each congruent to cs(x) modulo M = prod(primes), which every p
+    divides: a coefficient past M is reduced first, so no value exceeds
+    2 M p^deg."""
     m = math.prod(primes)
     red = [c if -m < c < m else c % m for c in cs]
     xs = range(primes[-1] if primes else 0)
     vals = [red[-1]] * len(xs)
     for c in red[-2::-1]:
         vals = [v * x + c for v, x in zip(vals, xs)]
+    return vals
+
+
+def _residue_roots(vals: Sequence[int], primes: Sequence[int]) -> Iterator[tuple[int, bool]]:
+    """(p, whether the polynomial has a root mod p) for each of the
+    ascending ``primes``, from its ``_residue_values`` over them: exactly
+    when p divides prod_{x < p} cs(x).  One pass over x, the running
+    product modulo M = prod(primes), so every prime is decided at once."""
+    m = math.prod(primes)
     prod, x = 1, 0  # prod_{t < x} cs(t) mod M
     for p in primes:
         prod = prod * math.prod(vals[x:p]) % m
@@ -391,11 +425,21 @@ def _residue_roots(cs: Sequence[int], primes: Sequence[int]) -> Iterator[tuple[i
         yield p, prod % p == 0
 
 
+def _value_mod(cs: Sequence[int], x: int, p: int) -> int:
+    """cs(x) mod p, for integer coefficients ``cs``, ascending."""
+    v = 0
+    for c in reversed(cs):
+        v = (v * x + c) % p
+    return v
+
+
 def _residue_obstruction(field: NumberField, q: Poly) -> Optional[int]:
     """The first prime of ``field._residue_primes`` at which the monic
     integer polynomial q has no root mod p, which certifies that q has no
     root in k (proof in the module docstring); None if there is none."""
-    return next((p for p, root in _residue_roots(q.num, field._residue_primes) if not root), None)
+    primes = field._residue_primes
+    vals = _residue_values(q.num, primes)
+    return next((p for p, root in _residue_roots(vals, primes) if not root), None)
 
 
 def _integer_roots(roots: Sequence[RootInterval]) -> list[int]:
@@ -531,12 +575,16 @@ class FieldElement(Record):
     def embed_sign(self, i: int) -> Sign:
         """Exact sign of the i-th real embedding; a zero divisor raises.
 
-        The first enclosure is over the load-time interval, then over a
-        local copy refined by quarters until it decides.  Only above
-        degree 3 can x != 0 be a zero divisor (see the module docstring),
-        so only there does an undecided first enclosure compute the norm."""
-        if self.is_zero:
-            return 0
+        A rational x = num_0 / den (basis element 0 is the constant 1, and
+        den > 0) has the sign of num_0 at every embedding, zero included,
+        read with no interval work.  Otherwise the first enclosure is over
+        the load-time interval, then over a local copy refined by quarters
+        until it decides.  Only above degree 3 can x != 0 be a zero divisor
+        (see the module docstring), so only there does an undecided first
+        enclosure compute the norm."""
+        num = self.num
+        if not any(num[1:]):
+            return (num[0] > 0) - (num[0] < 0)
         cs = self._power_ints()[0]
         r = self.field.root_intervals[i]
         lo, hi, _ = horner_scaled(cs, 1, r.scaled)
@@ -603,12 +651,13 @@ def _lattice_root(field: NumberField, enclose, assignments, verify) -> Optional[
     the polynomial A_k(x) = sum_l A_kl x^l (the trace-form dual basis;
     Cohen, GTM 138, 4.2).  At each width Horner encloses every
     A_k(theta_i) once, and each value allowed at embedding i times it is
-    that embedding's part of D c_k.  An assignment sums its n parts: each
-    holds the product of two reals its factors hold, so the sum holds D
-    c_k.  These shrink around D c until one holds no integer (no such y)
-    or each pins exactly one, the only candidate, verified exactly.  All
-    on integers; the width w is 1 / wden.  The theta_i are refined, and
-    the parts built, only for a w finer than any before.
+    that embedding's part of D c_k, built the first time an assignment
+    uses it at that width.  An assignment sums its n parts: each holds the
+    product of two reals its factors hold, so the sum holds D c_k.  These
+    shrink around D c until one holds no integer (no such y) or each pins
+    exactly one, the only candidate, verified exactly.  All on integers;
+    the width w is 1 / wden.  The theta_i are refined, and their values
+    and A_k(theta_i) enclosed, only for a w finer than any before.
     """
     adj, den = field._trace_form
     thetas = list(field.root_intervals)
@@ -619,12 +668,15 @@ def _lattice_root(field: NumberField, enclose, assignments, verify) -> Optional[
             if wden > finest:  # else thetas are narrower than 1 / wden already
                 w = Fraction(1, wden)
                 thetas = [refine_root(r, w) for r in thetas]
-                finest, parts = wden, []  # parts[i][j][k]: value j at i times A_k(theta_i)
-                for t, values in zip(thetas, enclose(w, thetas)):
-                    a = [horner_scaled(row, 1, t.scaled) for row in adj]
-                    parts.append([[v.times(ak) for ak in a] for v in values])
-            coords = [reduce(ScaledInterval.plus, col)  # enclosures of D c_k
-                      for col in zip(*(p[j] for p, j in zip(parts, assign)))]
+                finest, values = wden, enclose(w, thetas)
+                duals = [[horner_scaled(row, 1, t.scaled) for row in adj] for t in thetas]
+                parts = [[None] * len(v) for v in values]  # [i][j]: value j at i times A(theta_i)
+            terms = []
+            for vs, ps, a, j in zip(values, parts, duals, assign):
+                if ps[j] is None:
+                    ps[j] = [vs[j].times(ak) for ak in a]
+                terms.append(ps[j])
+            coords = [reduce(ScaledInterval.plus, col) for col in zip(*terms)]  # D c_k
             pins = [(-(-lo // d), hi // d) for lo, hi, d in coords]
             if any(a > b for a, b in pins):
                 break
@@ -638,15 +690,45 @@ def _lattice_root(field: NumberField, enclose, assignments, verify) -> Optional[
     return None
 
 
+def _residue_certificate(c: FieldElement) -> Optional[tuple[int, int]]:
+    """The first residue map (p, r) of ``c.field._residue_maps``, with p
+    odd and prime to the power-basis denominator d of c = P(theta) / d,
+    at which P(r) * d is a nonzero non-residue mod p (Euler's criterion:
+    v^((p-1)/2) = -1 mod p), which certifies that c is not a square in k
+    (proof at ``has_square_root``); None if there is none."""
+    num, d = c._power_ints()
+    for p, r in c.field._residue_maps:
+        if p > 2:
+            v = _value_mod(num, r, p) * d % p  # 0 when p divides d
+            if v and pow(v, (p - 1) // 2, p) == p - 1:
+                return p, r
+    return None
+
+
 def has_square_root(c: FieldElement) -> SearchOutcome:
     """The y in k with y*y = c and sigma_0(y) >= 0, if it exists.
 
-    Absence is certified by a negative embedding, a norm that is not a
-    rational square, or lattice exclusion.
+    Decided in this order, with no interval work before the lattice.  A
+    rational square c = s^2, zero included, has the root |s|.  Otherwise
+    absence is certified by a residue map at which c is a nonzero
+    non-residue (``_residue_certificate``), a negative embedding, a norm
+    that is not a rational square, or lattice exclusion.  The residue
+    certificate decides almost every non-square.  Its proof: let phi: O_k
+    -> F_p, theta -> r, be a residue map, p odd, and c = P(theta) / d with
+    P integral and p not dividing d.  If y*y = c, then (d y)^2 = d
+    P(theta) lies in Z[theta], so d y is an algebraic integer, in O_k, and
+    phi(d y)^2 = phi(d P(theta)) = d P(r) mod p: a square in F_p.  So a
+    nonzero non-residue d P(r) leaves c no square root in k.  The
+    certificate never fires on a square, so it changes no answer, only
+    how soon an absence is known.
     """
     field = c.field
-    if c.is_zero:
-        return SearchOutcome(field.zero())
+    if not any(c.num[1:]):  # c is rational (basis element 0 is 1)
+        root = _is_rational_square(Fraction(c.num[0], c.den))
+        if root is not None:
+            return SearchOutcome(field.one() * root)
+    if _residue_certificate(c) is not None:
+        return SearchOutcome(None)
     n = field.degree
     if any(c.embed_sign(i) < 0 for i in range(n)):
         return SearchOutcome(None)

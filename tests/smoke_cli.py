@@ -6,9 +6,11 @@ Runs ``python -m hilmod.cli`` with this interpreter on the golden cases
 (six goldens, ``classify_mixed.json`` once more from a matrix literal
 with whitespace around every part of its terms, ``field-info`` and
 ``torsion-search`` at its default order bound on the sextic
-``ct13.json``, and ``field-info`` and ``torsion-search --max-order 18``
-on three fields and on ``sqrt2_power_basis.json``, Q(sqrt 2) with its
-power basis given explicitly, against the Q(sqrt 2) goldens) and
+``ct13.json``, ``classify`` of a totally hyperbolic matrix over
+``ct37.json``, Q(cos(2pi/37)) of degree 18, and ``field-info`` and
+``torsion-search --max-order 18`` on three fields and on
+``sqrt2_power_basis.json``, Q(sqrt 2) with its power basis given
+explicitly, against the Q(sqrt 2) goldens) and
 compares stdout byte for byte with ``tests/golden`` and the exit code
 with the one the case expects.  The mixed-element ``normalizer`` case runs
 at ``--height 1000000``: a mixed element provably has no inverting
@@ -75,6 +77,9 @@ CASES = [  # (golden, argv, expected exit code)
     for name in ("sqrt2", "sqrt5", "cubic")
 ] + [
     ("torsion_search_ct13.json", ["torsion-search", "--field", DATA / "ct13.json"], 0),
+    # degree 18: Tr^2 - 4 = 5 is no square, decided at a residue map
+    ("classify_ct37.json",
+     ["classify", "--field", DATA / "ct37.json", "--matrix", "2;1;1;1"], 0),
 ] + [  # the power basis given explicitly must answer as the default basis does
     ("field_info_sqrt2.json", ["field-info", "--field", DATA / "sqrt2_power_basis.json"], 0),
     ("torsion_search_sqrt2_18.json",

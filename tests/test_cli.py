@@ -714,16 +714,30 @@ def test_torsion_search_golden_sextic():
     assert proc.stdout == (GOLDEN / "torsion_search_ct13.json").read_bytes()
 
 
+def test_classify_golden_ct37():
+    """Q(cos(2pi/37)), of degree 18, in a child process under a 10 s
+    timeout.  For the matrix 2;1;1;1, Tr^2 - 4 = 5 is totally positive
+    with the square norm 5^18, and without the residue certificate (5 is
+    a non-residue mod 73) the square test ran the lattice over 2^17 sign
+    patterns, past 20 s."""
+    proc = subprocess.run([sys.executable, "-m", "hilmod.cli", "classify",
+                           "--field", str(DATA / "ct37.json"), "--matrix", "2;1;1;1"],
+                          capture_output=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == (GOLDEN / "classify_ct37.json").read_bytes()
+
+
 def test_smoke_script():
     """tests/smoke_cli.py, the stdlib-only golden check, passes."""
     proc = subprocess.run([sys.executable, str(Path(__file__).parent / "smoke_cli.py")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout
     assert "ok   help and usage at COLUMNS=80: 10/10 match\n" in proc.stdout
-    assert "ok   in one interpreter, forward, REFINE, reversed: 54/54 replies match\n" \
+    assert "ok   in one interpreter, forward, REFINE, reversed: 56/56 replies match\n" \
         in proc.stdout
     assert "ok   the Q(sqrt 2) field kept through REFINE equals a fresh load\n" in proc.stdout
-    assert proc.stdout.endswith("17/17 cases match\n")
+    assert proc.stdout.endswith("18/18 cases match\n")
 
 
 # -- the field table: main keeps loaded fields between calls -------------

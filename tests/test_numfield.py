@@ -28,6 +28,7 @@ from hilmod.numfield import (
     _integer_roots,
     _lattice_root,
     _narrow_roots,
+    _residue_certificate,
     _residue_obstruction,
     contains_root_of,
     has_square_root,
@@ -171,6 +172,51 @@ def test_embed_sign_skips_the_norm_up_to_degree_3(cubic7, monkeypatch):
             assert lo <= 0 <= hi  # the first enclosure holds 0
             assert x.embed_sign(i) == (1 if embed_mp(x, i, 50) > 0 else -1)
     assert calls == []
+
+
+def test_embed_sign_of_a_rational_reads_its_coordinate(monkeypatch):
+    """A rational num_0 / den has the sign of num_0 at every embedding,
+    zero included, read with no interval work: over every tests/data
+    field with ``horner_scaled`` and ``refine_root`` raising."""
+    fields = _data_fields()
+
+    def fail(*args):
+        raise AssertionError("interval work on a rational")
+
+    monkeypatch.setattr(numfield, "horner_scaled", fail)
+    monkeypatch.setattr(numfield, "refine_root", fail)
+    for field in fields.values():
+        n = field.degree
+        for q in (0, 1, -1, 5, Fraction(7, 3), Fraction(-5, 2), 10 ** 40 + 1,
+                  Fraction(-1, 10 ** 30)):
+            x = field.one() * q
+            assert [x.embed_sign(i) for i in range(n)] == [(q > 0) - (q < 0)] * n, (field, q)
+
+
+def test_rational_square_root_needs_no_interval(monkeypatch):
+    """A rational square s^2, zero included, has the root |s| in every
+    field, found with no interval work and no norm: over every tests/data
+    field with ``horner_scaled``, ``refine_root`` and the norm raising.
+    A rational that is no rational square goes on to the other tests."""
+    fields = _data_fields()
+
+    def fail(*args):
+        raise AssertionError("interval work or a norm on a rational square")
+
+    monkeypatch.setattr(numfield, "horner_scaled", fail)
+    monkeypatch.setattr(numfield, "refine_root", fail)
+    monkeypatch.setattr(FieldElement, "norm", fail)
+    for field in fields.values():
+        for s in (0, 1, -1, 2, Fraction(-3, 7), Fraction(10 ** 30 + 1, 4)):
+            y = has_square_root(field.one() * (s * s)).value
+            assert y == field.one() * abs(s), (field, s)
+    monkeypatch.undo()
+    # 5 = theta^2 and 1/2 = (theta/2)^2, the roots with sigma_0(y) >= 0
+    # at theta_0 = -sqrt5 and -sqrt2
+    assert has_square_root(fields["sqrt5"].one() * 5).value == fields["sqrt5"].element([1, -2])
+    assert has_square_root(fields["sqrt2"].one() * Fraction(1, 2)).value \
+        == fields["sqrt2"].element([0, Fraction(-1, 2)])
+    assert has_square_root(fields["sqrt2"].one() * 3).value is None
 
 
 def test_is_integral(sqrt2, sqrt5):
@@ -349,9 +395,10 @@ def test_lattice_parts_match_the_per_assignment_reference(monkeypatch, sqrt2, sq
     """The lattice that sums per-embedding parts answers as the reference
     that builds each assignment's enclosure from powers and adjugate sums
     (``refpoly.ref_lattice_root``): the same coordinates, or the same None.
-    Cases: squares and non-squares that reach the lattice, psi_m for
-    m <= 40, and products with several roots in k, where the assignment
-    order decides which root comes back."""
+    Cases: squares and non-squares, searched with no residue maps so that
+    the non-squares reach the lattice too, psi_m for m <= 40, and
+    products with several roots in k, where the assignment order decides
+    which root comes back."""
     ct15 = NumberField(cos_trace_min_poly(15))
     fields = (sqrt2, sqrt5, cubic7, ct15)
     rng = random.Random(40)
@@ -385,7 +432,13 @@ def test_lattice_parts_match_the_per_assignment_reference(monkeypatch, sqrt2, sq
                 polys.append((field, Poly((f * g).coeffs)))
 
     def answers():
-        out = [has_square_root(c).value for _, c in squares]
+        # no residue maps for the squares, so that their non-squares reach
+        # the lattice's exclusion path; contains_root_of keeps its residue
+        # obstruction, which spares the psi_m with many real roots
+        with monkeypatch.context() as m:
+            for field in fields:
+                m.setattr(field, "_residue_maps", ())
+            out = [has_square_root(c).value for _, c in squares]
         out += [contains_root_of(field, p).value for field, p in polys]
         return [y and y.coords for y in out]
 
@@ -425,6 +478,30 @@ def test_lattice_builds_no_product_per_assignment(monkeypatch):
     assert 0 < calls < assignments
 
 
+def test_lattice_builds_each_part_on_first_use(monkeypatch, sqrt2):
+    """A part is built the first time an assignment uses it at a width, so
+    a square found on the first sign pattern makes no product for another
+    pattern: the root 3 + theta of (3 + theta)^2 is totally positive, and
+    the search takes at most 4 products over Q(sqrt2) (one width, n^2)
+    and 32 over Q(zeta_15)^+ (two widths).  Building every part at each
+    width made 8 and 64."""
+    ct15 = NumberField(cos_trace_min_poly(15))
+    calls = 0
+    times = ScaledInterval.times
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return times(*args)
+
+    monkeypatch.setattr(ScaledInterval, "times", counted)
+    for field, most in ((sqrt2, 4), (ct15, 32)):
+        x = field.one() * 3 + field.generator()
+        calls = 0
+        assert has_square_root(x * x).value == x
+        assert 0 < calls <= most, (field, calls)
+
+
 def test_contains_root_of_input_checks(sqrt2):
     with pytest.raises(ValueError):
         contains_root_of(sqrt2, Poly([1, 0, 2]))
@@ -434,22 +511,104 @@ def test_contains_root_of_input_checks(sqrt2):
 
 def test_residue_primes_match_brute_force(sqrt2, sqrt5, cubic7):
     """A prime below the bound is kept exactly when it does not divide
-    disc(min_poly) and min_poly has a root mod p: on the test fields and
-    on Q(2cos(2pi/m)) for m <= 60, by trial division and evaluation of
-    the integer coefficients at every residue."""
-    fields = [sqrt2, sqrt5, cubic7] + [NumberField(cos_trace_min_poly(m)) for m in range(1, 61)]
+    disc(min_poly) and min_poly has a root mod p, and the residue maps are
+    every (p, r) with p kept and min_poly(r) = 0 mod p: each kept pair is a
+    root, and every root mod a kept prime is kept.  On the test fields,
+    every tests/data field and Q(2cos(2pi/m)) for m <= 60, by trial
+    division and evaluation of the integer coefficients at every
+    residue."""
+    fields = [sqrt2, sqrt5, cubic7] + list(_data_fields().values()) \
+        + [NumberField(cos_trace_min_poly(m)) for m in range(1, 61)]
     kept = 0
     for field in fields:
         disc = RefPoly(field.min_poly.coeffs).discriminant()
         cs = field.min_poly.num
+
+        def roots(p):
+            return [x for x in range(p) if sum(c * x ** i for i, c in enumerate(cs)) % p == 0]
+
         want = tuple(p for p in range(2, RESIDUE_PRIME_BOUND)
-                     if all(p % k for k in range(2, p)) and disc % p
-                     and any(sum(c * x ** i for i, c in enumerate(cs)) % p == 0
-                             for x in range(p)))
+                     if all(p % k for k in range(2, p)) and disc % p and roots(p))
         assert field._residue_primes == want, field
+        assert field._residue_maps == tuple((p, r) for p in want for r in roots(p)), field
         kept += bool(want)
     assert sqrt2._residue_primes and sqrt5._residue_primes and cubic7._residue_primes
     assert kept > 40
+
+
+def _data_fields() -> dict[str, NumberField]:
+    """The field of every field spec under tests/data, by file name."""
+    specs = {path.stem: json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))}
+    return {name: NumberField.from_json(spec) for name, spec in specs.items()
+            if isinstance(spec, dict) and "min_poly" in spec}
+
+
+def test_data_fields_include_ct37():
+    """ct37.json is Q(cos(2pi/37)), the field of ``cos_trace_min_poly(37)``,
+    of degree 18."""
+    field = _data_fields()["ct37"]
+    assert field.min_poly == cos_trace_min_poly(37) and field.degree == 18
+
+
+def test_residue_certificate_changes_no_square_root_answer(monkeypatch):
+    """``has_square_root`` answers as it does with no residue maps, on
+    squares and non-squares over every tests/data field, Q(zeta_15)^+ and
+    Q(sqrt17), where 2 splits and is kept, but Euler's criterion does not
+    apply: the same coordinates or the same None.  Over the degree-18
+    ct37.json, a non-square with no negative embedding and a square norm
+    would run the lattice over 2^17 sign patterns with no maps (about
+    50 s), so there only squares of totally positive elements and
+    non-squares decided by a sign or by the norm are compared."""
+    sqrt17 = NumberField(Poly([-4, -1, 1]))  # theta = (1 + sqrt17) / 2
+    assert sqrt17._residue_maps[:2] == ((2, 0), (2, 1))
+    fields = list(_data_fields().values()) + [NumberField(cos_trace_min_poly(15)), sqrt17]
+    rng = random.Random(24)
+    found = certified = 0
+    for field in fields:
+        n, one = field.degree, field.one()
+        small = n <= 6
+        cases = []
+        for _ in range(6 if small else 2):
+            x = field.element([Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                               for _ in range(n)])
+            t = x * x + one  # totally positive
+            cases += [t * t, t, x]
+            if small:
+                q = one * rng.choice((2, 3, 5, 6, Fraction(7, 9)))
+                cases += [x * x, x * x * q, t * t * q, x * x * t, x * x * t * q]
+        want = [has_square_root(c).value for c in cases]
+        certified += sum(_residue_certificate(c) is not None for c in cases)
+        found += sum(y is not None for y in want)
+        monkeypatch.setattr(field, "_residue_maps", ())
+        assert [has_square_root(c).value for c in cases] == want, field
+    assert found > 80 and certified > 150, (found, certified)
+
+
+def test_residue_certificate_skips_a_prime_of_the_denominator(sqrt2):
+    """A residue map at a prime p dividing the power-basis denominator d
+    of c decides nothing, as d P(r) = 0 mod p there.  3 is a non-residue
+    mod 7 and mod 17, the first two primes kept for Q(sqrt2): 3 is
+    decided at 7, 3/49 at 17.  Over every tests/data field, x/p is never
+    decided at p, and the square (x/p)^2 is found."""
+    assert sqrt2._residue_primes[:2] == (7, 17)
+    three = sqrt2.one() * 3
+    assert _residue_certificate(three)[0] == 7
+    assert _residue_certificate(three * Fraction(1, 49))[0] == 17
+    assert has_square_root(three * Fraction(1, 49)).value is None
+    rng = random.Random(29)
+    skipped = 0
+    for field in _data_fields().values():
+        for p in field._residue_primes[:4]:
+            if p == 2:
+                continue
+            x = field.element([rng.randint(-5, 5) for _ in range(field.degree)])
+            y = x * Fraction(1, p)
+            assert _residue_certificate(y) is None or _residue_certificate(y)[0] != p
+            if field.degree <= 6:
+                root = has_square_root(y * y).value
+                assert root is not None and root in (y, -y)
+            skipped += 1
+    assert skipped > 10
 
 
 def test_residue_certificate_is_sound(sqrt2, sqrt5, cubic7):
@@ -489,9 +648,9 @@ def test_residue_scan_skipped_for_linear_polynomials():
     """A degree-1 polynomial has a rational root: no prime is scanned."""
     field = NumberField(cos_trace_min_poly(15))
     assert contains_root_of(field, Poly([Fraction(-3, 2), 1])).value == field.one() * Fraction(3, 2)
-    assert "_residue_primes" not in vars(field)
+    assert "_residue_maps" not in vars(field)
     assert contains_root_of(field, cos_trace_min_poly(5)).value is not None
-    assert "_residue_primes" in vars(field)
+    assert "_residue_maps" in vars(field)
 
 
 def test_queries_leave_a_kept_field_unchanged():
